@@ -431,7 +431,8 @@ def build_k_network(
             raise AssertionError("configuration points must hit carrier segments")
         replayed = max(replayed, abs(fv - value))
     bound_exact = residual + sum(exact_level_errors, Fraction(0))
-    assert replayed <= bound_exact, "error budget accounting violated"
+    if replayed > bound_exact:
+        raise AssertionError("error budget accounting violated")
     if replayed >= eps_q:
         raise EncoderBudgetError(
             float(replayed), "replayed error exceeded the requested bound"

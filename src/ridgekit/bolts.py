@@ -9,7 +9,8 @@ that annihilate both directions.
 
 Every point's (level-1, level-2) pair is an edge of a bipartite graph on
 level nodes, and a closed bolt is exactly a simple cycle there, so detection
-is a linear-time cycle search rather than a combinatorial enumeration.
+is a linear-time cycle search rather than a combinatorial enumeration.  The
+graph is read from the shared level index of :mod:`ridgekit.incidence`.
 
 For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .incidence import IncidenceStructure, PointConfig, build_incidence
 from .measures import Direction, DiscreteMeasure, Point
 from .rationals import RationalLike, rationalize
 
@@ -83,20 +85,20 @@ def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
 
 @dataclass(frozen=True)
 class BoltGraph:
-    """Exact level-sharing structure of a point set under two directions."""
+    """Exact level-sharing structure of a point set under two directions.
+
+    ``incidence`` is the level index of ``points`` under ``(a1, a2)``; family
+    ``i`` links the points that share a level of ``incidence.levels[i - 1]``.
+    """
 
     points: tuple[Point, ...]
     a1: Direction
     a2: Direction
-    levels1: tuple[Fraction, ...]
-    groups1: tuple[tuple[int, ...], ...]
-    levels2: tuple[Fraction, ...]
-    groups2: tuple[tuple[int, ...], ...]
+    incidence: IncidenceStructure
 
     def edge_pairs(self, family: int) -> set[frozenset[int]]:
-        groups = self.groups1 if family == 1 else self.groups2
         pairs: set[frozenset[int]] = set()
-        for members in groups:
+        for members in self.incidence.groups[family - 1]:
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     pairs.add(frozenset((a, b)))
@@ -115,41 +117,25 @@ def _parallel(a: Direction, b: Direction) -> bool:
 def build_bolt_graph(
     points: Sequence[Point], a1: Direction, a2: Direction
 ) -> BoltGraph:
-    """Group points by exact level along both directions.
+    """Index points by exact level along both directions.
 
-    Rejects parallel directions, and rejects point pairs sharing both levels
-    (such a pair belongs to both families, which breaks alternation).
+    Rejects empty or repeated point sets (as :class:`PointConfig` does),
+    parallel directions, and point pairs sharing both levels (such a pair
+    belongs to both families, which breaks alternation).
     """
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("need at least one point")
+    cfg = PointConfig(tuple(points), (a1, a2))
     if _parallel(a1, a2):
         raise ValueError("directions must not be parallel")
-    if len({p.coords for p in pts}) != len(pts):
-        raise ValueError("points must be pairwise distinct")
-    seen: dict[tuple[Fraction, Fraction], int] = {}
-    for j, p in enumerate(pts):
-        key = (a1.dot(p), a2.dot(p))
+    inc = build_incidence(cfg)
+    seen: dict[tuple[int, int], int] = {}
+    for j, key in enumerate(zip(*inc.level_of)):
         if key in seen:
             raise ValueError(
                 f"points {seen[key]} and {j} share both projection levels; "
                 "alternating traversal is ambiguous"
             )
         seen[key] = j
-
-    def grouped(a: Direction):
-        by_level: dict[Fraction, list[int]] = {}
-        for j, p in enumerate(pts):
-            by_level.setdefault(a.dot(p), []).append(j)
-        ordered = sorted(by_level.items())
-        return (
-            tuple(lv for lv, _ in ordered),
-            tuple(tuple(m) for _, m in ordered),
-        )
-
-    levels1, groups1 = grouped(a1)
-    levels2, groups2 = grouped(a2)
-    return BoltGraph(pts, a1, a2, levels1, groups1, levels2, groups2)
+    return BoltGraph(cfg.points, a1, a2, inc)
 
 
 def find_closed_bolt(graph: BoltGraph) -> Bolt | None:
@@ -159,18 +145,9 @@ def find_closed_bolt(graph: BoltGraph) -> Bolt | None:
     edge joining its two levels; a simple cycle there is precisely a closed
     bolt (even length, alternation forced by bipartiteness).
     """
-    level1_of = {}
-    level2_of = {}
-    for gi, members in enumerate(graph.groups1):
-        for j in members:
-            level1_of[j] = gi
-    for gi, members in enumerate(graph.groups2):
-        for j in members:
-            level2_of[j] = gi
     adj: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
-    for j in range(len(graph.points)):
-        nu = ("u", level1_of[j])
-        nv = ("v", level2_of[j])
+    for j, (g1, g2) in enumerate(zip(*graph.incidence.level_of)):
+        nu, nv = ("u", g1), ("v", g2)
         adj.setdefault(nu, []).append((nv, j))
         adj.setdefault(nv, []).append((nu, j))
 
@@ -208,9 +185,11 @@ def _bolt_from_cycle(graph, parent, lower, upper, closing_edge) -> Bolt:
         node = pnode
     cycle = list(reversed(path_edges)) + [closing_edge]
     points = tuple(graph.points[j] for j in cycle)
-    first = 1 if graph.a1.dot(points[0]) == graph.a1.dot(points[1]) else 2
+    level1_of = graph.incidence.level_of[0]
+    first = 1 if level1_of[cycle[0]] == level1_of[cycle[1]] else 2
     bolt = Bolt(points, first, closed=True, indices=tuple(cycle))
-    assert verify_bolt(bolt, graph.a1, graph.a2)
+    if not verify_bolt(bolt, graph.a1, graph.a2):
+        raise AssertionError("cycle of the level graph is not a closed bolt")
     return bolt
 
 
@@ -225,7 +204,7 @@ def orbits(graph: BoltGraph) -> tuple[tuple[int, ...], ...]:
             a = root[a]
         return a
 
-    for groups in (graph.groups1, graph.groups2):
+    for groups in graph.incidence.groups:
         for members in groups:
             base = find(members[0])
             for j in members[1:]:

@@ -93,27 +93,48 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _rational_at(value, path: str) -> Fraction:
+    try:
+        return rationalize(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{path}: {value!r} is not a rational") from None
+
+
+def _coordinate_rows(rows, label: str, dim: int) -> list[list[Fraction]]:
+    if not isinstance(rows, list):
+        raise ValueError(f"{label} must be a list of coordinate lists")
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"{label}[{i}] must be a list of {dim} rationals")
+        out.append([_rational_at(v, f"{label}[{i}][{c}]") for c, v in enumerate(row)])
+    return out
+
+
 def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
-    """Parse the JSON configuration schema.
+    """Parse and validate the JSON configuration schema.
 
     Schema: {"dimension": d, "points": [[rational strings]],
     "directions": [[rational strings]], "values": [rational strings]?}.
+    A malformed field raises ``ValueError`` naming its path, e.g. ``points[1]``.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError("configuration must be a JSON object")
+    for name in ("dimension", "points", "directions"):
+        if name not in raw:
+            raise ValueError(f"missing field {name!r}")
     dim = raw["dimension"]
-    points = raw["points"]
-    dirs = raw["directions"]
-    for label, rows in (("points", points), ("directions", dirs)):
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError(f"{label} entry {row} does not match dimension {dim}")
-    cfg = PointConfig.build(points, dirs)
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    points = _coordinate_rows(raw["points"], "points", dim)
+    dirs = _coordinate_rows(raw["directions"], "directions", dim)
     values = raw.get("values")
     if values is not None:
-        if len(values) != len(points):
-            raise ValueError("values must have one entry per point")
-        values = [rationalize(v) for v in values]
-    return cfg, values
+        if not isinstance(values, list) or len(values) != len(points):
+            raise ValueError("values must be a list with one entry per point")
+        values = [_rational_at(v, f"values[{i}]") for i, v in enumerate(values)]
+    return PointConfig.build(points, dirs), values
 
 
 def _resolve_config(job: JobConfig) -> tuple[PointConfig, list[Fraction] | None]:
@@ -135,6 +156,14 @@ def _certificate_dict(cert: ClosedPathCertificate) -> dict:
         "points": [[format_rational(c) for c in p.coords] for p in cert.measure.support],
         "weights": [format_rational(w) for w in cert.measure.weights],
     }
+
+
+def _write_certificate(out: Path, job: JobConfig, cert: ClosedPathCertificate) -> None:
+    """The artifact of a fit refused because the configuration is not dense."""
+    _write_json(
+        out / "certificate.json",
+        _source_fields(job) | {"error": "not_dense", "certificate": _certificate_dict(cert)},
+    )
 
 
 def _source_fields(job: JobConfig) -> dict:
@@ -242,12 +271,12 @@ def _run_ridgefit(job: JobConfig, out: Path) -> int:
 
 
 def _run_netfit(job: JobConfig, out: Path) -> int:
+    from .netapprox import approx_network, table_oracle_from_csv
+
     cfg, values = _resolve_config(job)
     values = _require_values(values)
     sigma_name = job.params.get("sigma", "logistic")
     if sigma_name == "table":
-        from .netapprox import table_oracle_from_csv
-
         table_path = job.params.get("sigma_table")
         if not table_path:
             raise ValueError("--sigma table requires --sigma-table FILE.csv")
@@ -258,25 +287,13 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
         job.params.get("theta_lo", "-5"), job.params.get("theta_hi", "5")
     )
     eps = float(job.params.get("eps", 0.01))
-    net = approx_or_fail(cfg, values, sigma, theta, eps, out, job)
-    if net is None:
+    try:
+        net = approx_network(cfg, values, sigma, theta, eps)
+    except DensityPreconditionError as exc:
+        _write_certificate(out, job, exc.certificate)
         return 2
     _write_json(out / "network.json", _source_fields(job) | net.to_dict())
     return 0
-
-
-def approx_or_fail(cfg, values, sigma, theta, eps, out: Path, job: JobConfig):
-    from .netapprox import approx_network
-
-    try:
-        return approx_network(cfg, values, sigma, theta, eps)
-    except DensityPreconditionError as exc:
-        _write_json(
-            out / "certificate.json",
-            _source_fields(job)
-            | {"error": "not_dense", "certificate": _certificate_dict(exc.certificate)},
-        )
-        return None
 
 
 def _run_kfit(job: JobConfig, out: Path) -> int:
@@ -286,11 +303,7 @@ def _run_kfit(job: JobConfig, out: Path) -> int:
     try:
         net = build_k_network(cfg, values, eps)
     except DensityPreconditionError as exc:
-        _write_json(
-            out / "certificate.json",
-            _source_fields(job)
-            | {"error": "not_dense", "certificate": _certificate_dict(exc.certificate)},
-        )
+        _write_certificate(out, job, exc.certificate)
         return 2
     _write_json(out / "network.json", _source_fields(job) | net.to_dict())
     return 0

@@ -177,7 +177,6 @@ class RationalPoly:
             raise ValueError("degree too large to evaluate")
         x = rationalize(t)
         total = Fraction(0)
-        power_cache: dict[int, Fraction] = {}
         prev_e, prev_p = 0, Fraction(1)
         for e, c in self.terms:
             prev_p = prev_p * x ** (e - prev_e)

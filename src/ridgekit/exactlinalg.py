@@ -1,12 +1,13 @@
 """Exact rational linear algebra for small dense systems.
 
-Two tools, both loop-based and exact:
+Three tools, all loop-based and exact:
 
 * an integer fraction-free elimination that returns a basis of the null
   space, pivoting over columns right-to-left so certificates are
-  reproducible, and
+  reproducible;
 * a reusable Gauss-Jordan factorization over ``Fraction`` for solving one
-  square system against many right-hand sides.
+  square system against many right-hand sides;
+* an integer matrix product.
 
 Everything here targets desk-scale matrices (tens of rows); no attempt is
 made at asymptotic cleverness.
@@ -157,25 +158,6 @@ class GaussJordanSolver:
             # could contribute besides the pivot itself
             x[col] = tb[row] / self._reduced[row][col]
         return x
-
-
-def mat_vec(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> list[Fraction]:
-    return [
-        sum((Fraction(r[j]) * vec[j] for j in range(len(vec)) if r[j]), Fraction(0))
-        for r in rows
-    ]
-
-
-def gram_matrix(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Columns-by-columns Gram matrix (A^T A) of an integer matrix."""
-    g = [[0] * ncols for _ in range(ncols)]
-    for r in rows:
-        support = [j for j in range(ncols) if r[j]]
-        for a in support:
-            ra = r[a]
-            for b in support:
-                g[a][b] += ra * r[b]
-    return g
 
 
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

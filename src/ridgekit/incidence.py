@@ -12,16 +12,21 @@ which is exactly the obstruction to representing arbitrary data on the
 points as a sum of per-direction level profiles.  Hence the verdict: the
 configuration is *dense* (every data vector is an exact ridge sum) iff no
 closed path exists.
+
+:func:`build_incidence` is the only code that maps points to levels; the
+verdict, the ridge fit and the bolt graph of :mod:`ridgekit.bolts` all read
+its :class:`IncidenceStructure`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactlinalg import GaussJordanSolver, gram_matrix, int_mat_mul, mat_vec, nullspace_int
+from .exactlinalg import GaussJordanSolver, int_mat_mul, nullspace_int
 from .measures import Direction, DiscreteMeasure, Point, is_annihilating
 from .rationals import RationalLike, rationalize
 
@@ -70,44 +75,74 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Per-direction level groups plus the stacked 0/1 membership matrix."""
+    """The level index: ``levels[i]`` holds the distinct projection values
+    along direction ``i`` in increasing order, and ``level_of[i][j]`` is the
+    position there of point ``j``'s level.  The rows of ``M`` run over
+    (direction, level) pairs in that order.
+    """
 
-    dirs: tuple[Direction, ...]
-    levels: tuple[tuple[Fraction, ...], ...]          # per direction, sorted
-    groups: tuple[tuple[tuple[int, ...], ...], ...]   # per direction, per level
-    n_points: int
+    levels: tuple[tuple[Fraction, ...], ...]
+    level_of: tuple[tuple[int, ...], ...]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.level_of[0])
 
     @property
     def level_counts(self) -> tuple[int, ...]:
         return tuple(len(lv) for lv in self.levels)
 
     @property
-    def row_count(self) -> int:
-        return sum(self.level_counts)
+    def groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per direction, per level: the points on that level, in increasing order."""
+        out = []
+        for lv, ids in zip(self.levels, self.level_of):
+            members: list[list[int]] = [[] for _ in lv]
+            for j, g in enumerate(ids):
+                members[g].append(j)
+            out.append(tuple(tuple(m) for m in members))
+        return tuple(out)
 
     def matrix_rows(self) -> list[list[int]]:
+        """The dense 0/1 rows of ``M``."""
         rows: list[list[int]] = []
-        for dir_groups in self.groups:
-            for members in dir_groups:
-                row = [0] * self.n_points
-                for j in members:
-                    row[j] = 1
-                rows.append(row)
+        for lv, ids in zip(self.levels, self.level_of):
+            block = [[0] * self.n_points for _ in lv]
+            for j, g in enumerate(ids):
+                block[g][j] = 1
+            rows.extend(block)
         return rows
+
+    def level_sums(self, vec: Sequence[Fraction]) -> list[list[Fraction]]:
+        """``M @ vec``, one list per direction: the sum of a point vector over each level."""
+        out = []
+        for lv, ids in zip(self.levels, self.level_of):
+            sums = [Fraction(0)] * len(lv)
+            for g, x in zip(ids, vec):
+                sums[g] += x
+            out.append(sums)
+        return out
+
+    def gather(self, level_vecs: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+        """``M^T @ u`` for ``u`` split per direction: each point's sum over its levels."""
+        out = [Fraction(0)] * self.n_points
+        for ids, u in zip(self.level_of, level_vecs):
+            for j, g in enumerate(ids):
+                out[j] += u[g]
+        return out
 
 
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
-    """Group points by exact projection value along every direction."""
+    """Index every point by its exact projection level along every direction."""
     levels: list[tuple[Fraction, ...]] = []
-    groups: list[tuple[tuple[int, ...], ...]] = []
+    level_of: list[tuple[int, ...]] = []
     for a in cfg.dirs:
-        by_level: dict[Fraction, list[int]] = {}
-        for j, p in enumerate(cfg.points):
-            by_level.setdefault(a.dot(p), []).append(j)
-        ordered = sorted(by_level.items())
-        levels.append(tuple(lv for lv, _ in ordered))
-        groups.append(tuple(tuple(members) for _, members in ordered))
-    return IncidenceStructure(cfg.dirs, tuple(levels), tuple(groups), cfg.n)
+        proj = [a.dot(p) for p in cfg.points]
+        ordered = sorted(set(proj))
+        position = {lv: g for g, lv in enumerate(ordered)}
+        levels.append(tuple(ordered))
+        level_of.append(tuple(position[v] for v in proj))
+    return IncidenceStructure(tuple(levels), tuple(level_of))
 
 
 @dataclass(frozen=True)
@@ -172,12 +207,14 @@ class LevelTable:
     def __post_init__(self) -> None:
         if len(self.levels) != len(self.values):
             raise ValueError("levels and values must have equal length")
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be strictly increasing")
 
     def value_at(self, level: Fraction) -> Fraction:
-        try:
-            return self.values[self.levels.index(level)]
-        except ValueError:
-            raise KeyError(f"level {level} not in table") from None
+        i = bisect_left(self.levels, level)
+        if i == len(self.levels) or self.levels[i] != level:
+            raise KeyError(f"level {level} not in table")
+        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -194,7 +231,6 @@ class RidgeSum:
         )
 
 
-@dataclass
 class _RidgeSolver:
     """Cached exact least-squares machinery for one configuration.
 
@@ -204,30 +240,24 @@ class _RidgeSolver:
     and ``u`` lies in the column space of ``M``.
     """
 
-    incidence: IncidenceStructure
-    rows: list[list[int]] = field(init=False)
-    solver: GaussJordanSolver = field(init=False)
-    s_matrix: list[list[int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.rows = self.incidence.matrix_rows()
-        n = self.incidence.n_points
-        self.s_matrix = gram_matrix(self.rows, n)
-        s2 = int_mat_mul(self.s_matrix, self.s_matrix)
+    def __init__(self, incidence: IncidenceStructure) -> None:
+        self.incidence = incidence
+        n = incidence.n_points
+        s_matrix = [[0] * n for _ in range(n)]
+        for dir_groups in incidence.groups:
+            for members in dir_groups:
+                for a in members:
+                    row = s_matrix[a]
+                    for b in members:
+                        row[b] += 1
+        s2 = int_mat_mul(s_matrix, s_matrix)
         self.solver = GaussJordanSolver([[Fraction(v) for v in row] for row in s2])
 
-    def fit(self, values: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        rhs = mat_vec(self.s_matrix, values)
-        y = self.solver.solve(rhs)
-        u = mat_vec(self.rows, y)
-        fitted = [Fraction(0)] * len(values)
-        pos = 0
-        for dir_groups in self.incidence.groups:
-            for members in dir_groups:
-                for j in members:
-                    fitted[j] += u[pos]
-                pos += 1
-        return u, fitted
+    def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
+        inc = self.incidence
+        y = self.solver.solve(inc.gather(inc.level_sums(values)))
+        u = inc.level_sums(y)
+        return u, inc.gather(u)
 
 
 @lru_cache(maxsize=128)
@@ -252,12 +282,8 @@ def interpolate_ridge(
     solver = _ridge_solver(cfg)
     u, fitted = solver.fit(f)
     residual = max(abs(a - b) for a, b in zip(f, fitted))
-    tables = []
-    pos = 0
-    for lv in solver.incidence.levels:
-        tables.append(LevelTable(lv, tuple(u[pos : pos + len(lv)])))
-        pos += len(lv)
-    return RidgeSum(cfg.dirs, tuple(tables)), residual
+    tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(solver.incidence.levels, u))
+    return RidgeSum(cfg.dirs, tables), residual
 
 
 @dataclass(frozen=True)

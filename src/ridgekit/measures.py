@@ -185,17 +185,14 @@ class ProjectedMeasure:
     def atoms(self) -> Iterable[tuple[Fraction, Fraction]]:
         return zip(self.levels, self.weights)
 
-    def total_variation(self) -> Fraction:
-        return sum((abs(w) for w in self.weights), Fraction(0))
-
 
 def pushforward(mu: DiscreteMeasure, a: Direction) -> ProjectedMeasure:
     """Image of ``mu`` under x -> a . x, with exact level grouping."""
     return ProjectedMeasure.from_atoms((a.dot(p), w) for p, w in mu.atoms())
 
 
-def total_variation(mu: DiscreteMeasure) -> Fraction:
-    """Sum of absolute atom weights."""
+def total_variation(mu: DiscreteMeasure | ProjectedMeasure) -> Fraction:
+    """Sum of absolute atom weights, of a measure or of its projection."""
     return sum((abs(w) for w in mu.weights), Fraction(0))
 
 

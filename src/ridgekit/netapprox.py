@@ -293,7 +293,8 @@ def approx_network(
         )
         replayed = max(replayed, abs(fv - val))
     bound = float(residual) + sum(fit_errors)
-    assert replayed <= bound + 1e-9, "error budget accounting violated"
+    if not replayed <= bound + 1e-9:  # also fails on a NaN bound
+        raise AssertionError("error budget accounting violated")
     if replayed > eps:
         raise FitBudgetError(replayed)
     object.__setattr__(

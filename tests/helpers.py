@@ -3,7 +3,8 @@
 The null-space oracle here is a deliberately plain textbook Gauss-Jordan over
 ``Fraction`` with left-to-right pivoting — a different algorithm and pivot
 order than the package's fraction-free right-to-left elimination, so the two
-routes are genuinely independent.
+routes are genuinely independent.  Its incidence rows are built here from
+raw ``Direction.dot`` values, not from the package's level index.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ridgekit import PointConfig, build_incidence
+from ridgekit import PointConfig
 
 
 def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
@@ -52,9 +53,18 @@ def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+def level_rows(cfg: PointConfig) -> list[list[int]]:
+    """0/1 incidence rows, one per (direction, level), levels increasing."""
+    rows = []
+    for a in cfg.dirs:
+        proj = [a.dot(p) for p in cfg.points]
+        for level in sorted(set(proj)):
+            rows.append([int(v == level) for v in proj])
+    return rows
+
+
 def oracle_has_closed_path(cfg: PointConfig) -> bool:
-    inc = build_incidence(cfg)
-    return bool(rref_nullspace(inc.matrix_rows(), cfg.n))
+    return bool(rref_nullspace(level_rows(cfg), cfg.n))
 
 
 def random_config(rng: random.Random, max_n=12, max_k=4, max_d=3, coord_range=5) -> PointConfig:

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ridgekit import DiscreteMeasure, Direction, Point, is_annihilating
 from ridgekit.cli import JobConfig, load_config_file, main, run
 
@@ -68,6 +70,32 @@ class TestInputSchema:
             json.dumps({"dimension": 3, "points": [["0", "1"]], "directions": [["1", "0"]]})
         )
         assert run(JobConfig("paths", input_path=str(bad), out_dir=str(tmp_path))) == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "configuration must be a JSON object"),
+            (
+                {"dimension": "2", "points": [["0", "0"]], "directions": [["1", "0"]]},
+                "dimension must be a positive integer, got '2'",
+            ),
+            ({"dimension": 2, "points": [["0", "0"]]}, "missing field 'directions'"),
+            (
+                {"dimension": 2, "points": "abc", "directions": [["1", "0"]]},
+                "points must be a list of coordinate lists",
+            ),
+            (
+                {"dimension": 2, "points": [["0", "0"], ["x", "1"]], "directions": [["1", "0"]]},
+                "points[1][0]: 'x' is not a rational",
+            ),
+        ],
+        ids=["top-level-array", "dimension-string", "missing-directions", "points-string", "bad-entry"],
+    )
+    def test_schema_errors_name_the_field(self, tmp_path, capsys, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(JobConfig("paths", input_path=str(bad), out_dir=str(tmp_path))) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCommands:

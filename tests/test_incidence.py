@@ -7,11 +7,14 @@ import pytest
 
 from helpers import (
     float_lstsq_residual_linf,
+    level_rows,
     oracle_has_closed_path,
     random_config,
     random_values,
+    rref_nullspace,
 )
 from ridgekit import (
+    LevelTable,
     PointConfig,
     build_incidence,
     density_verdict,
@@ -50,6 +53,26 @@ class TestBuildIncidence:
         for dir_groups in inc.groups:
             seen = sorted(j for members in dir_groups for j in members)
             assert seen == list(range(FIVE_PT.n))
+
+    def test_index_matches_rows_built_from_dot_products(self):
+        """Rows, M v and M^T u read from the index equal the dense products."""
+        rng = random.Random(4242)
+        for _ in range(60):
+            cfg = random_config(rng)
+            inc = build_incidence(cfg)
+            rows = level_rows(cfg)
+            assert inc.matrix_rows() == rows
+            v = random_values(rng, cfg.n)
+            u = random_values(rng, len(rows))
+            sums = [s for per_dir in inc.level_sums(v) for s in per_dir]
+            assert sums == [sum(r * x for r, x in zip(row, v)) for row in rows]
+            split, pos = [], 0
+            for count in inc.level_counts:
+                split.append(u[pos : pos + count])
+                pos += count
+            assert inc.gather(split) == [
+                sum(row[j] * x for row, x in zip(rows, u)) for j in range(cfg.n)
+            ]
 
 
 class TestFindClosedPath:
@@ -132,6 +155,43 @@ class TestInterpolateRidge:
             f = np.array([float(v) for v in values])
             reference = np.linalg.pinv(m.T) @ f
             assert np.allclose(exact_u, reference, atol=1e-8)
+
+    def test_exact_minimum_norm_least_squares_conditions(self):
+        """With r = f - M^T u: M r = 0 (least squares), and u is orthogonal
+        to the null space of M^T (minimum norm), both exactly."""
+        rng = random.Random(20261017)
+        for _ in range(40):
+            cfg = random_config(rng, max_n=9, max_k=3)
+            values = random_values(rng, cfg.n)
+            ridge, residual = interpolate_ridge(cfg, values)
+            rows = level_rows(cfg)
+            u = [v for table in ridge.tables for v in table.values]
+            assert len(u) == len(rows)
+            r = [
+                f - sum((row[j] * uv for row, uv in zip(rows, u)), Fraction(0))
+                for j, f in enumerate(values)
+            ]
+            assert max(abs(v) for v in r) == residual
+            for row in rows:
+                assert sum((m * v for m, v in zip(row, r)), Fraction(0)) == 0
+            columns = [list(col) for col in zip(*rows)]
+            for w in rref_nullspace(columns, len(rows)):
+                assert sum((a * b for a, b in zip(u, w)), Fraction(0)) == 0
+
+
+class TestLevelTable:
+    def test_lookup(self):
+        table = LevelTable((Fraction(-1), Fraction(0), Fraction(5, 2)), (1, 2, 3))
+        assert table.value_at(Fraction(5, 2)) == 3
+        assert table.value_at(Fraction(-1)) == 1
+        for missing in (Fraction(-2), Fraction(1, 2), Fraction(3)):
+            with pytest.raises(KeyError):
+                table.value_at(missing)
+
+    @pytest.mark.parametrize("levels", [(0, 0), (1, 0), (0, 2, 1)])
+    def test_rejects_levels_not_strictly_increasing(self, levels):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LevelTable(tuple(Fraction(v) for v in levels), tuple(range(len(levels))))
 
 
 class TestDensityVerdict:
