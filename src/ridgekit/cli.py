@@ -66,6 +66,9 @@ COMMANDS = (
     "kfit",
 )
 
+PROBE_MAX_N = 100_000  # the probe's cost is quadratic in N (denominators grow by ~N/2 bits)
+SIGMA_EVAL_MAX_ROWS = 1_000_000
+
 
 @dataclass
 class JobConfig:
@@ -231,6 +234,8 @@ def _run_probe(job: JobConfig, out: Path) -> int:
     if not any(n == "ridge-identity" for n in names):
         tests.append(probe_test("ridge-identity"))
     n_max = int(job.params.get("n", 1000))
+    if n_max > PROBE_MAX_N:
+        raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
     threshold = rationalize(job.params.get("threshold", "1/100"))
     report = weak_star_probe(gen, tests, n_max, threshold)
     _write_csv(out / "decay.csv", ["n", "test_name", "abs_integral"], report.rows)
@@ -320,11 +325,13 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     step = rationalize(job.params.get("step", "1/100"))
     if step <= 0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
+    count = (stop - start) // step + 1
+    if count > SIGMA_EVAL_MAX_ROWS:
+        raise ValueError(f"--step {step} gives {count} rows, more than {SIGMA_EVAL_MAX_ROWS}")
     rows = []
-    t = start
-    while t <= stop:
+    for i in range(count):
+        t = start + i * step
         rows.append((float(t), float(sigma_eval(spec, t))))
-        t += step
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)
     return 0
 

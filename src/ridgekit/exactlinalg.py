@@ -1,16 +1,14 @@
-"""Exact rational linear algebra for small dense systems.
+"""Exact rational linear algebra.
 
-Three tools, all loop-based and exact:
+Two tools, both loop-based and exact:
 
 * an integer fraction-free elimination that returns a basis of the null
   space, pivoting over columns right-to-left so certificates are
   reproducible;
-* a reusable Gauss-Jordan factorization over ``Fraction`` for solving one
-  square system against many right-hand sides;
-* an integer matrix product.
-
-Everything here targets desk-scale matrices (tens of rows); no attempt is
-made at asymptotic cleverness.
+* a sparse factor-once / solve-many elimination over ``Fraction`` for one
+  square system against many right-hand sides.  It never squares a matrix
+  and only touches nonzero entries, which keeps the ridge fit's
+  ``M^T M`` systems cheap.
 """
 
 from __future__ import annotations
@@ -102,75 +100,59 @@ def normalize_coprime(vec: Sequence[Fraction]) -> tuple[int, ...]:
 class GaussJordanSolver:
     """Factor a square rational matrix once, then solve many right-hand sides.
 
-    Stores the row-operation matrix ``T`` with ``T @ A`` in reduced form.
-    ``solve`` returns the particular solution with free variables set to
-    zero and raises ``ValueError`` on an inconsistent system.
+    Sparse elimination over ``Fraction``: rows may be dense sequences or
+    ``{column: value}`` dicts.  Columns are eliminated left to right, on the
+    diagonal row when it is still available and nonzero (so a symmetric
+    positive semidefinite matrix only fills in along its own pattern), else on
+    the sparsest remaining row.  The row operations are recorded; ``solve``
+    replays them on the right-hand side and back-substitutes, returning the
+    particular solution with free variables set to zero.  It raises
+    ``ValueError`` on an inconsistent system.
     """
 
-    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
-        n = len(matrix)
-        work = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-        trans = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        pivots: list[tuple[int, int]] = []  # (row, column)
-        prow = 0
+    def __init__(self, matrix: Sequence[Sequence[Fraction] | dict[int, Fraction]]):
+        self.n = n = len(matrix)
+        rows = [
+            {j: Fraction(v) for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+            for r in matrix
+        ]
+        unused = list(range(n))  # rows not yet chosen as pivots; all zero once elimination ends
+        self._ops: list[tuple[int, int, Fraction]] = []  # (pivot row, target row, factor)
+        self._pivots: list[tuple[int, int, Fraction]] = []  # (row, column, pivot value)
         for col in range(n):
-            sel = None
-            for i in range(prow, n):
-                if work[i][col] != 0:
-                    sel = i
-                    break
-            if sel is None:
+            targets = [i for i in unused if col in rows[i]]
+            if not targets:
                 continue
-            work[prow], work[sel] = work[sel], work[prow]
-            trans[prow], trans[sel] = trans[sel], trans[prow]
-            pv = work[prow][col]
-            for i in range(n):
-                if i != prow and work[i][col] != 0:
-                    factor = work[i][col] / pv
-                    for j in range(n):
-                        work[i][j] -= factor * work[prow][j]
-                        trans[i][j] -= factor * trans[prow][j]
-            pivots.append((prow, col))
-            prow += 1
-        self.n = n
-        self._reduced = work
-        self._trans = trans
-        self._pivots = pivots
-        self._rank = len(pivots)
-
-    @property
-    def rank(self) -> int:
-        return self._rank
+            p = col if col in targets else min(targets, key=lambda i: (len(rows[i]), i))
+            unused.remove(p)
+            targets.remove(p)
+            prow = rows[p]
+            pv = prow.pop(col)  # the pivot row keeps its off-pivot entries for back substitution
+            for t in targets:
+                row = rows[t]
+                factor = row.pop(col) / pv
+                self._ops.append((p, t, factor))
+                for j, v in prow.items():
+                    w = row.get(j, 0) - factor * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+            self._pivots.append((p, col, pv))
+        self._rows = rows
+        self._zero_rows = unused
+        self.rank = len(self._pivots)
 
     def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
         if len(rhs) != self.n:
             raise ValueError("right-hand side has wrong length")
-        tb = [
-            sum((self._trans[i][j] * rhs[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        ]
-        for i in range(self._rank, self.n):
-            if tb[i] != 0:
-                raise ValueError("inconsistent linear system")
+        b = list(rhs)
+        for p, t, factor in self._ops:
+            if b[p]:
+                b[t] -= factor * b[p]
+        if any(b[i] for i in self._zero_rows):
+            raise ValueError("inconsistent linear system")
         x = [Fraction(0)] * self.n
-        for row, col in self._pivots:
-            # pivot rows are mutually reduced; only free columns (all zero here)
-            # could contribute besides the pivot itself
-            x[col] = tb[row] / self._reduced[row][col]
+        for p, col, pv in reversed(self._pivots):
+            x[col] = (b[p] - sum(v * x[j] for j, v in self._rows[p].items() if x[j])) / pv
         return x
-
-
-def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(cols):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
-    return out

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactlinalg import GaussJordanSolver, int_mat_mul, nullspace_int
+from .exactlinalg import GaussJordanSolver, normalize_coprime, nullspace_int
 from .measures import Direction, DiscreteMeasure, Point, is_annihilating
 from .rationals import RationalLike, rationalize
 
@@ -234,29 +234,40 @@ class RidgeSum:
 class _RidgeSolver:
     """Cached exact least-squares machinery for one configuration.
 
-    Works in point space: with ``S = M^T M`` (n-by-n), any solution ``y`` of
-    ``S^2 y = S f`` gives the minimum-norm least-squares level profile
-    ``u = M y``, because ``S y - f`` is orthogonal to the row space of ``M``
-    and ``u`` lies in the column space of ``M``.
+    The fitted values are ``f'``, the projection of ``f`` off the closed paths
+    (the null space of ``M``, orthogonalized once here).  The minimum-norm
+    ``u`` lies in the range of ``M``, so ``u = M y`` for any solution ``y`` of
+    the consistent system ``S y = f'`` with ``S = M^T M``; solutions differ by
+    null vectors of ``M`` and give the same ``u``.
     """
 
     def __init__(self, incidence: IncidenceStructure) -> None:
         self.incidence = incidence
         n = incidence.n_points
-        s_matrix = [[0] * n for _ in range(n)]
+        self.paths: list[tuple[tuple[int, ...], int]] = []  # (path, squared norm), orthogonal
+        for vec in nullspace_int(incidence.matrix_rows(), n):
+            q = normalize_coprime(self.project(vec))
+            self.paths.append((q, sum(b * b for b in q)))
+        s_rows: list[dict[int, int]] = [{} for _ in range(n)]
         for dir_groups in incidence.groups:
             for members in dir_groups:
                 for a in members:
-                    row = s_matrix[a]
+                    row = s_rows[a]
                     for b in members:
-                        row[b] += 1
-        s2 = int_mat_mul(s_matrix, s_matrix)
-        self.solver = GaussJordanSolver([[Fraction(v) for v in row] for row in s2])
+                        row[b] = row.get(b, 0) + 1
+        self.solver = GaussJordanSolver(s_rows)
+
+    def project(self, vec: Sequence[Fraction]) -> Sequence[Fraction]:
+        """``vec`` minus its components along the stored closed paths."""
+        for q, qq in self.paths:
+            c = Fraction(sum(a * b for a, b in zip(vec, q) if b), qq)
+            if c:
+                vec = [a - c * b for a, b in zip(vec, q)]
+        return vec
 
     def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
         inc = self.incidence
-        y = self.solver.solve(inc.gather(inc.level_sums(values)))
-        u = inc.level_sums(y)
+        u = inc.level_sums(self.solver.solve(self.project(values)))
         return u, inc.gather(u)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,6 +190,22 @@ class TestCommands:
         data = read_json(tmp_path / "encoding.json")
         assert data["index"] == "3"  # the identity polynomial
         assert data["achieved_error"] == 0.0
+
+
+class TestResourceCaps:
+    def test_tiny_sigma_eval_step_is_refused_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["sigma-eval", "--step", "1/1000000000000", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert "--step" in capsys.readouterr().err
+        assert not (tmp_path / "sigma.csv").exists()
+
+    def test_probe_n_above_cap_is_refused(self, tmp_path, capsys):
+        code = main(["probe", "--preset", "paper-orbit", "--N", "100001", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--N" in capsys.readouterr().err
+        assert not (tmp_path / "probe.json").exists()
 
 
 class TestDeterminism:

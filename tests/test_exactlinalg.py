@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
-from helpers import rref_nullspace
+import pytest
+
+from helpers import level_rows, random_config, rref_nullspace
 from ridgekit.exactlinalg import (
     GaussJordanSolver,
-    int_mat_mul,
     normalize_coprime,
     nullspace_int,
 )
@@ -68,12 +69,46 @@ class TestGaussJordanSolver:
         a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert GaussJordanSolver(a).rank == 1
 
+    def test_singular_gram_matrices_of_incidence_rows(self):
+        """S = M^T M for 0/1 level rows M: singular, symmetric, PSD.  Right-hand
+        sides in its range solve exactly; adding a null vector of M (which is
+        orthogonal to the range) makes the system inconsistent."""
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(60):
+            cfg = random_config(rng, max_n=14, max_k=3)
+            rows = level_rows(cfg)
+            n = cfg.n
+            s = [[sum(r[a] * r[b] for r in rows) for b in range(n)] for a in range(n)]
+            null = rref_nullspace(rows, n)
+            solver = GaussJordanSolver(s)
+            assert solver.rank == n - len(null)
+            x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in s]
+            x = solver.solve(b)
+            assert [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in s] == b
+            if null:
+                singular += 1
+                with pytest.raises(ValueError, match="inconsistent"):
+                    solver.solve([v + w for v, w in zip(b, null[0])])
+        assert singular >= 10
 
-class TestMatrixHelpers:
-    def test_int_mat_mul(self):
-        a = [[1, 2], [3, 4]]
-        b = [[0, 1], [1, 0]]
-        assert int_mat_mul(a, b) == [[2, 1], [4, 3]]
+    def test_dict_rows_match_dense_rows(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            a = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
+            sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
+            b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+            dense_solver, dict_solver = GaussJordanSolver(a), GaussJordanSolver(sparse)
+            assert dense_solver.rank == dict_solver.rank
+            try:
+                expected = dense_solver.solve(b)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    dict_solver.solve(b)
+            else:
+                assert dict_solver.solve(b) == expected
 
 
 class TestBigRationalStrings:

@@ -28,6 +28,59 @@ FIVE_PT = config_preset("paper-5pt")
 GRID22 = config_preset("grid-2x2")
 
 
+def assert_exact_min_norm_least_squares(cfg: PointConfig, values: list[Fraction]) -> None:
+    """With r = f - M^T u: M r = 0 (least squares), and u is orthogonal to
+    the null space of M^T (minimum norm), both exactly."""
+    ridge, residual = interpolate_ridge(cfg, values)
+    rows = level_rows(cfg)
+    u = [v for table in ridge.tables for v in table.values]
+    assert len(u) == len(rows)
+    r = [
+        f - sum((row[j] * uv for row, uv in zip(rows, u)), Fraction(0))
+        for j, f in enumerate(values)
+    ]
+    assert max(abs(v) for v in r) == residual
+    for row in rows:
+        assert sum((m * v for m, v in zip(row, r)), Fraction(0)) == 0
+    columns = [list(col) for col in zip(*rows)]
+    for w in rref_nullspace(columns, len(rows)):
+        assert sum((a * b for a, b in zip(u, w)), Fraction(0)) == 0
+
+
+def large_config(rng: random.Random, family: str, n: int) -> PointConfig:
+    """A seeded configuration of about ``n`` points.  The k = 2 families are
+    given as level-index pairs under the two axis directions, with random
+    rational level values: a staircase (a path in the level graph), the same
+    closed into a cycle by one more point, or a random level forest.  The
+    k = 3 family is the near-square grid with a diagonal direction."""
+    if family == "grid":
+        a = int(n**0.5)
+        points = [(i, j) for i in range(a) for j in range(n // a)]
+        return PointConfig.build(points, [(1, 0), (0, 1), (1, rng.choice((1, -1)))])
+    if family == "forest":
+        pairs = [(0, 0)]
+        sizes = [1, 1]
+        while len(pairs) < n:
+            side = rng.randrange(2)
+            old = rng.randrange(sizes[side])
+            pair = [0, 0]
+            pair[side], pair[1 - side] = old, sizes[1 - side]
+            sizes[1 - side] += 1
+            pairs.append(tuple(pair))
+    else:
+        m = n - 1 if family == "closed-staircase" else n
+        pairs = [((i + 1) // 2, i // 2) for i in range(m)]
+        if family == "closed-staircase":
+            pairs.append((0, pairs[-1][1]))
+    rng.shuffle(pairs)
+    values = [
+        sorted(rng.sample(range(-999, 1000), 1 + max(p[side] for p in pairs)))
+        for side in (0, 1)
+    ]
+    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
+    return PointConfig.build(points, [(1, 0), (0, 1)])
+
+
 class TestBuildIncidence:
     def test_five_point_structure(self):
         inc = build_incidence(FIVE_PT)
@@ -157,26 +210,20 @@ class TestInterpolateRidge:
             assert np.allclose(exact_u, reference, atol=1e-8)
 
     def test_exact_minimum_norm_least_squares_conditions(self):
-        """With r = f - M^T u: M r = 0 (least squares), and u is orthogonal
-        to the null space of M^T (minimum norm), both exactly."""
         rng = random.Random(20261017)
         for _ in range(40):
             cfg = random_config(rng, max_n=9, max_k=3)
-            values = random_values(rng, cfg.n)
-            ridge, residual = interpolate_ridge(cfg, values)
-            rows = level_rows(cfg)
-            u = [v for table in ridge.tables for v in table.values]
-            assert len(u) == len(rows)
-            r = [
-                f - sum((row[j] * uv for row, uv in zip(rows, u)), Fraction(0))
-                for j, f in enumerate(values)
-            ]
-            assert max(abs(v) for v in r) == residual
-            for row in rows:
-                assert sum((m * v for m, v in zip(row, r)), Fraction(0)) == 0
-            columns = [list(col) for col in zip(*rows)]
-            for w in rref_nullspace(columns, len(rows)):
-                assert sum((a * b for a, b in zip(u, w)), Fraction(0)) == 0
+            assert_exact_min_norm_least_squares(cfg, random_values(rng, cfg.n))
+
+    @pytest.mark.parametrize("family", ["staircase", "closed-staircase", "forest", "grid"])
+    def test_exact_conditions_on_large_configurations(self, family):
+        """The same exact conditions at n = 30..64."""
+        rng = random.Random(f"large-{family}")
+        for n in (30, 47, 64):
+            cfg = large_config(rng, family, n)
+            assert 30 <= cfg.n <= 64
+            assert density_verdict(cfg).dense == (family in ("staircase", "forest"))
+            assert_exact_min_norm_least_squares(cfg, random_values(rng, cfg.n))
 
 
 class TestLevelTable:
