@@ -349,7 +349,7 @@ def _run_sigma_build(job: JobConfig, out: Path) -> int:
     eps = float(job.params.get("eps", 0.001))
     enc = encode_univariate(poly, eps, spec)
     payload = _source_fields(job) | {
-        "index": str(enc.index),
+        "index": format_rational(Fraction(enc.index)),
         "scale": format_rational(enc.scale),
         "shift": format_rational(enc.shift),
         "achieved_error": float(enc.achieved_error),

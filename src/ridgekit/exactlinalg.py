@@ -1,24 +1,25 @@
 """Exact rational linear algebra.
 
-Two tools, both loop-based and exact:
+Two sparse, loop-based, exact tools; rows may be dense sequences or
+``{column: value}`` dicts, and only nonzero entries are touched:
 
-* an integer fraction-free elimination that returns a basis of the null
-  space, pivoting over columns right-to-left so certificates are
-  reproducible;
-* a sparse factor-once / solve-many elimination over ``Fraction`` for one
-  square system against many right-hand sides.  It never squares a matrix
-  and only touches nonzero entries, which keeps the ridge fit's
-  ``M^T M`` systems cheap.
+* a forward-only integer fraction-free elimination, pivoting over columns
+  right to left, that returns a basis of the null space.  The basis depends
+  only on the matrix, not on the elimination route (see :func:`nullspace_int`),
+  so certificates are reproducible;
+* a factor-once / solve-many elimination over ``Fraction`` for one square
+  system against many right-hand sides.  It never squares a matrix, which
+  keeps the ridge fit's ``M^T M`` systems cheap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-def _row_gcd(row: list[int]) -> int:
+def _row_gcd(row: Iterable[int]) -> int:
     g = 0
     for v in row:
         g = gcd(g, abs(v))
@@ -27,53 +28,72 @@ def _row_gcd(row: list[int]) -> int:
     return g
 
 
-def nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+def nullspace_int(
+    rows: Sequence[Sequence[int] | dict[int, int]], ncols: int
+) -> list[tuple[int, ...]]:
     """Null-space basis of an integer matrix, as coprime integer vectors.
 
-    Fraction-free cross-multiplication elimination with pivot columns chosen
-    right-to-left (reverse-lexicographic); one basis vector per free column,
-    emitted in the same right-to-left order.  Each vector is scaled to
-    coprime integers with its first nonzero entry (natural column order)
-    positive.
+    Columns are processed right to left.  A column's pivot is the lowest-index
+    row not yet used as a pivot that is nonzero there; the column is then
+    eliminated from the other unused rows by the fraction-free update
+    ``r * pivot - pivot_row * r[col]``, divided by the row's gcd.  A column
+    with no unused row left is free: it depends on the pivot columns to its
+    right, and its basis vector comes from back-substitution over their
+    pivot rows, nearest first (each pivot row is zero right of its pivot).
+
+    The pivot columns are exactly the columns independent of those to their
+    right, and each vector is the unique null vector with a 1 on its free
+    column, 0 on the other free columns and support at or right of that
+    column; so the basis depends only on the matrix, not on the elimination
+    route.  One vector per free column, right to left, each scaled to coprime
+    integers with its first nonzero entry (natural column order) positive.
     """
-    mat = [list(map(int, r)) for r in rows]
-    used = [False] * len(mat)
-    pivots: list[tuple[int, int]] = []  # (column, row index)
+    mat = [
+        {j: int(v) for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+        for r in rows
+    ]
+    holders: list[set[int]] = [set() for _ in range(ncols)]  # column -> unused rows nonzero there
+    for i, r in enumerate(mat):
+        for j in r:
+            holders[j].add(i)
+    pivots: list[tuple[int, dict[int, int]]] = []  # (column, pivot row), right to left
+    free_cols: list[int] = []
     for col in range(ncols - 1, -1, -1):
-        prow = None
-        for i, r in enumerate(mat):
-            if not used[i] and r[col] != 0:
-                prow = i
-                break
-        if prow is None:
+        if not holders[col]:
+            free_cols.append(col)
             continue
-        used[prow] = True
+        p = min(holders[col])
+        prow = mat[p]
+        for j in prow:
+            holders[j].discard(p)
         pivots.append((col, prow))
-        pv = mat[prow][col]
-        for i, r in enumerate(mat):
-            if i != prow and r[col] != 0:
-                rv = r[col]
-                for j in range(ncols):
-                    r[j] = r[j] * pv - mat[prow][j] * rv
-                g = _row_gcd(r)
-                if g > 1:
-                    for j in range(ncols):
-                        r[j] //= g
-    pivot_cols = {col for col, _ in pivots}
+        pv = prow[col]
+        for i in list(holders[col]):
+            r = mat[i]
+            rv = r[col]
+            new = {j: v * pv for j, v in r.items()}
+            for j, v in prow.items():
+                w = new.get(j, 0) - v * rv
+                if w:
+                    if j not in new:
+                        holders[j].add(i)
+                    new[j] = w
+                elif j in new:
+                    del new[j]
+                    holders[j].discard(i)
+            g = _row_gcd(new.values())
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+            mat[i] = new
     basis: list[tuple[int, ...]] = []
-    for free_col in range(ncols - 1, -1, -1):
-        if free_col in pivot_cols:
-            continue
-        x = [Fraction(0)] * ncols
-        x[free_col] = Fraction(1)
-        for col, ri in pivots:
-            row = mat[ri]
-            s = Fraction(0)
-            for j in range(ncols):
-                if j != col and x[j]:
-                    s += row[j] * x[j]
-            x[col] = -s / row[col]
-        basis.append(normalize_coprime(x))
+    for free_col in free_cols:
+        x = {free_col: Fraction(1)}
+        for col, prow in reversed(pivots):
+            if col > free_col:
+                s = sum(v * x[j] for j, v in prow.items() if j in x)
+                if s:
+                    x[col] = -s / prow[col]
+        basis.append(normalize_coprime([x.get(j, Fraction(0)) for j in range(ncols)]))
     return basis
 
 

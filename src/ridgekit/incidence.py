@@ -103,15 +103,11 @@ class IncidenceStructure:
             out.append(tuple(tuple(m) for m in members))
         return tuple(out)
 
-    def matrix_rows(self) -> list[list[int]]:
-        """The dense 0/1 rows of ``M``."""
-        rows: list[list[int]] = []
-        for lv, ids in zip(self.levels, self.level_of):
-            block = [[0] * self.n_points for _ in lv]
-            for j, g in enumerate(ids):
-                block[g][j] = 1
-            rows.extend(block)
-        return rows
+    def closed_paths(self) -> list[tuple[int, ...]]:
+        """The null-space basis of ``M`` from :func:`nullspace_int`, fed one
+        sparse 0/1 row per (direction, level)."""
+        rows = [dict.fromkeys(members, 1) for dir_groups in self.groups for members in dir_groups]
+        return nullspace_int(rows, self.n_points)
 
     def level_sums(self, vec: Sequence[Fraction]) -> list[list[Fraction]]:
         """``M @ vec``, one list per direction: the sum of a point vector over each level."""
@@ -185,8 +181,7 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
     restriction satisfies the same level equations, so the support is itself
     a closed path.
     """
-    inc = build_incidence(cfg)
-    basis = nullspace_int(inc.matrix_rows(), cfg.n)
+    basis = build_incidence(cfg).closed_paths()
     if not basis:
         return None
     vec = basis[0]
@@ -245,7 +240,7 @@ class _RidgeSolver:
         self.incidence = incidence
         n = incidence.n_points
         self.paths: list[tuple[tuple[int, ...], int]] = []  # (path, squared norm), orthogonal
-        for vec in nullspace_int(incidence.matrix_rows(), n):
+        for vec in incidence.closed_paths():
             q = normalize_coprime(self.project(vec))
             self.paths.append((q, sum(b * b for b in q)))
         s_rows: list[dict[int, int]] = [{} for _ in range(n)]

@@ -9,21 +9,27 @@ same float literal always maps to the same rational.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 RationalLike = Union[int, str, float, Fraction]
 
 # Thresholds/indices can run to hundreds of thousands of digits; CPython caps
-# int<->str conversion by default, so the cap is raised on demand.
+# int<->str conversion by default, so each conversion raises the cap and restores it.
 _STR_DIGITS_MARGIN = 64
 
 
-def _ensure_str_digits(n_digits: int) -> None:
-    if hasattr(sys, "get_int_max_str_digits"):
-        current = sys.get_int_max_str_digits()
-        if current and n_digits + _STR_DIGITS_MARGIN > current:
-            sys.set_int_max_str_digits(n_digits + _STR_DIGITS_MARGIN)
+@contextmanager
+def _str_digits(n_digits: int) -> Iterator[None]:
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if saved and n_digits + _STR_DIGITS_MARGIN > saved:
+        sys.set_int_max_str_digits(n_digits + _STR_DIGITS_MARGIN)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def rationalize(value: RationalLike) -> Fraction:
@@ -42,14 +48,14 @@ def rationalize(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
-        _ensure_str_digits(len(value))
-        return Fraction(value.strip())
+        with _str_digits(len(value)):
+            return Fraction(value.strip())
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p" or "p/q", safe for very large terms."""
-    _ensure_str_digits(max(q.numerator.bit_length(), q.denominator.bit_length()) // 3 + 2)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    with _str_digits(max(q.numerator.bit_length(), q.denominator.bit_length()) // 3 + 2):
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"

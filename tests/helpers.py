@@ -67,6 +67,45 @@ def oracle_has_closed_path(cfg: PointConfig) -> bool:
     return bool(rref_nullspace(level_rows(cfg), cfg.n))
 
 
+def large_config(rng: random.Random, family: str, n: int) -> PointConfig:
+    """A seeded configuration of about ``n`` points.  The k = 2 families are
+    given as level-index pairs under the two axis directions, with random
+    rational level values: a staircase (a path in the level graph), the same
+    closed into a cycle by one more point, or a random level forest.  The
+    k = 3 families are the near-square grid with a diagonal direction and a
+    generic set of random rational points (almost surely all levels distinct)."""
+    if family == "grid":
+        a = int(n**0.5)
+        points = [(i, j) for i in range(a) for j in range(n // a)]
+        return PointConfig.build(points, [(1, 0), (0, 1), (1, rng.choice((1, -1)))])
+    if family == "generic":
+        points = {(Fraction(rng.randint(-999, 999), 37), Fraction(rng.randint(-999, 999), 37))
+                  for _ in range(n)}
+        return PointConfig.build(sorted(points), [(1, 0), (0, 1), (1, 1)])
+    if family == "forest":
+        pairs = [(0, 0)]
+        sizes = [1, 1]
+        while len(pairs) < n:
+            side = rng.randrange(2)
+            old = rng.randrange(sizes[side])
+            pair = [0, 0]
+            pair[side], pair[1 - side] = old, sizes[1 - side]
+            sizes[1 - side] += 1
+            pairs.append(tuple(pair))
+    else:
+        m = n - 1 if family == "closed-staircase" else n
+        pairs = [((i + 1) // 2, i // 2) for i in range(m)]
+        if family == "closed-staircase":
+            pairs.append((0, pairs[-1][1]))
+    rng.shuffle(pairs)
+    values = [
+        sorted(rng.sample(range(-999, 1000), 1 + max(p[side] for p in pairs)))
+        for side in (0, 1)
+    ]
+    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
+    return PointConfig.build(points, [(1, 0), (0, 1)])
+
+
 def random_config(rng: random.Random, max_n=12, max_k=4, max_d=3, coord_range=5) -> PointConfig:
     """A random configuration with small integer coordinates in {0..4}."""
     d = rng.randint(1, max_d)

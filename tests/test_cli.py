@@ -191,6 +191,18 @@ class TestCommands:
         assert data["index"] == "3"  # the identity polynomial
         assert data["achieved_error"] == 0.0
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_sigma_build_index_longer_than_the_digit_limit(self, tmp_path):
+        """The index is written in full even past the default 4300-digit
+        int/str limit, and the process-wide limit is left as it was."""
+        before = sys.get_int_max_str_digits()
+        poly = "1/3,2/7,5/11,1/13,3/17,7/19,11/23,13/29,17/31,19/37,23/41,29/43"
+        job = JobConfig("sigma-build", out_dir=str(tmp_path), params={"poly": poly, "eps": "0.001"})
+        assert run(job) == 0
+        assert sys.get_int_max_str_digits() == before
+        index = read_json(tmp_path / "encoding.json")["index"]
+        assert len(index) > 4300 and index.isdigit()
+
 
 class TestResourceCaps:
     def test_tiny_sigma_eval_step_is_refused_at_once(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Randomized validation of the exact linear algebra kernel."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import level_rows, random_config, rref_nullspace
+from helpers import large_config, level_rows, random_config, rref_nullspace
 from ridgekit.exactlinalg import (
     GaussJordanSolver,
     normalize_coprime,
@@ -18,7 +21,56 @@ def random_int_matrix(rng, rows, cols, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def right_to_left_oracle(rows, ncols):
+    """The right-to-left basis, independently: textbook left-to-right RREF of
+    the column-reversed matrix, each vector reversed back, then normalized."""
+    reversed_rows = [list(row)[::-1] for row in rows]
+    return [normalize_coprime(vec[::-1]) for vec in rref_nullspace(reversed_rows, ncols)]
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices with negative entries, zero rows and repeated or
+    zero columns; the sparsity draw spans full rank to rank-deficient."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-5, 5)) if draw(st.booleans()) else st.integers(-5, 5)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        zero = draw(st.booleans())
+        for row in rows:
+            row[dst] = 0 if zero else row[src]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [0] * ncols)
+    return rows, ncols
+
+
 class TestNullspace:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_matches_right_to_left_oracle(self, matrix):
+        rows, ncols = matrix
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        expected = right_to_left_oracle(rows, ncols)
+        assert nullspace_int(rows, ncols) == expected
+        assert nullspace_int(sparse, ncols) == expected
+
+    @pytest.mark.parametrize(
+        "family", ["staircase", "closed-staircase", "forest", "grid", "generic"]
+    )
+    def test_matches_oracle_on_incidence_rows(self, family):
+        """Seeded level rows up to n = 200, dense and as dicts, against the oracle."""
+        rng = random.Random(f"nullspace-{family}")
+        for n in (12, 60, 200):
+            cfg = large_config(rng, family, n)
+            rows = level_rows(cfg)
+            expected = right_to_left_oracle(rows, cfg.n)
+            assert bool(expected) == (family in ("closed-staircase", "grid"))
+            assert nullspace_int(rows, cfg.n) == expected
+            sparse = [{j: 1 for j, v in enumerate(row) if v} for row in rows]
+            assert nullspace_int(sparse, cfg.n) == expected
+
     def test_vectors_are_in_kernel_and_dimension_matches(self):
         rng = random.Random(99)
         for _ in range(200):
@@ -116,6 +168,13 @@ class TestBigRationalStrings:
         q = Fraction(10**5000 + 7, 3**2000)
         text = format_rational(q)
         assert rationalize(text) == q
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_round_trip_leaves_the_digit_limit_unchanged(self):
+        before = sys.get_int_max_str_digits()
+        q = Fraction(10**100000 + 7, 3**20000)
+        assert rationalize(format_rational(q)) == q
+        assert sys.get_int_max_str_digits() == before
 
     def test_plain_forms(self):
         assert format_rational(Fraction(-3, 32)) == "-3/32"

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     float_lstsq_residual_linf,
+    large_config,
     level_rows,
     oracle_has_closed_path,
     random_config,
@@ -47,57 +48,22 @@ def assert_exact_min_norm_least_squares(cfg: PointConfig, values: list[Fraction]
         assert sum((a * b for a, b in zip(u, w)), Fraction(0)) == 0
 
 
-def large_config(rng: random.Random, family: str, n: int) -> PointConfig:
-    """A seeded configuration of about ``n`` points.  The k = 2 families are
-    given as level-index pairs under the two axis directions, with random
-    rational level values: a staircase (a path in the level graph), the same
-    closed into a cycle by one more point, or a random level forest.  The
-    k = 3 family is the near-square grid with a diagonal direction."""
-    if family == "grid":
-        a = int(n**0.5)
-        points = [(i, j) for i in range(a) for j in range(n // a)]
-        return PointConfig.build(points, [(1, 0), (0, 1), (1, rng.choice((1, -1)))])
-    if family == "forest":
-        pairs = [(0, 0)]
-        sizes = [1, 1]
-        while len(pairs) < n:
-            side = rng.randrange(2)
-            old = rng.randrange(sizes[side])
-            pair = [0, 0]
-            pair[side], pair[1 - side] = old, sizes[1 - side]
-            sizes[1 - side] += 1
-            pairs.append(tuple(pair))
-    else:
-        m = n - 1 if family == "closed-staircase" else n
-        pairs = [((i + 1) // 2, i // 2) for i in range(m)]
-        if family == "closed-staircase":
-            pairs.append((0, pairs[-1][1]))
-    rng.shuffle(pairs)
-    values = [
-        sorted(rng.sample(range(-999, 1000), 1 + max(p[side] for p in pairs)))
-        for side in (0, 1)
-    ]
-    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
-    return PointConfig.build(points, [(1, 0), (0, 1)])
-
-
 class TestBuildIncidence:
     def test_five_point_structure(self):
         inc = build_incidence(FIVE_PT)
         assert inc.level_counts == (2, 2, 2)
-        rows = inc.matrix_rows()
+        rows = level_rows(FIVE_PT)
         assert len(rows) == 6 and all(len(r) == 5 for r in rows)
         assert all(v in (0, 1) for r in rows for v in r)
         assert all(sum(r) >= 1 for r in rows)
 
     def test_single_point(self):
         cfg = PointConfig.build([(2, 3)], [(1, 0), (0, 1), (1, 1)])
-        inc = build_incidence(cfg)
-        assert inc.matrix_rows() == [[1], [1], [1]]
+        assert level_rows(cfg) == [[1], [1], [1]]
+        assert build_incidence(cfg).groups == (((0,),),) * 3
 
     def test_grid_rows_have_two_ones(self):
-        inc = build_incidence(GRID22)
-        rows = inc.matrix_rows()
+        rows = level_rows(GRID22)
         assert len(rows) == 4
         assert all(sum(r) == 2 for r in rows)
 
@@ -108,13 +74,15 @@ class TestBuildIncidence:
             assert seen == list(range(FIVE_PT.n))
 
     def test_index_matches_rows_built_from_dot_products(self):
-        """Rows, M v and M^T u read from the index equal the dense products."""
+        """Level groups, M v and M^T u read from the index equal the dense products."""
         rng = random.Random(4242)
         for _ in range(60):
             cfg = random_config(rng)
             inc = build_incidence(cfg)
             rows = level_rows(cfg)
-            assert inc.matrix_rows() == rows
+            assert [set(m) for per_dir in inc.groups for m in per_dir] == [
+                {j for j, v in enumerate(row) if v} for row in rows
+            ]
             v = random_values(rng, cfg.n)
             u = random_values(rng, len(rows))
             sums = [s for per_dir in inc.level_sums(v) for s in per_dir]
@@ -169,7 +137,7 @@ class TestInterpolateRidge:
         _, residual = interpolate_ridge(GRID22, [0, 0, 0, 1])
         assert residual == Fraction(1, 4)
         oracle = float_lstsq_residual_linf(
-            build_incidence(GRID22).matrix_rows(), [Fraction(v) for v in (0, 0, 0, 1)]
+            level_rows(GRID22), [Fraction(v) for v in (0, 0, 0, 1)]
         )
         assert abs(float(residual) - oracle) < 1e-9
 
@@ -203,7 +171,7 @@ class TestInterpolateRidge:
             values = random_values(rng, cfg.n)
             ridge, _ = interpolate_ridge(cfg, values)
             exact_u = [float(v) for table in ridge.tables for v in table.values]
-            rows = build_incidence(cfg).matrix_rows()
+            rows = level_rows(cfg)
             m = np.array(rows, dtype=float)
             f = np.array([float(v) for v in values])
             reference = np.linalg.pinv(m.T) @ f
