@@ -291,7 +291,13 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     theta = ThetaInterval.create(
         job.params.get("theta_lo", "-5"), job.params.get("theta_hi", "5")
     )
-    eps = float(job.params.get("eps", 0.01))
+    raw_eps = job.params.get("eps", 0.01)
+    try:
+        eps = float(raw_eps)
+    except ValueError:
+        raise ValueError(f"--eps {raw_eps!r} is not a number") from None
+    if not eps > 0:  # also rejects NaN
+        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
     try:
         net = approx_network(cfg, values, sigma, theta, eps)
     except DensityPreconditionError as exc:

@@ -20,9 +20,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .activation import Network, NetworkTerm
+from .activation import Network, NetworkTerm, eval_network
 from .incidence import DensityPreconditionError, PointConfig, density_verdict, interpolate_ridge
 from .rationals import RationalLike, rationalize
+
+
+# One round's dictionary is a levels x atoms float array; the atom count grows
+# about fourfold per round (round 5 of the default six has 8.5M atoms).
+MAX_DICTIONARY_ENTRIES = 2**24
+_ATOM_BLOCK = 512  # atoms per array evaluation while filling the dictionary
 
 
 class FitBudgetError(Exception):
@@ -39,11 +45,24 @@ class PolynomialActivationError(Exception):
 
 @dataclass(eq=False)
 class SigmaOracle:
-    """A continuous activation given by an evaluator plus a descriptor."""
+    """A continuous activation given by an evaluator plus a descriptor.
+
+    ``array_evaluator``, when given, computes the same function elementwise on
+    a float array; without it :meth:`evaluate` loops over ``evaluator``.
+    """
 
     name: str
     evaluator: Callable[[float], float]
     params: dict = field(default_factory=dict)
+    array_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The activation applied elementwise to a float array."""
+        x = np.asarray(x, dtype=float)
+        if self.array_evaluator is not None:
+            return self.array_evaluator(x)
+        f = self.evaluator
+        return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def logistic_oracle() -> SigmaOracle:
@@ -53,31 +72,61 @@ def logistic_oracle() -> SigmaOracle:
         e = math.exp(x)
         return e / (1.0 + e)
 
-    return SigmaOracle("logistic", f)
+    def f_array(x: np.ndarray) -> np.ndarray:
+        e = np.exp(-np.abs(x))  # the scalar branches' exp argument, never positive
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    return SigmaOracle("logistic", f, array_evaluator=f_array)
 
 
 def tanh_ramp_oracle() -> SigmaOracle:
-    return SigmaOracle("tanh-ramp", lambda x: 0.5 * (1.0 + math.tanh(x)))
+    return SigmaOracle(
+        "tanh-ramp",
+        lambda x: 0.5 * (1.0 + math.tanh(x)),
+        array_evaluator=lambda x: 0.5 * (1.0 + np.tanh(x)),
+    )
+
+
+def _table_point(x: float, y: float, seen: set[float], where: str) -> tuple[float, float]:
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{where}: table point ({x!r}, {y!r}) is not finite")
+    if x in seen:
+        raise ValueError(f"{where}: x = {x!r} repeats an earlier table point")
+    seen.add(x)
+    return x, y
 
 
 def table_oracle(points: Sequence[tuple[float, float]]) -> SigmaOracle:
-    """Piecewise-linear activation through the given (x, y) pairs, clamped outside."""
-    pts = sorted((float(x), float(y)) for x, y in points)
+    """Piecewise-linear activation through the given (x, y) pairs, clamped outside.
+
+    Every x and y must be finite and no x may repeat; a bad pair raises
+    ``ValueError`` naming its index.
+    """
+    seen: set[float] = set()
+    pts = sorted(_table_point(x, y, seen, f"table point {i}") for i, (x, y) in enumerate(points))
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
 
     def f(x: float) -> float:
         return float(np.interp(x, xs, ys))
 
-    return SigmaOracle("table", f, {"points": [[x, y] for x, y in pts]})
+    return SigmaOracle(
+        "table",
+        f,
+        {"points": [[x, y] for x, y in pts]},
+        array_evaluator=lambda x: np.interp(x, xs, ys),
+    )
 
 
 def table_oracle_from_csv(path: str) -> SigmaOracle:
     """Load a piecewise-linear activation from a two-column CSV (x, y).
 
-    A single non-numeric header line is tolerated and skipped.
+    A single non-numeric header line is tolerated and skipped.  A non-finite
+    value or a repeated x raises ``ValueError`` naming ``path:line``.
     """
     pairs: list[tuple[float, float]] = []
+    seen: set[float] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle):
             line = line.strip()
@@ -87,11 +136,12 @@ def table_oracle_from_csv(path: str) -> SigmaOracle:
             if len(cells) != 2:
                 raise ValueError(f"{path}:{lineno + 1}: expected two columns")
             try:
-                pairs.append((float(cells[0]), float(cells[1])))
+                x, y = float(cells[0]), float(cells[1])
             except ValueError:
                 if lineno == 0:
                     continue  # header
                 raise ValueError(f"{path}:{lineno + 1}: not numeric") from None
+            pairs.append(_table_point(x, y, seen, f"{path}:{lineno + 1}"))
     if len(pairs) < 2:
         raise ValueError("table activation needs at least two points")
     return table_oracle(pairs)
@@ -187,9 +237,11 @@ def approx_univariate(
     scale range and the theta resolution double.  Atoms are added greedily by
     residual correlation with a full least-squares refit, until the worst
     level error is within ``eps`` or the atom budget runs out; exhausting all
-    rounds raises :class:`FitBudgetError` with the best error achieved.
+    rounds, or reaching a round whose dictionary would exceed
+    ``MAX_DICTIONARY_ENTRIES`` levels x atoms, raises :class:`FitBudgetError`
+    with the best error achieved.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     ys = np.array([float(rationalize(v)) for v in levels], dtype=float)
     f = np.array([float(rationalize(v)) for v in targets], dtype=float)
@@ -203,12 +255,17 @@ def approx_univariate(
     theta_count = 257
     for _ in range(rounds):
         scales = _scale_grid(exp_range)
+        atom_count = len(scales) * theta_count
+        if f.size * atom_count > MAX_DICTIONARY_ENTRIES:
+            raise FitBudgetError(best_error)
         thetas = theta.interior_grid(theta_count)
-        atoms: list[tuple[Fraction, Fraction]] = [(t, th) for t in scales for th in thetas]
-        columns = np.empty((f.size, len(atoms)))
-        for j, (t, th) in enumerate(atoms):
-            ft, fth = float(t), float(th)
-            columns[:, j] = [sigma.evaluator(ft * y - fth) for y in ys]
+        # Atom j is (scales[j // theta_count], thetas[j % theta_count]).
+        ft = np.repeat([float(t) for t in scales], theta_count)
+        fth = np.tile([float(th) for th in thetas], len(scales))
+        columns = np.empty((f.size, atom_count))
+        for j0 in range(0, atom_count, _ATOM_BLOCK):
+            j1 = j0 + _ATOM_BLOCK
+            columns[:, j0:j1] = sigma.evaluate(np.multiply.outer(ys, ft[j0:j1]) - fth[j0:j1])
         norms = np.linalg.norm(columns, axis=0)
         usable = norms > 1e-12
 
@@ -230,7 +287,7 @@ def approx_univariate(
             best_error = min(best_error, err)
             if err <= eps:
                 terms = tuple(
-                    (Fraction(float(c)), atoms[jj][0], atoms[jj][1])
+                    (Fraction(float(c)), scales[jj // theta_count], thetas[jj % theta_count])
                     for c, jj in zip(coef, selected)
                 )
                 return UnivariateFit(terms, err)
@@ -256,7 +313,7 @@ def approx_network(
     is replayed, checked against the triangle-inequality bound, and recorded
     in ``report``.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     detected = polynomial_degree_probe(sigma)
     if detected is not None:
@@ -284,14 +341,9 @@ def approx_network(
             terms.append(NetworkTerm(c, a.scale(t), th))
 
     net = Network(tuple(terms), sigma)
-    f = [float(rationalize(v)) for v in f_values]
     replayed = 0.0
-    evaluator = sigma.evaluator
-    for point, fv in zip(cfg.points, f):
-        val = sum(
-            float(t.c) * evaluator(float(t.w.dot(point) - t.theta)) for t in terms
-        )
-        replayed = max(replayed, abs(fv - val))
+    for point, fv in zip(cfg.points, f_values):
+        replayed = max(replayed, abs(float(rationalize(fv)) - eval_network(net, point)))
     bound = float(residual) + sum(fit_errors)
     if not replayed <= bound + 1e-9:  # also fails on a NaN bound
         raise AssertionError("error budget accounting violated")

@@ -219,6 +219,36 @@ class TestResourceCaps:
         assert "--N" in capsys.readouterr().err
         assert not (tmp_path / "probe.json").exists()
 
+    def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
+        argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", "nan"]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        assert "--eps" in capsys.readouterr().err
+        assert not (tmp_path / "network.json").exists()
+
+
+class TestTableActivation:
+    """A malformed activation table is refused at load, naming its line."""
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["nan,0.5"], 3),  # used to run the fit for minutes
+            (["1,inf"], 3),  # used to fail inside LAPACK
+            (["-1,0.25"], 3),  # a repeated x: silently discontinuous
+        ],
+        ids=["nan-x", "inf-y", "repeated-x"],
+    )
+    def test_bad_table_exit_one(self, tmp_path, capsys, rows, line):
+        csv = tmp_path / "act.csv"
+        csv.write_text("\n".join(["x,y", "-1,0.2"] + rows + ["2,0.9"]) + "\n")
+        out = tmp_path / "out"
+        argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--sigma", "table"]
+        code = main(argv + ["--sigma-table", str(csv), "--out", str(out)])
+        assert code == 1
+        assert f"{csv}:{line}:" in capsys.readouterr().err
+        assert not (out / "network.json").exists()
+
 
 class TestDeterminism:
     def test_probe_byte_identical(self, tmp_path):

@@ -1,8 +1,11 @@
 """Generic-activation fits: dictionary matching, assembly, hypothesis guards."""
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ridgekit import (
@@ -13,16 +16,34 @@ from ridgekit import (
     ThetaInterval,
     approx_network,
     approx_univariate,
+    eval_network,
     logistic_oracle,
     polynomial_degree_probe,
     sigma_by_name,
     table_oracle,
     tanh_ramp_oracle,
 )
+from ridgekit import netapprox
 from ridgekit.presets import config_preset, target_values
+from ridgekit.rationals import rationalize
 
 THETA = ThetaInterval.create(-5, 5)
 LOGISTIC = logistic_oracle()
+# A sampled logistic, as a table activation.
+TABLE = table_oracle([(x / 10, 1 / (1 + math.exp(-x / 10))) for x in range(-120, 121)])
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak traced allocation, in bytes, while ``fn`` runs (or raises)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+    except FitBudgetError:
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
 
 
 class TestThetaInterval:
@@ -86,6 +107,82 @@ class TestApproxUnivariate:
             approx_univariate(levels, targets, LOGISTIC, THETA, 1e-13, budget=2, rounds=1)
         assert exc.value.best_error > 0
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            approx_univariate([0, 1], [0, 1], LOGISTIC, THETA, eps)
+
+    def test_dictionary_cap_refuses_the_round_that_exceeds_it(self, monkeypatch):
+        levels = [Fraction(j, 10) for j in range(-10, 11)]
+        targets = [abs(lv) for lv in levels]
+        first_round = len(levels) * 34 * 257  # levels x (scales x thetas)
+        monkeypatch.setattr(netapprox, "MAX_DICTIONARY_ENTRIES", first_round)
+        args = (levels, targets, LOGISTIC, THETA, 1e-13)
+        with pytest.raises(FitBudgetError) as exc:
+            approx_univariate(*args, budget=4, rounds=2)
+        assert 0 < exc.value.best_error < 1
+        # Round 2 would be about four times the cap.
+        assert traced_peak(approx_univariate, *args, budget=4, rounds=2) <= 3 * first_round * 8
+
+    def test_dictionary_cap_below_the_first_round(self, monkeypatch):
+        monkeypatch.setattr(netapprox, "MAX_DICTIONARY_ENTRIES", 1)
+        with pytest.raises(FitBudgetError) as exc:
+            approx_univariate([0, 1], [0, 1], LOGISTIC, THETA, 1e-3)
+        assert exc.value.best_error == 1.0
+
+    def test_column_build_memory_is_bounded(self):
+        """The dictionary is filled in atom blocks: the peak stays close to
+        the one ``columns`` array, with no whole-matrix temporaries."""
+        levels = [Fraction(j, 8) for j in range(-40, 41)]
+        targets = [abs(lv) for lv in levels]
+        columns_bytes = len(levels) * 34 * 257 * 8
+        peak = traced_peak(approx_univariate, levels, targets, LOGISTIC, THETA, 1e-13, rounds=1)
+        assert peak <= 2.5 * columns_bytes
+
+
+class TestArrayEvaluate:
+    """``SigmaOracle.evaluate`` against the scalar evaluator."""
+
+    SPECIAL = [0.0, -0.0, 745.0, -745.0, 1e300, -1e300, 5e-324, -5e-324]
+
+    def inputs(self) -> np.ndarray:
+        grid = np.linspace(-800.0, 800.0, 200_000)
+        return np.concatenate([grid, self.SPECIAL]).reshape(2, -1)
+
+    @staticmethod
+    def scalar_loop(oracle: SigmaOracle, x: np.ndarray) -> np.ndarray:
+        return np.array([oracle.evaluator(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+    def test_table_is_bit_identical(self):
+        x = self.inputs() / 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = TABLE.evaluate(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, self.scalar_loop(TABLE, x))
+
+    @pytest.mark.parametrize("oracle", [LOGISTIC, tanh_ramp_oracle()], ids=lambda o: o.name)
+    def test_ufunc_oracles_match_to_an_ulp(self, oracle):
+        """``np.exp``/``np.tanh`` may differ from ``math`` by an ulp.  The
+        outputs lie in [0, 1], so the absolute floor is one ulp of 1.0: it
+        covers subnormal logistic values near -710 and tanh-ramp near -19,
+        where ``np.tanh`` rounds to -1 and ``math.tanh`` does not."""
+        x = self.inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle.evaluate(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, self.scalar_loop(oracle, x), rtol=1e-15, atol=np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [SigmaOracle("cubic", lambda x: x**3 - 2 * x), SigmaOracle("exp", math.exp)],
+        ids=lambda o: o.name,
+    )
+    def test_scalar_only_oracle_loops_its_evaluator(self, oracle):
+        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        assert np.array_equal(oracle.evaluate(x), self.scalar_loop(oracle, x))
+
 
 class TestApproxNetwork:
     def test_constant_target(self):
@@ -122,6 +219,22 @@ class TestApproxNetwork:
             approx_network(cfg, [0] * cfg.n, LOGISTIC, THETA, 1e-2)
         assert exc.value.certificate.verify(cfg.dirs)
 
+    def test_nan_eps_refused(self):
+        cfg = config_preset("parallel-segments")
+        with pytest.raises(ValueError, match="eps"):
+            approx_network(cfg, [0] * cfg.n, LOGISTIC, THETA, math.nan)
+
+    @pytest.mark.parametrize("oracle", [LOGISTIC, tanh_ramp_oracle(), TABLE], ids=lambda o: o.name)
+    @pytest.mark.parametrize("preset, target", [("monotone-curve", "prod"), ("parallel-segments", "xy")])
+    def test_replayed_error_is_eval_network(self, oracle, preset, target):
+        cfg = config_preset(preset)
+        values = target_values(target, cfg)
+        net = approx_network(cfg, values, oracle, THETA, 1e-2)
+        replayed = max(
+            abs(float(rationalize(v)) - eval_network(net, x)) for x, v in zip(cfg.points, values)
+        )
+        assert net.report["replayed_error"] == replayed
+
 
 class TestOracles:
     def test_sigma_by_name(self):
@@ -144,6 +257,19 @@ class TestOracles:
         oracle = table_oracle_from_csv(str(csv))
         assert oracle.evaluator(-1.0) == pytest.approx(0.25)
         assert oracle.params["points"][0] == [-2.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "points, index",
+        [
+            ([(0, 0), (math.nan, 1), (2, 1)], 1),
+            ([(0, 0), (1, math.inf), (2, 1)], 1),
+            ([(0, 0), (1, 1), (-0.0, 1)], 2),
+        ],
+        ids=["nan-x", "inf-y", "repeated-x"],
+    )
+    def test_table_oracle_rejects_bad_points(self, points, index):
+        with pytest.raises(ValueError, match=f"table point {index}:"):
+            table_oracle(points)
 
     def test_oracle_network_round_trip(self):
         from ridgekit import Network
