@@ -171,7 +171,7 @@ def encode_univariate(
     validation grid is within budget (and whose index stays representable).
     Raises :class:`EncoderBudgetError` with the best error seen otherwise.
     """
-    if eps_over_k <= 0:
+    if not eps_over_k > 0:  # also rejects NaN
         raise ValueError("the error budget must be positive")
     lw = float(spec.half_width)
     if isinstance(g, RationalPoly):

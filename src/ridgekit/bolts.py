@@ -10,7 +10,8 @@ that annihilate both directions.
 Every point's (level-1, level-2) pair is an edge of a bipartite graph on
 level nodes, and a closed bolt is exactly a simple cycle there, so detection
 is a linear-time cycle search rather than a combinatorial enumeration.  The
-graph is read from the shared level index of :mod:`ridgekit.incidence`.
+graph is read from the cached level index of :mod:`ridgekit.incidence`, the
+same one the density verdict of those points and directions reads.
 
 For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .incidence import IncidenceStructure, PointConfig, build_incidence
+from .incidence import IncidenceStructure, PointConfig, analyze
 from .measures import Direction, DiscreteMeasure, Point
 from .rationals import RationalLike, rationalize
 
@@ -126,7 +127,7 @@ def build_bolt_graph(
     cfg = PointConfig(tuple(points), (a1, a2))
     if _parallel(a1, a2):
         raise ValueError("directions must not be parallel")
-    inc = build_incidence(cfg)
+    inc = analyze(cfg).incidence
     seen: dict[tuple[int, int], int] = {}
     for j, key in enumerate(zip(*inc.level_of)):
         if key in seen:

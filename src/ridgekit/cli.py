@@ -275,6 +275,18 @@ def _run_ridgefit(job: JobConfig, out: Path) -> int:
     return 0
 
 
+def _positive_eps(job: JobConfig, default: float) -> float:
+    """The float ``--eps``; a non-number, zero, a negative or NaN is refused."""
+    raw_eps = job.params.get("eps", default)
+    try:
+        eps = float(raw_eps)
+    except ValueError:
+        raise ValueError(f"--eps {raw_eps!r} is not a number") from None
+    if not eps > 0:  # also rejects NaN
+        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
+    return eps
+
+
 def _run_netfit(job: JobConfig, out: Path) -> int:
     from .netapprox import approx_network, table_oracle_from_csv
 
@@ -291,13 +303,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     theta = ThetaInterval.create(
         job.params.get("theta_lo", "-5"), job.params.get("theta_hi", "5")
     )
-    raw_eps = job.params.get("eps", 0.01)
-    try:
-        eps = float(raw_eps)
-    except ValueError:
-        raise ValueError(f"--eps {raw_eps!r} is not a number") from None
-    if not eps > 0:  # also rejects NaN
-        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
+    eps = _positive_eps(job, 0.01)
     try:
         net = approx_network(cfg, values, sigma, theta, eps)
     except DensityPreconditionError as exc:
@@ -352,8 +358,7 @@ def _run_sigma_build(job: JobConfig, out: Path) -> int:
         job.params.get("l", "1"),
         job.params.get("sharpness", "1"),
     )
-    eps = float(job.params.get("eps", 0.001))
-    enc = encode_univariate(poly, eps, spec)
+    enc = encode_univariate(poly, _positive_eps(job, 0.001), spec)
     payload = _source_fields(job) | {
         "index": format_rational(Fraction(enc.index)),
         "scale": format_rational(enc.scale),

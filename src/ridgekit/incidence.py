@@ -13,9 +13,11 @@ points as a sum of per-direction level profiles.  Hence the verdict: the
 configuration is *dense* (every data vector is an exact ridge sum) iff no
 closed path exists.
 
-:func:`build_incidence` is the only code that maps points to levels; the
-verdict, the ridge fit and the bolt graph of :mod:`ridgekit.bolts` all read
-its :class:`IncidenceStructure`.
+:func:`build_incidence` is the only code that maps points to levels, by
+exact integer keys.  :func:`analyze` caches one :class:`Analysis` per
+configuration (the index, the closed paths of one elimination and the ridge
+solver), which the verdict, the ridge fits and the bolt graph of
+:mod:`ridgekit.bolts` share.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .exactlinalg import GaussJordanSolver, normalize_coprime, nullspace_int
@@ -129,15 +133,39 @@ class IncidenceStructure:
 
 
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
-    """Index every point by its exact projection level along every direction."""
+    """Index every point by its exact projection level along every direction.
+
+    With ``D`` the lcm of all point denominators and ``E`` that of one
+    direction's, ``(E a) . (D x)`` is an integer key ordered like ``a . x``.
+    Level ids come from sorting the keys, not hashing them (``int`` and
+    ``Fraction`` hashes collide mod 2^61 - 1), and a ``Fraction`` is built
+    only per distinct level.
+    """
+    n = cfg.n
+    big_d = lcm(*(c.denominator for p in cfg.points for c in p.coords))
+    columns = [
+        [c.numerator * (big_d // c.denominator) for c in coord]
+        for coord in zip(*(p.coords for p in cfg.points))
+    ]
     levels: list[tuple[Fraction, ...]] = []
     level_of: list[tuple[int, ...]] = []
     for a in cfg.dirs:
-        proj = [a.dot(p) for p in cfg.points]
-        ordered = sorted(set(proj))
-        position = {lv: g for g, lv in enumerate(ordered)}
-        levels.append(tuple(ordered))
-        level_of.append(tuple(position[v] for v in proj))
+        big_e = lcm(*(c.denominator for c in a.coords))
+        keys = [0] * n
+        for c, col in zip(a.coords, columns):
+            if c:
+                w = c.numerator * (big_e // c.denominator)
+                keys = list(map(add, keys, map(w.__mul__, col)))
+        ids = [0] * n
+        distinct: list[int] = []
+        for j in sorted(range(n), key=keys.__getitem__):
+            key = keys[j]
+            if not distinct or distinct[-1] != key:
+                distinct.append(key)
+            ids[j] = len(distinct) - 1
+        scale = big_d * big_e
+        levels.append(tuple(Fraction(key, scale) for key in distinct))
+        level_of.append(tuple(ids))
     return IncidenceStructure(tuple(levels), tuple(level_of))
 
 
@@ -181,7 +209,7 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
     restriction satisfies the same level equations, so the support is itself
     a closed path.
     """
-    basis = build_incidence(cfg).closed_paths()
+    basis = analyze(cfg).closed_paths
     if not basis:
         return None
     vec = basis[0]
@@ -227,7 +255,8 @@ class RidgeSum:
 
 
 class _RidgeSolver:
-    """Cached exact least-squares machinery for one configuration.
+    """Exact minimum-norm least-squares fits on one configuration, from the
+    level index and closed-path basis of its :class:`Analysis`.
 
     The fitted values are ``f'``, the projection of ``f`` off the closed paths
     (the null space of ``M``, orthogonalized once here).  The minimum-norm
@@ -236,11 +265,13 @@ class _RidgeSolver:
     null vectors of ``M`` and give the same ``u``.
     """
 
-    def __init__(self, incidence: IncidenceStructure) -> None:
+    def __init__(
+        self, incidence: IncidenceStructure, closed_paths: list[tuple[int, ...]]
+    ) -> None:
         self.incidence = incidence
         n = incidence.n_points
         self.paths: list[tuple[tuple[int, ...], int]] = []  # (path, squared norm), orthogonal
-        for vec in incidence.closed_paths():
+        for vec in closed_paths:
             q = normalize_coprime(self.project(vec))
             self.paths.append((q, sum(b * b for b in q)))
         s_rows: list[dict[int, int]] = [{} for _ in range(n)]
@@ -266,9 +297,27 @@ class _RidgeSolver:
         return u, inc.gather(u)
 
 
-@lru_cache(maxsize=128)
-def _ridge_solver(cfg: PointConfig) -> _RidgeSolver:
-    return _RidgeSolver(build_incidence(cfg))
+class Analysis:
+    """What one configuration's verdict, bolt graph and ridge fits share: the
+    level index, and on first use the closed-path basis (one elimination)
+    and the ridge solver built on it."""
+
+    def __init__(self, cfg: PointConfig) -> None:
+        self.incidence = build_incidence(cfg)
+
+    @cached_property
+    def closed_paths(self) -> list[tuple[int, ...]]:
+        return self.incidence.closed_paths()
+
+    @cached_property
+    def ridge_solver(self) -> _RidgeSolver:
+        return _RidgeSolver(self.incidence, self.closed_paths)
+
+
+@lru_cache(maxsize=8)
+def analyze(cfg: PointConfig) -> Analysis:
+    """The cached :class:`Analysis` of ``cfg``; a few recent configurations are kept."""
+    return Analysis(cfg)
 
 
 def interpolate_ridge(
@@ -285,7 +334,7 @@ def interpolate_ridge(
     if len(values) != cfg.n:
         raise ValueError(f"expected {cfg.n} values, got {len(values)}")
     f = [rationalize(v) for v in values]
-    solver = _ridge_solver(cfg)
+    solver = analyze(cfg).ridge_solver
     u, fitted = solver.fit(f)
     residual = max(abs(a - b) for a, b in zip(f, fitted))
     tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(solver.incidence.levels, u))

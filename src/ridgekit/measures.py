@@ -84,7 +84,17 @@ class Direction:
             raise ValueError(
                 f"dimension mismatch: direction is {self.dim}-d, point is {point.dim}-d"
             )
-        return sum((a * x for a, x in zip(self.coords, point.coords)), Fraction(0))
+        # one Fraction at the end instead of one per product and partial sum
+        num, den = 0, 1
+        for a, x in zip(self.coords, point.coords):
+            term = a.numerator * x.numerator
+            if term:
+                d = a.denominator * x.denominator
+                if d == den:
+                    num += term
+                else:
+                    num, den = num * d + term * den, den * d
+        return Fraction(num, den)
 
     def scale(self, factor: RationalLike) -> "Direction":
         f = rationalize(factor)

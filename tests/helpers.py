@@ -3,8 +3,9 @@
 The null-space oracle here is a deliberately plain textbook Gauss-Jordan over
 ``Fraction`` with left-to-right pivoting — a different algorithm and pivot
 order than the package's fraction-free right-to-left elimination, so the two
-routes are genuinely independent.  Its incidence rows are built here from
-raw ``Direction.dot`` values, not from the package's level index.
+routes are genuinely independent.  Its incidence rows are built here from the
+textbook ``Fraction`` dot product, not from ``Direction.dot`` or the
+package's integer-keyed level index.
 """
 
 from __future__ import annotations
@@ -53,11 +54,21 @@ def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+def textbook_dot(a, p) -> Fraction:
+    """``a . p`` as a plain sum of ``Fraction`` products."""
+    return sum((c * x for c, x in zip(a.coords, p.coords)), Fraction(0))
+
+
+def textbook_levels(cfg: PointConfig) -> list[list[Fraction]]:
+    """Sorted distinct projection levels, one list per direction."""
+    return [sorted({textbook_dot(a, p) for p in cfg.points}) for a in cfg.dirs]
+
+
 def level_rows(cfg: PointConfig) -> list[list[int]]:
     """0/1 incidence rows, one per (direction, level), levels increasing."""
     rows = []
     for a in cfg.dirs:
-        proj = [a.dot(p) for p in cfg.points]
+        proj = [textbook_dot(a, p) for p in cfg.points]
         for level in sorted(set(proj)):
             rows.append([int(v == level) for v in proj])
     return rows

@@ -161,6 +161,11 @@ class TestEncodeUnivariate:
         with pytest.raises(ValueError):
             encode_univariate(lambda t: t, 0.0, SPEC)
 
+    @pytest.mark.parametrize("eps", [-1e-3, math.nan])
+    def test_negative_or_nan_budget(self, eps):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            encode_univariate(lambda t: t, eps, SPEC)
+
 
 class TestEvalNetwork:
     def test_single_term_exact_identity(self):

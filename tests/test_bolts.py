@@ -10,9 +10,11 @@ from ridgekit import (
     BoltGenerator,
     Direction,
     Point,
+    PointConfig,
     RidgeTest,
     bolt_measure,
     build_bolt_graph,
+    density_verdict,
     find_closed_bolt,
     find_closed_path,
     is_annihilating,
@@ -86,6 +88,30 @@ class TestBoltGraph:
     def test_parallel_directions_rejected(self):
         with pytest.raises(ValueError):
             build_bolt_graph([Point.of(0, 0)], Direction.of(1, 1), Direction.of(2, 2))
+
+    @pytest.mark.parametrize(
+        "points, dirs, message",
+        [
+            ([], [(1, 0), (0, 1)], "need at least one point"),
+            ([(0, 0), (0, 0)], [(1, 0), (0, 1)], "points must be pairwise distinct"),
+            ([(0, 0), (1, 2)], [(1, 1), (2, 2)], "directions must not be parallel"),
+            (
+                [(0, 0, 0), (1, 0, 0), (0, 0, 1)],
+                [(1, 0, 0), (0, 1, 0)],
+                "points 0 and 2 share both projection levels; alternating traversal is ambiguous",
+            ),
+        ],
+        ids=["empty", "repeated", "parallel", "shared-both"],
+    )
+    def test_error_messages(self, points, dirs, message):
+        pts = [Point.of(*p) for p in points]
+        a1, a2 = (Direction.of(*a) for a in dirs)
+        if len(set(points)) == len(points) > 0:
+            # a cached index of the same configuration must not skip the checks
+            density_verdict(PointConfig(tuple(pts), (a1, a2)))
+        with pytest.raises(ValueError) as exc:
+            build_bolt_graph(pts, a1, a2)
+        assert str(exc.value) == message
 
     def test_shared_both_levels_rejected(self):
         # distinct 3-d points can project equally along both directions

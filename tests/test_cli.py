@@ -219,6 +219,14 @@ class TestResourceCaps:
         assert "--N" in capsys.readouterr().err
         assert not (tmp_path / "probe.json").exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "0", "abc"])
+    def test_sigma_build_bad_eps_is_refused(self, tmp_path, capsys, eps):
+        argv = ["sigma-build", "--poly", "1,-1/2,1/3", "--eps", eps]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        assert "--eps" in capsys.readouterr().err
+        assert not (tmp_path / "encoding.json").exists()
+
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", "nan"]
         code = main(argv + ["--out", str(tmp_path)])

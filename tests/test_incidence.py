@@ -1,6 +1,7 @@
 """Incidence structure, closed-path detection, exact ridge interpolation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,22 @@ from helpers import (
     random_config,
     random_values,
     rref_nullspace,
+    textbook_levels,
 )
 from ridgekit import (
+    Direction,
     LevelTable,
+    Point,
     PointConfig,
+    build_bolt_graph,
     build_incidence,
     density_verdict,
+    find_closed_bolt,
     find_closed_path,
     interpolate_ridge,
+    orbits,
 )
+from ridgekit import incidence
 from ridgekit.presets import config_preset
 
 
@@ -94,6 +102,118 @@ class TestBuildIncidence:
             assert inc.gather(split) == [
                 sum(row[j] * x for row, x in zip(rows, u)) for j in range(cfg.n)
             ]
+
+
+def hard_level_configs(rng: random.Random):
+    """Seeded configurations whose levels are hard to key exactly: d = 1..4,
+    huge, power-of-two and mixed denominators, equal values written over
+    different denominators, negative and zero direction components, the
+    hash-colliding levels 1/2^j and 1/2^(j+61), and every large family."""
+    dens = (1, 3, 10**25, 2**70, 2**70 * 3**40, 7 * 10**25)
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        base = rng.choice(dens)
+        points = {
+            tuple(
+                Fraction(rng.randint(-6, 6), rng.choice((1, base, 2 * base, rng.choice(dens))))
+                for _ in range(d)
+            )
+            for _ in range(rng.randint(1, 14))
+        }
+        dirs: list[tuple[Fraction, ...]] = []
+        k = rng.randint(1, 4)
+        while len(dirs) < k:
+            v = tuple(
+                Fraction(rng.choice((0, 0, 1, -1, rng.randint(-9, 9))), rng.choice((1, 2, base)))
+                for _ in range(d)
+            )
+            if any(v):
+                dirs.append(v)
+        yield PointConfig.build(sorted(points), dirs)
+    for j in range(1, 70):
+        small, tiny = Fraction(1, 2**j), Fraction(1, 2 ** (j + 61))
+        yield PointConfig.build(
+            [(small, 0), (tiny, 1), (tiny, 0), (0, small), (small, tiny)],
+            [(1, 0), (0, 1), (1, 1), (2**61, -1)],
+        )
+    for family in ("staircase", "closed-staircase", "forest", "grid", "generic"):
+        for n in (12, 60, 200):
+            yield large_config(rng, family, n)
+
+
+class TestIntegerKeys:
+    """The integer-keyed index against levels from textbook ``Fraction`` sums."""
+
+    def test_matches_textbook_levels_and_rows(self):
+        count = 0
+        for cfg in hard_level_configs(random.Random(6060)):
+            inc = build_incidence(cfg)
+            assert inc.levels == tuple(tuple(lv) for lv in textbook_levels(cfg))
+            assert all(type(v) is Fraction for lv in inc.levels for v in lv)
+            rows = [
+                [int(g == level) for g in ids]
+                for lv, ids in zip(inc.levels, inc.level_of)
+                for level in range(len(lv))
+            ]
+            assert rows == level_rows(cfg)
+            count += 1
+        assert count == 150 + 69 + 15
+
+    def test_integer_typed_coordinates(self):
+        cfg = PointConfig(
+            (Point((0, 3)), Point((2, Fraction(1, 2))), Point((1, 1))),
+            (Direction((1, -2)), Direction((Fraction(1, 3), 0))),
+        )
+        inc = build_incidence(cfg)
+        assert inc.levels == (
+            (Fraction(-6), Fraction(-1), Fraction(1)),
+            (Fraction(0), Fraction(1, 3), Fraction(2, 3)),
+        )
+        assert inc.level_of == ((0, 2, 1), (0, 2, 1))
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Counts of the calls that index and eliminate, on an empty analysis cache."""
+    counts: Counter = Counter()
+    for name in ("build_incidence", "nullspace_int"):
+        original = getattr(incidence, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(incidence, name, counted)
+    incidence.analyze.cache_clear()
+    yield counts
+    incidence.analyze.cache_clear()
+
+
+class TestSharedAnalysis:
+    """One index and one elimination per configuration serve every caller."""
+
+    def test_verdict_and_fits_share_one_elimination(self, counted_calls):
+        rng = random.Random(17)
+        cfg = large_config(rng, "closed-staircase", 40)
+        assert not density_verdict(cfg).dense
+        for _ in range(20):
+            interpolate_ridge(cfg, random_values(rng, cfg.n))
+        assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
+
+    def test_bolt_graph_reads_the_verdicts_index(self, counted_calls):
+        cfg = large_config(random.Random(18), "forest", 60)
+        verdict = density_verdict(cfg)
+        graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+        assert (find_closed_bolt(graph) is None) == verdict.dense
+        assert orbits(graph)
+        assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
+
+    def test_cache_follows_equality_not_identity(self, counted_calls):
+        cfg = large_config(random.Random(19), "grid", 25)
+        copy = PointConfig.build([p.coords for p in cfg.points], [a.coords for a in cfg.dirs])
+        assert copy is not cfg
+        assert density_verdict(cfg) == density_verdict(copy)
+        assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
 
 
 class TestFindClosedPath:

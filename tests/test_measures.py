@@ -134,6 +134,35 @@ def _directions(dim: int):
     )
 
 
+# integers, small fractions, and fractions over huge or power-of-two denominators
+_dot_coords = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.sampled_from([1, 2, 2**61, 2**61 - 1, 2**70, 10**25, 3**40]),
+    ),
+)
+
+
+class TestDot:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.tuples(
+            st.lists(_dot_coords, min_size=d, max_size=d).filter(any),
+            st.lists(_dot_coords, min_size=d, max_size=d),
+        )
+    ))
+    def test_matches_textbook_sum(self, pair):
+        """``Direction.dot`` equals the plain ``Fraction`` sum, also for
+        ``int``-typed coordinates, and always returns a ``Fraction``."""
+        a, x = pair
+        got = Direction(tuple(a)).dot(Point(tuple(x)))
+        assert got == sum((Fraction(c) * v for c, v in zip(a, x)), Fraction(0))
+        assert type(got) is Fraction
+
+
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(mu=_measures(2), a=_directions(2), data=st.data())
