@@ -236,7 +236,7 @@ def _run_probe(job: JobConfig, out: Path) -> int:
     n_max = int(job.params.get("n", 1000))
     if n_max > PROBE_MAX_N:
         raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
-    threshold = rationalize(job.params.get("threshold", "1/100"))
+    threshold = _rational_at(job.params.get("threshold", "1/100"), "--threshold")
     report = weak_star_probe(gen, tests, n_max, threshold)
     _write_csv(out / "decay.csv", ["n", "test_name", "abs_integral"], report.rows)
     payload = _source_fields(job) | {
@@ -301,7 +301,8 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     else:
         sigma = sigma_by_name(sigma_name)
     theta = ThetaInterval.create(
-        job.params.get("theta_lo", "-5"), job.params.get("theta_hi", "5")
+        _rational_at(job.params.get("theta_lo", "-5"), "--theta-lo"),
+        _rational_at(job.params.get("theta_hi", "5"), "--theta-hi"),
     )
     eps = _positive_eps(job, 0.01)
     try:
@@ -316,7 +317,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
 def _run_kfit(job: JobConfig, out: Path) -> int:
     cfg, values = _resolve_config(job)
     values = _require_values(values)
-    eps = rationalize(job.params.get("eps", "1/100"))
+    eps = _rational_at(job.params.get("eps", "1/100"), "--eps")
     try:
         net = build_k_network(cfg, values, eps)
     except DensityPreconditionError as exc:
@@ -326,15 +327,17 @@ def _run_kfit(job: JobConfig, out: Path) -> int:
     return 0
 
 
+def _activation_spec(job: JobConfig) -> ActivationSpec:
+    """``--alpha``, ``--l`` and ``--sharpness``, each named when malformed."""
+    flags = ("alpha", "l", "sharpness")
+    return ActivationSpec.create(*(_rational_at(job.params.get(f, "1"), f"--{f}") for f in flags))
+
+
 def _run_sigma_eval(job: JobConfig, out: Path) -> int:
-    spec = ActivationSpec.create(
-        job.params.get("alpha", "1"),
-        job.params.get("l", "1"),
-        job.params.get("sharpness", "1"),
-    )
-    start = rationalize(job.params.get("start", "0"))
-    stop = rationalize(job.params.get("stop", "10"))
-    step = rationalize(job.params.get("step", "1/100"))
+    spec = _activation_spec(job)
+    start = _rational_at(job.params.get("start", "0"), "--from")
+    stop = _rational_at(job.params.get("stop", "10"), "--to")
+    step = _rational_at(job.params.get("step", "1/100"), "--step")
     if step <= 0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
     count = (stop - start) // step + 1
@@ -352,12 +355,10 @@ def _run_sigma_build(job: JobConfig, out: Path) -> int:
     coeffs = job.params.get("poly")
     if not coeffs:
         raise ValueError("sigma-build requires --poly with comma-separated rational coefficients")
-    poly = RationalPoly.from_coefficients([rationalize(c) for c in coeffs.split(",")])
-    spec = ActivationSpec.create(
-        job.params.get("alpha", "1"),
-        job.params.get("l", "1"),
-        job.params.get("sharpness", "1"),
+    poly = RationalPoly.from_coefficients(
+        [_rational_at(c, f"--poly[{i}]") for i, c in enumerate(coeffs.split(","))]
     )
+    spec = _activation_spec(job)
     enc = encode_univariate(poly, _positive_eps(job, 0.001), spec)
     payload = _source_fields(job) | {
         "index": format_rational(Fraction(enc.index)),

@@ -15,9 +15,11 @@ closed path exists.
 
 :func:`build_incidence` is the only code that maps points to levels, by
 exact integer keys.  :func:`analyze` caches one :class:`Analysis` per
-configuration (the index, the closed paths of one elimination and the ridge
-solver), which the verdict, the ridge fits and the bolt graph of
-:mod:`ridgekit.bolts` share.
+configuration (the index, the closed paths, and the orthogonalized paths and
+the factorization of ``S = M^T M`` that the ridge fits need), which the
+verdict, the ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.
+The closed paths and the factorization come from the one elimination
+routine of :mod:`ridgekit.exactlinalg`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import lcm
 from operator import add
 from typing import Sequence
 
-from .exactlinalg import GaussJordanSolver, normalize_coprime, nullspace_int
+from .exactlinalg import IntegerSolver, normalize_coprime, nullspace_int
 from .measures import Direction, DiscreteMeasure, Point, is_annihilating
 from .rationals import RationalLike, rationalize
 
@@ -254,53 +256,17 @@ class RidgeSum:
         )
 
 
-class _RidgeSolver:
-    """Exact minimum-norm least-squares fits on one configuration, from the
-    level index and closed-path basis of its :class:`Analysis`.
-
-    The fitted values are ``f'``, the projection of ``f`` off the closed paths
-    (the null space of ``M``, orthogonalized once here).  The minimum-norm
-    ``u`` lies in the range of ``M``, so ``u = M y`` for any solution ``y`` of
-    the consistent system ``S y = f'`` with ``S = M^T M``; solutions differ by
-    null vectors of ``M`` and give the same ``u``.
-    """
-
-    def __init__(
-        self, incidence: IncidenceStructure, closed_paths: list[tuple[int, ...]]
-    ) -> None:
-        self.incidence = incidence
-        n = incidence.n_points
-        self.paths: list[tuple[tuple[int, ...], int]] = []  # (path, squared norm), orthogonal
-        for vec in closed_paths:
-            q = normalize_coprime(self.project(vec))
-            self.paths.append((q, sum(b * b for b in q)))
-        s_rows: list[dict[int, int]] = [{} for _ in range(n)]
-        for dir_groups in incidence.groups:
-            for members in dir_groups:
-                for a in members:
-                    row = s_rows[a]
-                    for b in members:
-                        row[b] = row.get(b, 0) + 1
-        self.solver = GaussJordanSolver(s_rows)
-
-    def project(self, vec: Sequence[Fraction]) -> Sequence[Fraction]:
-        """``vec`` minus its components along the stored closed paths."""
-        for q, qq in self.paths:
-            c = Fraction(sum(a * b for a, b in zip(vec, q) if b), qq)
-            if c:
-                vec = [a - c * b for a, b in zip(vec, q)]
-        return vec
-
-    def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
-        inc = self.incidence
-        u = inc.level_sums(self.solver.solve(self.project(values)))
-        return u, inc.gather(u)
-
-
 class Analysis:
     """What one configuration's verdict, bolt graph and ridge fits share: the
-    level index, and on first use the closed-path basis (one elimination)
-    and the ridge solver built on it."""
+    level index, then on first use the closed-path basis (one elimination),
+    its orthogonalization and the factorization of ``S = M^T M``.
+
+    A fit's values are ``f'``, the projection of ``f`` off the closed paths
+    (the null space of ``M``).  The minimum-norm ``u`` lies in the range of
+    ``M``, so ``u = M y`` for any solution ``y`` of the consistent system
+    ``S y = f'``; solutions differ by null vectors of ``M`` and give the same
+    ``u``.
+    """
 
     def __init__(self, cfg: PointConfig) -> None:
         self.incidence = build_incidence(cfg)
@@ -310,8 +276,43 @@ class Analysis:
         return self.incidence.closed_paths()
 
     @cached_property
-    def ridge_solver(self) -> _RidgeSolver:
-        return _RidgeSolver(self.incidence, self.closed_paths)
+    def orthogonal_paths(self) -> list[tuple[tuple[int, ...], int]]:
+        """The closed paths, orthogonalized: (path, squared norm) pairs."""
+        paths: list[tuple[tuple[int, ...], int]] = []
+        for vec in self.closed_paths:
+            q = normalize_coprime(_project(vec, paths))
+            paths.append((q, sum(b * b for b in q)))
+        return paths
+
+    @cached_property
+    def solver(self) -> IntegerSolver:
+        n = self.incidence.n_points
+        s_rows: list[dict[int, int]] = [{} for _ in range(n)]
+        for dir_groups in self.incidence.groups:
+            for members in dir_groups:
+                for a in members:
+                    row = s_rows[a]
+                    for b in members:
+                        row[b] = row.get(b, 0) + 1
+        return IntegerSolver(s_rows, n)
+
+    def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
+        """The level vectors ``u`` of the minimum-norm least-squares fit of
+        ``values``, and the fitted point values ``M^T u``."""
+        inc = self.incidence
+        u = inc.level_sums(self.solver.solve(_project(values, self.orthogonal_paths)))
+        return u, inc.gather(u)
+
+
+def _project(
+    vec: Sequence[Fraction], paths: list[tuple[tuple[int, ...], int]]
+) -> Sequence[Fraction]:
+    """``vec`` minus its components along orthogonal ``paths``."""
+    for q, qq in paths:
+        c = Fraction(sum(a * b for a, b in zip(vec, q) if b), qq)
+        if c:
+            vec = [a - c * b for a, b in zip(vec, q)]
+    return vec
 
 
 @lru_cache(maxsize=8)
@@ -326,18 +327,18 @@ def interpolate_ridge(
     """Best exact ridge-sum fit of ``values`` on the configuration points.
 
     Solves the stacked level system in the least-squares sense over the
-    rationals (minimum-norm among minimizers) and returns the per-direction
-    level tables together with the exact worst-case pointwise error.  The
-    residual is zero for every data vector iff the configuration admits no
-    closed path.
+    rationals (minimum-norm among minimizers, by :meth:`Analysis.fit` on the
+    cached analysis) and returns the per-direction level tables together with
+    the exact worst-case pointwise error.  The residual is zero for every
+    data vector iff the configuration admits no closed path.
     """
     if len(values) != cfg.n:
         raise ValueError(f"expected {cfg.n} values, got {len(values)}")
     f = [rationalize(v) for v in values]
-    solver = analyze(cfg).ridge_solver
-    u, fitted = solver.fit(f)
+    analysis = analyze(cfg)
+    u, fitted = analysis.fit(f)
     residual = max(abs(a - b) for a, b in zip(f, fitted))
-    tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(solver.incidence.levels, u))
+    tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(analysis.incidence.levels, u))
     return RidgeSum(cfg.dirs, tables), residual
 
 

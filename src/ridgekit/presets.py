@@ -93,10 +93,6 @@ def generator_preset(name: str) -> BoltGenerator:
         ) from None
 
 
-def config_preset_names() -> list[str]:
-    return sorted(_CONFIGS)
-
-
 def _norm_value(p: Point) -> Fraction:
     return rationalize(math.sqrt(float(sum(c * c for c in p.coords))))
 

@@ -1,5 +1,6 @@
 """CLI jobs: artifacts, exit codes, schema handling, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,24 @@ class TestCommands:
         assert len(index) > 4300 and index.isdigit()
 
 
+FIT_ARGS = ["--preset", "parallel-segments", "--f", "xy"]
+# (argv, the flag its error must name, the artifact it must not write)
+BAD_FLAGS = [
+    (["kfit", *FIT_ARGS, "--eps", "abc"], "--eps", "network.json"),
+    (["netfit", *FIT_ARGS, "--theta-lo", "abc"], "--theta-lo", "network.json"),
+    (["netfit", *FIT_ARGS, "--theta-hi", "abc"], "--theta-hi", "network.json"),
+    (["sigma-eval", "--from", "abc"], "--from", "sigma.csv"),
+    (["sigma-eval", "--to", "abc"], "--to", "sigma.csv"),
+    (["sigma-eval", "--step", "abc"], "--step", "sigma.csv"),
+    (["sigma-eval", "--alpha", "abc"], "--alpha", "sigma.csv"),
+    (["sigma-eval", "--l", "abc"], "--l", "sigma.csv"),
+    (["sigma-eval", "--sharpness", "abc"], "--sharpness", "sigma.csv"),
+    (["sigma-build", "--poly", "1,x"], "--poly", "encoding.json"),
+    (["sigma-build", "--poly", "1,2", "--alpha", "abc"], "--alpha", "encoding.json"),
+    (["probe", "--preset", "paper-orbit", "--threshold", "q"], "--threshold", "probe.json"),
+]
+
+
 class TestResourceCaps:
     def test_tiny_sigma_eval_step_is_refused_at_once(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -226,6 +245,14 @@ class TestResourceCaps:
         assert code == 1
         assert "--eps" in capsys.readouterr().err
         assert not (tmp_path / "encoding.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, artifact", BAD_FLAGS, ids=[f"{a[0]} {f}" for a, f, _ in BAD_FLAGS]
+    )
+    def test_bad_rational_flag_is_named(self, tmp_path, capsys, argv, flag, artifact):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / artifact).exists()
 
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", "nan"]
@@ -277,6 +304,60 @@ class TestDeterminism:
                 )
             )
         assert outs[0] == outs[1]
+
+
+# sha256 of each exact artifact on every preset: (command, preset, --f target,
+# exit code, artifact, digest).  netfit and kfit network.json are left out:
+# their float fields come from libm and LAPACK.
+GOLDEN = [
+    ("paths", "grid-2x2", None, 2, "verdict.json", "e516b2d4f5479b4cc6cc31fef6e1065ab3a1a44a1f4760c80e315de0d46cad8d"),
+    ("paths", "grid-3x3", None, 2, "verdict.json", "b841bdb9f0968b458461fc0e7104efda9df4ea172875b11a63040eb6d279f992"),
+    ("paths", "monotone-curve", None, 0, "verdict.json", "7d73d85a0b55cab84cce6782c579f7db591fcc3a3abeaeb97051402c7618b3b8"),
+    ("paths", "paper-5pt", None, 2, "verdict.json", "438a353449c6e980b67c8b3b9ebde7b8d28ba8b7e6f2029099af0cd6fd9c6501"),
+    ("paths", "paper-orbit", None, 0, "verdict.json", "3d03f0d03bc7cf0f5d558613644d635da11913fe966cf473d117808810c4da1f"),
+    ("paths", "parallel-segments", None, 0, "verdict.json", "b6cfb8fca180f677b943985242b195155d8164b0c35e86a2f8f9ca304547b5f1"),
+    ("bolts", "grid-2x2", None, 0, "bolt.json", "0976b9d1b4dadfd84e6c8c96e05fd13c5ca828c343e999df8f5468b05f935cc3"),
+    ("orbits", "grid-2x2", None, 0, "orbits.json", "875812f10289b8ede4a757c3ea9b549d04969a26b68dcd480fabc0b10018c0fd"),
+    ("bolts", "grid-3x3", None, 0, "bolt.json", "0fe8b81bbee5c4c4ed2e6c8f128c109b14358d5d9a1459bdefe995ff6bcdf6f5"),
+    ("orbits", "grid-3x3", None, 0, "orbits.json", "49b68789f3a5156917383b8d16c27ed5c8ce1c98f70ad1d21ac6df2995b550f1"),
+    ("bolts", "paper-orbit", None, 0, "bolt.json", "f08c633f7a335cfada9c2d2038e62acaf58a88ced4f6486052bbaa459a75b158"),
+    ("orbits", "paper-orbit", None, 0, "orbits.json", "4b5a4440cdeb4c3315f71a92d8d4aab783359ba5865ea95c924c6ad65c2f1992"),
+    ("bolts", "parallel-segments", None, 0, "bolt.json", "fd8abd5fcfa1689eda3343785d29f91575afed182dd9f469bffe4e2d6117b42e"),
+    ("orbits", "parallel-segments", None, 0, "orbits.json", "c63f836d7f7f20c4c00b28fd25e1c00e32ee9d8c458e94853f9670d49c8f055b"),
+    ("ridgefit", "grid-2x2", 'xy', 0, "ridgefit.json", "86d5f0c0eadefaccc54bff5977492a29be3017d5d416e3f36b1c858267987877"),
+    ("ridgefit", "grid-2x2", 'x2-y', 0, "ridgefit.json", "1eb4d02c92dbfcd7ee20c82f931c56b16bb90216660b341f0e7b2c0b529dc356"),
+    ("ridgefit", "grid-2x2", 'norm', 0, "ridgefit.json", "90aa4b6821c1f7e9a754c3a5b08ba6555434286a32878e9079b3ad3a65b82465"),
+    ("ridgefit", "grid-3x3", 'xy', 0, "ridgefit.json", "3b193938bedb259ffd2b86468e228ab564a5c4d198566cf6f5626d778f781239"),
+    ("ridgefit", "grid-3x3", 'x2-y', 0, "ridgefit.json", "1fbeeea75ef91eb53a5541cdd64ac4dd0e72afbfdedeb3123ba3d1d344ccb183"),
+    ("ridgefit", "grid-3x3", 'norm', 0, "ridgefit.json", "dcea62e05a56235b7dc64568ea43ab113cf7a26475796ba2e717147613f48c03"),
+    ("ridgefit", "monotone-curve", 'xy', 0, "ridgefit.json", "1169009f69dee81089b51fc34a79cf4c19be996325d211c012f447fcd596a450"),
+    ("ridgefit", "monotone-curve", 'x2-y', 0, "ridgefit.json", "90e3b22170c37e1205f1c9d14c0c5cce67a3915b9d9f529513a66038db1ed1b7"),
+    ("ridgefit", "monotone-curve", 'norm', 0, "ridgefit.json", "5aee2ea0eacb70eb4aea13ad2a53306e0735a1698eb956142ca743b0a3e7ee17"),
+    ("ridgefit", "paper-5pt", 'xy', 0, "ridgefit.json", "7fd12cbce219a96e5482e8ebde0945129dff1cd1a9454a3b471a897e1ed2fa40"),
+    ("ridgefit", "paper-5pt", 'x2-y', 0, "ridgefit.json", "491494c78f1b728694415d063517c83225692c3a7b4a985ae5a2af5a929c1643"),
+    ("ridgefit", "paper-5pt", 'norm', 0, "ridgefit.json", "b0f6e91f66223f49c2c809cb65bcbce8de6ea3532e0e70158a286424371addce"),
+    ("ridgefit", "paper-orbit", 'xy', 0, "ridgefit.json", "6a6d7d990968adfb241818603e8af520c2bb1d240f24912c10fa05cee95320a3"),
+    ("ridgefit", "paper-orbit", 'x2-y', 0, "ridgefit.json", "e0697b2f45e8ec0e5d45d5accb293d3258ed8e75ceb2be69a80bd3546ba35091"),
+    ("ridgefit", "paper-orbit", 'norm', 0, "ridgefit.json", "6f89300887bce355909029982557ce396c50d7b40f7b3a7fc25e236e05f3f657"),
+    ("ridgefit", "parallel-segments", 'xy', 0, "ridgefit.json", "e9c01048f6c3ac7043c1630c2ffe032fdbb277466c53a88905cdfd291aa745cb"),
+    ("ridgefit", "parallel-segments", 'x2-y', 0, "ridgefit.json", "3f59263abcb3bebbf51c1f44848770f591e559d6a0743e23c1ad1f47d9d34139"),
+    ("ridgefit", "parallel-segments", 'norm', 0, "ridgefit.json", "c5be37761e4e91a5012c117dff052f07269562af96af11734ce08f58841c210c"),
+    ("kfit", "grid-3x3", 'xy', 2, "certificate.json", "58c9c0815e2e261ad212d9570daf10e65f9c5a0a526b45b7892393425d7522ae"),
+    ("kfit", "paper-5pt", 'xy', 2, "certificate.json", "1ce071af1ebbbfba3bfc03f1a1f15870f3b42da6d220cd35198f768d8feb0c15"),
+    ("kfit", "grid-2x2", 'xy', 2, "certificate.json", "d947cd0ae173a00ed2590a2ead12bcd70b3ee5fc066a00d06f4e1887728f355d"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, preset, target, code, name, digest",
+    GOLDEN,
+    ids=[f"{c}-{p}-{t}" if t else f"{c}-{p}" for c, p, t, *_ in GOLDEN],
+)
+def test_golden_artifacts(tmp_path, command, preset, target, code, name, digest):
+    params = {"target": target} if target else {}
+    assert run(JobConfig(command, preset=preset, out_dir=str(tmp_path), params=params)) == code
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestArgParsing:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import large_config, level_rows, random_config, rref_nullspace
 from ridgekit.exactlinalg import (
-    GaussJordanSolver,
+    IntegerSolver,
     normalize_coprime,
     nullspace_int,
 )
@@ -56,6 +56,27 @@ class TestNullspace:
         assert nullspace_int(rows, ncols) == expected
         assert nullspace_int(sparse, ncols) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(), st.data())
+    def test_solver_on_the_same_matrices(self, matrix, data):
+        """The solver reproduces any ``A x`` exactly, on non-square and
+        rank-deficient matrices too, and refuses ``A x`` plus a left-null
+        vector."""
+        rows, ncols = matrix
+        solver = IntegerSolver(rows, ncols)
+        assert solver.rank == ncols - len(nullspace_int(rows, ncols))
+        small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+        x_true = data.draw(st.lists(small, min_size=ncols, max_size=ncols))
+        b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in rows]
+        x = solver.solve(b)
+        assert len(x) == ncols
+        assert [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows] == b
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        left_null = rref_nullspace(columns, len(rows)) if rows else []
+        if left_null:
+            with pytest.raises(ValueError, match="inconsistent"):
+                solver.solve([v + w for v, w in zip(b, left_null[0])])
+
     @pytest.mark.parametrize(
         "family", ["staircase", "closed-staircase", "forest", "grid", "generic"]
     )
@@ -95,7 +116,7 @@ class TestNullspace:
         assert nullspace_int(m, 4) == nullspace_int(m, 4)
 
 
-class TestGaussJordanSolver:
+class TestIntegerSolver:
     def test_solves_consistent_systems(self):
         rng = random.Random(7)
         for _ in range(150):
@@ -103,23 +124,16 @@ class TestGaussJordanSolver:
             a = random_int_matrix(rng, n, n)
             x_true = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
             b = [sum((r * v for r, v in zip(row, x_true)), Fraction(0)) for row in a]
-            solver = GaussJordanSolver([[Fraction(v) for v in row] for row in a])
-            x = solver.solve(b)
+            x = IntegerSolver(a, n).solve(b)
             assert [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a] == b
 
     def test_detects_inconsistent(self):
-        a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        solver = GaussJordanSolver(a)
-        try:
+        solver = IntegerSolver([[1, 1], [2, 2]], 2)
+        with pytest.raises(ValueError, match="inconsistent"):
             solver.solve([Fraction(1), Fraction(3)])
-            raised = False
-        except ValueError:
-            raised = True
-        assert raised
 
     def test_rank(self):
-        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert GaussJordanSolver(a).rank == 1
+        assert IntegerSolver([[1, 2], [2, 4]], 2).rank == 1
 
     def test_singular_gram_matrices_of_incidence_rows(self):
         """S = M^T M for 0/1 level rows M: singular, symmetric, PSD.  Right-hand
@@ -133,7 +147,7 @@ class TestGaussJordanSolver:
             n = cfg.n
             s = [[sum(r[a] * r[b] for r in rows) for b in range(n)] for a in range(n)]
             null = rref_nullspace(rows, n)
-            solver = GaussJordanSolver(s)
+            solver = IntegerSolver(s, n)
             assert solver.rank == n - len(null)
             x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in s]
@@ -152,7 +166,7 @@ class TestGaussJordanSolver:
             a = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
             sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
             b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-            dense_solver, dict_solver = GaussJordanSolver(a), GaussJordanSolver(sparse)
+            dense_solver, dict_solver = IntegerSolver(a, n), IntegerSolver(sparse, n)
             assert dense_solver.rank == dict_solver.rank
             try:
                 expected = dense_solver.solve(b)
