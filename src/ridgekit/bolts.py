@@ -17,16 +17,20 @@ For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
 decide a limit statement, so :func:`weak_star_probe` reports empirical decay
 plus the provable telescoping bound and labels the favourable outcome
-"consistent-with-zero", never "converges".
+"consistent-with-zero", never "converges".  The probe walks its bolt once:
+each point's two levels are computed once, by the step that checks them, and
+grouped by sorting integer keys (as the level index does), never by hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .incidence import IncidenceStructure, PointConfig, analyze
+from .incidence import IncidenceStructure, PointConfig, analyze, sorted_key_ids
 from .measures import Direction, DiscreteMeasure, Point
 from .rationals import RationalLike, rationalize
 
@@ -248,30 +252,58 @@ class BoltGenerator:
     first_link: int = 1
 
     def generate(self, n: int) -> Bolt:
+        return self._walk(n)[0]
+
+    def _walk(self, n: int) -> tuple[Bolt, list[Fraction], list[Fraction]]:
+        """The first ``n`` bolt points and their ``a1``- and ``a2``-levels.
+
+        Each point's two levels are computed once and carried to the next
+        step's checks, which compare them with the successor's.
+        """
         if n < 1:
             raise ValueError("n must be positive")
-        pts = [self.initial]
-        seen = {self.initial.coords}
+        a1, a2 = self.a1, self.a2
         current = self.initial
+        u, v = a1.dot(current), a2.dot(current)
+        pts, u_levels, v_levels = [current], [u], [v]
+        key = _revisit_key(current)
+        seen = {key}
         for step in range(1, n):
             nxt = self.rule(current)
-            if nxt.coords == current.coords:
+            prev_key, key = key, _revisit_key(nxt)
+            if key == prev_key:
                 raise BoltGenerationError(step, "rule repeated the previous point")
-            fam = self.first_link if (step - 1) % 2 == 0 else 3 - self.first_link
-            along = self.a1 if fam == 1 else self.a2
-            across = self.a2 if fam == 1 else self.a1
-            if along.dot(nxt) != along.dot(current):
+            nu, nv = a1.dot(nxt), a2.dot(nxt)
+            fam = self.first_link if step % 2 else 3 - self.first_link
+            along_kept, across_kept = (nu == u, nv == v) if fam == 1 else (nv == v, nu == u)
+            if not along_kept:
                 raise BoltGenerationError(
                     step, f"step is not perpendicular to direction {fam}"
                 )
-            if across.dot(nxt) == across.dot(current):
+            if across_kept:
                 raise BoltGenerationError(step, "step shares both levels")
-            if nxt.coords in seen:
+            if key in seen:
                 raise BoltGenerationError(step, "rule revisited an earlier point")
-            seen.add(nxt.coords)
+            seen.add(key)
             pts.append(nxt)
-            current = nxt
-        return Bolt(tuple(pts), self.first_link)
+            u_levels.append(nu)
+            v_levels.append(nv)
+            current, u, v = nxt, nu, nv
+        return Bolt(tuple(pts), self.first_link), u_levels, v_levels
+
+
+def _revisit_key(p: Point) -> tuple[int, ...]:
+    """``p.coords`` as ints: equal keys are equal points, compared in C.
+
+    A ``Fraction`` hashes to ``num * den^-1 mod 2^61 - 1``, so the
+    coordinates ``2^-k`` and ``2^-(k+61)`` of a contracting orbit collide;
+    the denominators' bit lengths tell them apart.
+    """
+    key: list[int] = []
+    for c in p.coords:
+        num, den = c.as_integer_ratio()
+        key += (num, den, den.bit_length())
+    return tuple(key)
 
 
 def _inward_spiral_rule(p: Point) -> Point:
@@ -355,63 +387,42 @@ def weak_star_probe(
     if not tests:
         raise ValueError("need at least one test")
     thr = rationalize(threshold)
-    bolt = gen.generate(n_max)
-    u_levels = [gen.a1.dot(p) for p in bolt.points]
-    v_levels = [gen.a2.dot(p) for p in bolt.points]
+    bolt, u_levels, v_levels = gen._walk(n_max)
+    if any(isinstance(test, RidgeTest) for test in tests):
+        u_ids, u_reps = _level_ids(u_levels)
+        v_ids, v_reps = _level_ids(v_levels)
 
-    rows: list[tuple[int, str, float]] = []
-    final_values: dict[str, float] = {}
     ridge_bounds_ok = True
     pointwise_ok = True
-
-    per_test_values: list[list[Fraction | float]] = []
+    per_test_values: list[list[float]] = []
     for test in tests:
         if isinstance(test, RidgeTest):
-            g1 = {lv: rationalize(test.profile1(lv)) for lv in set(u_levels)}
-            g2 = {lv: rationalize(test.profile2(lv)) for lv in set(v_levels)}
-            bound = 2 * (
-                max(abs(v) for v in g1.values()) + max(abs(v) for v in g2.values())
-            )
-            partial = Fraction(0)
-            values: list[Fraction | float] = []
-            sign = 1
-            for j in range(n_max):
-                partial += sign * (g1[u_levels[j]] + g2[v_levels[j]])
-                sign = -sign
-                values.append(abs(partial) / (j + 1))
-                if abs(partial) > bound:
-                    ridge_bounds_ok = False
-            per_test_values.append(values)
+            g1 = [rationalize(test.profile1(lv)) for lv in u_reps]
+            g2 = [rationalize(test.profile2(lv)) for lv in v_reps]
+            # integers over one common denominator: the partial sums stay exact
+            den = lcm(*(q.denominator for q in g1), *(q.denominator for q in g2))
+            h1 = [q.numerator * (den // q.denominator) for q in g1]
+            h2 = [q.numerator * (den // q.denominator) for q in g2]
+            bound = 2 * (max(map(abs, h1)) + max(map(abs, h2)))
+            terms = [h1[a] + h2[b] for a, b in zip(u_ids, v_ids)]
+            terms[1::2] = [-t for t in terms[1::2]]
+            sizes = list(map(abs, accumulate(terms)))
+            if max(sizes) > bound:
+                ridge_bounds_ok = False
+            per_test_values.append([s / (den * n) for n, s in enumerate(sizes, 1)])
         else:
-            partial = Fraction(0)
-            fpartial = 0.0
-            exact = True
-            values = []
-            sign = 1
-            for j in range(n_max):
-                val = test.func(bolt.points[j])
-                if exact and not isinstance(val, float):
-                    partial += sign * rationalize(val)
-                    values.append(abs(partial) / (j + 1))
-                else:
-                    if exact:
-                        fpartial = float(partial)
-                        exact = False
-                    fpartial += sign * float(val)
-                    values.append(abs(fpartial) / (j + 1))
-                sign = -sign
-            final = values[-1]
-            passed = final <= float(thr) if isinstance(final, float) else final <= thr
+            values, passed = _pointwise_decay(test, bolt.points, thr)
             if not passed:
                 pointwise_ok = False
             per_test_values.append(values)
 
-    for n in range(1, n_max + 1):
-        for test, values in zip(tests, per_test_values):
-            rows.append((n, test.name, float(values[n - 1])))
-    for test, values in zip(tests, per_test_values):
-        final_values[test.name] = float(values[-1])
-
+    names = [test.name for test in tests]
+    rows = [
+        (n, name, v)
+        for n, row in enumerate(zip(*per_test_values), 1)
+        for name, v in zip(names, row)
+    ]
+    final_values = {name: values[-1] for name, values in zip(names, per_test_values)}
     verdict = (
         "consistent-with-zero" if ridge_bounds_ok and pointwise_ok else "inconclusive"
     )
@@ -424,3 +435,47 @@ def weak_star_probe(
         verdict=verdict,
         bolt=bolt,
     )
+
+
+def _level_ids(levels: list[Fraction]) -> tuple[list[int], list[Fraction]]:
+    """Each level's id among the distinct levels (increasing), and the levels by id."""
+    scale = lcm(*(lv.denominator for lv in levels))
+    distinct, ids = sorted_key_ids([lv.numerator * (scale // lv.denominator) for lv in levels])
+    reps: list[Fraction] = [Fraction(0)] * len(distinct)
+    for lv, g in zip(levels, ids):
+        reps[g] = lv
+    return ids, reps
+
+
+def _pointwise_decay(
+    test: PointTest, points: Sequence[Point], thr: Fraction
+) -> tuple[list[float], bool]:
+    """|integral of f d(mu_n)| for n = 1..len(points), and whether the last
+    one is at most ``thr``.
+
+    The partial sum is ``num / den`` with integers, ``den`` the lcm of the
+    denominators so far, until ``f`` first returns a float; from there on it
+    is a float sum.  An exact final value is compared with ``thr`` exactly.
+    """
+    values: list[float] = []
+    num, den = 0, 1
+    sign = 1
+    for j, p in enumerate(points):
+        val = test.func(p)
+        if isinstance(val, float):
+            break
+        a, b = rationalize(val).as_integer_ratio()
+        g = gcd(den, b)
+        num = num * (b // g) + sign * a * (den // g)
+        den *= b // g
+        values.append(abs(num) / (den * (j + 1)))
+        sign = -sign
+    else:
+        n = len(points)
+        return values, abs(num) * thr.denominator <= thr.numerator * den * n
+    fpartial = num / den
+    for n, val in enumerate(chain([val], map(test.func, points[j + 1 :])), j + 1):
+        fpartial += sign * float(val)
+        values.append(abs(fpartial) / n)
+        sign = -sign
+    return values, values[-1] <= float(thr)

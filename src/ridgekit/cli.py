@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,14 +72,18 @@ SIGMA_EVAL_MAX_ROWS = 1_000_000
 
 @dataclass
 class JobConfig:
-    """One CLI job: the command plus its fully resolved parameters."""
+    """One CLI job: the command plus its parameters.
+
+    Flag values may still be strings as given on the command line; :func:`run`
+    parses each one and names the flag when it is malformed.
+    """
 
     command: str
     input_path: str | None = None
     preset: str | None = None
     out_dir: str = "."
     params: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: int | str = 0
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -101,6 +105,17 @@ def _rational_at(value, path: str) -> Fraction:
         return rationalize(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{path}: {value!r} is not a rational") from None
+
+
+def _int_at(value, path: str) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{path}: {value!r} is not an integer")
 
 
 def _coordinate_rows(rows, label: str, dim: int) -> list[list[Fraction]]:
@@ -233,7 +248,9 @@ def _run_probe(job: JobConfig, out: Path) -> int:
     tests = [probe_test(n) for n in names]
     if not any(n == "ridge-identity" for n in names):
         tests.append(probe_test("ridge-identity"))
-    n_max = int(job.params.get("n", 1000))
+    n_max = _int_at(job.params.get("n", 1000), "--N")
+    if n_max < 1:
+        raise ValueError(f"--N {n_max} is not positive")
     if n_max > PROBE_MAX_N:
         raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
     threshold = _rational_at(job.params.get("threshold", "1/100"), "--threshold")
@@ -390,6 +407,7 @@ def run(job: JobConfig) -> int:
         raise ValueError(f"unknown command {job.command!r}")
     out = Path(job.out_dir)
     try:
+        job = replace(job, seed=_int_at(job.seed, "--seed"))
         return _RUNNERS[job.command](job, out)
     except json.JSONDecodeError as exc:
         print(
@@ -423,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", help="configuration JSON file")
             p.add_argument("--preset", help="named preset configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in artifacts")
+        p.add_argument("--seed", default=0, help="integer seed recorded in artifacts")
 
     p = sub.add_parser("paths", help="decide density / find a closed-path certificate")
     add_common(p)
@@ -436,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="finite weak-star decay probe along a generated bolt")
     p.add_argument("--preset", required=True, help="generator preset name")
-    p.add_argument("--N", type=int, default=1000, help="truncation length")
+    p.add_argument("--N", default=1000, help="truncation length (a positive integer)")
     p.add_argument("--tests", default="x,y", help="comma-separated test names")
     p.add_argument("--threshold", default="1/100", help="decay threshold for plain tests")
     add_common(p, with_input=False)

@@ -134,13 +134,29 @@ class IncidenceStructure:
         return out
 
 
+def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The distinct keys in increasing order, and each key's position there.
+
+    Ids come from one sort, not from hashing: ``int`` and ``Fraction`` hashes
+    are residues mod 2^61 - 1, so keys such as ``2^k`` and ``2^(k+61)``
+    collide.
+    """
+    ids = [0] * len(keys)
+    distinct: list[int] = []
+    for j in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[j]
+        if not distinct or distinct[-1] != key:
+            distinct.append(key)
+        ids[j] = len(distinct) - 1
+    return distinct, ids
+
+
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
     """Index every point by its exact projection level along every direction.
 
     With ``D`` the lcm of all point denominators and ``E`` that of one
     direction's, ``(E a) . (D x)`` is an integer key ordered like ``a . x``.
-    Level ids come from sorting the keys, not hashing them (``int`` and
-    ``Fraction`` hashes collide mod 2^61 - 1), and a ``Fraction`` is built
+    Level ids come from :func:`sorted_key_ids`, and a ``Fraction`` is built
     only per distinct level.
     """
     n = cfg.n
@@ -158,13 +174,7 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
             if c:
                 w = c.numerator * (big_e // c.denominator)
                 keys = list(map(add, keys, map(w.__mul__, col)))
-        ids = [0] * n
-        distinct: list[int] = []
-        for j in sorted(range(n), key=keys.__getitem__):
-            key = keys[j]
-            if not distinct or distinct[-1] != key:
-                distinct.append(key)
-            ids[j] = len(distinct) - 1
+        distinct, ids = sorted_key_ids(keys)
         scale = big_d * big_e
         levels.append(tuple(Fraction(key, scale) for key in distinct))
         level_of.append(tuple(ids))

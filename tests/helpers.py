@@ -5,7 +5,9 @@ The null-space oracle here is a deliberately plain textbook Gauss-Jordan over
 order than the package's fraction-free right-to-left elimination, so the two
 routes are genuinely independent.  Its incidence rows are built here from the
 textbook ``Fraction`` dot product, not from ``Direction.dot`` or the
-package's integer-keyed level index.
+package's integer-keyed level index.  The textbook weak-star probe walks its
+bolt with four ``Fraction`` dot products per step, groups levels in dicts and
+sums in plain ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ridgekit import PointConfig
+from ridgekit import Bolt, BoltGenerationError, PointConfig, ProbeReport, RidgeTest
+from ridgekit.rationals import rationalize
 
 
 def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
@@ -143,3 +146,81 @@ def float_lstsq_residual_linf(rows: list[list[int]], values: list[Fraction]) -> 
     f = np.array([float(v) for v in values], dtype=float)
     u, *_ = np.linalg.lstsq(m.T, f, rcond=None)
     return float(np.max(np.abs(f - m.T @ u)))
+
+
+def textbook_bolt(gen, n: int) -> Bolt:
+    """The first ``n`` points of a generated bolt, every step checked by
+    recomputing both points' levels."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    pts = [gen.initial]
+    seen = {gen.initial.coords}
+    current = gen.initial
+    for step in range(1, n):
+        nxt = gen.rule(current)
+        if nxt.coords == current.coords:
+            raise BoltGenerationError(step, "rule repeated the previous point")
+        fam = gen.first_link if (step - 1) % 2 == 0 else 3 - gen.first_link
+        along = gen.a1 if fam == 1 else gen.a2
+        across = gen.a2 if fam == 1 else gen.a1
+        if textbook_dot(along, nxt) != textbook_dot(along, current):
+            raise BoltGenerationError(step, f"step is not perpendicular to direction {fam}")
+        if textbook_dot(across, nxt) == textbook_dot(across, current):
+            raise BoltGenerationError(step, "step shares both levels")
+        if nxt.coords in seen:
+            raise BoltGenerationError(step, "rule revisited an earlier point")
+        seen.add(nxt.coords)
+        pts.append(nxt)
+        current = nxt
+    return Bolt(tuple(pts), gen.first_link)
+
+
+def textbook_probe(gen, tests, n_max: int, threshold=Fraction(1, 100)) -> ProbeReport:
+    """The weak-star probe with dict-grouped levels and ``Fraction`` partial
+    sums; a pointwise test continues in floats once it returns a float."""
+    thr = rationalize(threshold)
+    bolt = textbook_bolt(gen, n_max)
+    u_levels = [textbook_dot(gen.a1, p) for p in bolt.points]
+    v_levels = [textbook_dot(gen.a2, p) for p in bolt.points]
+    ridge_ok = pointwise_ok = True
+    per_test = []
+    for test in tests:
+        values = []
+        partial = Fraction(0)
+        if isinstance(test, RidgeTest):
+            g1 = {lv: rationalize(test.profile1(lv)) for lv in set(u_levels)}
+            g2 = {lv: rationalize(test.profile2(lv)) for lv in set(v_levels)}
+            bound = 2 * (max(map(abs, g1.values())) + max(map(abs, g2.values())))
+            for j in range(n_max):
+                partial += (-1) ** j * (g1[u_levels[j]] + g2[v_levels[j]])
+                ridge_ok = ridge_ok and abs(partial) <= bound
+                values.append(abs(partial) / (j + 1))
+        else:
+            fpartial = None
+            for j, p in enumerate(bolt.points):
+                val = test.func(p)
+                if fpartial is None and isinstance(val, float):
+                    fpartial = float(partial)
+                if fpartial is None:
+                    partial += (-1) ** j * rationalize(val)
+                    values.append(abs(partial) / (j + 1))
+                else:
+                    fpartial += (-1) ** j * float(val)
+                    values.append(abs(fpartial) / (j + 1))
+            final = values[-1]
+            pointwise_ok = pointwise_ok and final <= (float(thr) if fpartial is not None else thr)
+        per_test.append(values)
+    rows = [
+        (n, test.name, float(values[n - 1]))
+        for n in range(1, n_max + 1)
+        for test, values in zip(tests, per_test)
+    ]
+    return ProbeReport(
+        n_max=n_max,
+        rows=rows,
+        final_values={test.name: float(values[-1]) for test, values in zip(tests, per_test)},
+        ridge_bounds_ok=ridge_ok,
+        threshold=float(thr),
+        verdict="consistent-with-zero" if ridge_ok and pointwise_ok else "inconclusive",
+        bolt=bolt,
+    )

@@ -1,6 +1,7 @@
 """Bolt graphs, closed bolts, orbits, alternating measures, the decay probe."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ridgekit import (
     Direction,
     Point,
     PointConfig,
+    PointTest,
     RidgeTest,
     bolt_measure,
     build_bolt_graph,
@@ -24,7 +26,7 @@ from ridgekit import (
     verify_bolt,
     weak_star_probe,
 )
-from helpers import random_config
+from helpers import random_config, textbook_bolt, textbook_probe
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -41,6 +43,52 @@ ORBIT_POINTS_10 = [
     (0, Fraction(1, 4)),
     (Fraction(3, 16), Fraction(1, 16)),
 ]
+
+
+def _table_generator(path, a1, a2, first_link=1) -> BoltGenerator:
+    """A generator whose rule follows ``path``: each listed point maps to the next."""
+    points = [Point.of(*p) for p in path]
+    nxt = {p.coords: q for p, q in zip(points, points[1:])}
+    return BoltGenerator("table", points[0], lambda p: nxt[p.coords], a1, a2, first_link)
+
+
+def _halving_generator() -> BoltGenerator:
+    """A bolt under the axis directions whose coordinates run through
+    ``1/2^k`` and ``1/2^(k+61)``: the two denominators have equal
+    ``Fraction`` hashes, so every level and coordinate hash collides with
+    another's."""
+
+    def index(c: Fraction) -> int:
+        e = c.denominator.bit_length() - 1
+        return 2 * (e - 61) + 1 if e >= 61 else 2 * e
+
+    def value(i: int) -> Fraction:
+        return Fraction(1, 2 ** (i // 2 + 61 * (i % 2)))
+
+    def rule(p: Point) -> Point:
+        x, y = p.coords
+        if index(y) > index(x):
+            return Point((value(index(y) + 1), y))
+        return Point((x, value(index(x) + 1)))
+
+    return BoltGenerator("halving", Point.of(1, 1), rule, Direction.of(1, 0), Direction.of(0, 1))
+
+
+def _scaled_ridge_tests(seed: int) -> list[RidgeTest]:
+    """Seeded rational ridge tests: an affine and a quadratic level profile."""
+    rng = random.Random(seed)
+    tests = []
+    for i in range(4):
+        c1 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+        c2 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+        tests.append(
+            RidgeTest(
+                f"ridge-{i}",
+                lambda lv, c1=c1: c1 * lv + 1,
+                lambda lv, c2=c2: c2 * lv * lv,
+            )
+        )
+    return tests
 
 
 class TestGenerator:
@@ -66,6 +114,41 @@ class TestGenerator:
         with pytest.raises(BoltGenerationError) as exc:
             bad.generate(3)
         assert exc.value.step == 1
+
+    @pytest.mark.parametrize(
+        "gen, step, message",
+        [
+            (
+                _table_generator([(0, 0), (1, -1), (0, -2), (0, -2)], A1, A2),
+                3,
+                "rule repeated the previous point",
+            ),
+            (
+                _table_generator(
+                    [(0, 0, 0), (0, 1, 0), (2, 1, 0), (2, 1, 5)],
+                    Direction.of(1, 0, 0),
+                    Direction.of(0, 1, 0),
+                ),
+                3,
+                "step shares both levels",
+            ),
+            (
+                _table_generator(
+                    [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)], Direction.of(1, 0), Direction.of(0, 1)
+                ),
+                4,
+                "rule revisited an earlier point",
+            ),
+        ],
+        ids=["repeated", "shared-both", "revisited"],
+    )
+    def test_every_violation_reports_its_step(self, gen, step, message):
+        for walk in (gen.generate, lambda n: textbook_bolt(gen, n)):
+            with pytest.raises(BoltGenerationError) as exc:
+                walk(10)
+            assert exc.value.step == step
+            assert str(exc.value) == f"step {step}: {message}"
+        assert len(gen.generate(step)) == step
 
 
 class TestBoltGraph:
@@ -257,22 +340,109 @@ class TestWeakStarProbe:
 
     def test_scaled_ridge_tables_bound_exactly(self):
         """The telescoping bound holds for arbitrary rational level tables."""
-        rng = random.Random(3)
-        gen = paper_orbit_generator()
-        tests = []
-        for i in range(4):
-            c1 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-            c2 = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-            tests.append(
-                RidgeTest(
-                    f"ridge-{i}",
-                    lambda lv, c1=c1: c1 * lv + 1,
-                    lambda lv, c2=c2: c2 * lv * lv,
-                )
-            )
-        report = weak_star_probe(gen, tests, 300)
+        report = weak_star_probe(paper_orbit_generator(), _scaled_ridge_tests(3), 300)
         assert report.ridge_bounds_ok
 
     def test_needs_tests(self):
         with pytest.raises(ValueError):
             weak_star_probe(paper_orbit_generator(), [], 10)
+
+    def test_two_dots_per_point_and_no_fraction_hash(self, monkeypatch):
+        calls = Counter()
+        dot = Direction.dot
+
+        def counted(self, point):
+            calls["dot"] += 1
+            return dot(self, point)
+
+        def unhashable(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Direction, "dot", counted)
+        monkeypatch.setattr(Fraction, "__hash__", unhashable)
+        tests = [probe_test(name) for name in ("x", "y", "ridge-identity")]
+        report = weak_star_probe(paper_orbit_generator(), tests, 500)
+        monkeypatch.undo()
+        assert report.verdict == "consistent-with-zero"
+        assert calls == {"dot": 2 * 500}
+
+
+def _x_turning_float(p: Point) -> Fraction | float:
+    """``x`` exactly near the start, then as a float wherever it is nonzero."""
+    x = p[0]
+    return float(x) if x.denominator > 2**20 else x
+
+
+PROBE_CASES = {
+    "orbit-1": (paper_orbit_generator, lambda: [probe_test("x"), probe_test("ridge-identity")], 1),
+    "orbit-2": (paper_orbit_generator, lambda: [probe_test("ridge-identity"), probe_test("y")], 2),
+    "orbit-3": (paper_orbit_generator, lambda: [probe_test("x2"), probe_test("const")], 3),
+    "orbit-150": (
+        paper_orbit_generator,
+        lambda: [probe_test(n) for n in ("x", "y", "x2", "y2", "xy", "const", "ridge-identity")],
+        150,
+    ),
+    "orbit-1000": (
+        paper_orbit_generator,
+        lambda: [probe_test(n) for n in ("x", "y", "x2", "ridge-identity")],
+        1000,
+    ),
+    "scaled-ridge-tables": (paper_orbit_generator, lambda: _scaled_ridge_tests(3), 300),
+    "float-halfway": (
+        paper_orbit_generator,
+        lambda: [
+            PointTest("x-float", _x_turning_float),
+            PointTest("y-float", lambda p: float(p[1])),
+            PointTest("sign-int", lambda p: 1 if p[0] >= 0 else -1),
+            PointTest("x-str", lambda p: str(p[0])),
+        ],
+        150,
+    ),
+    "non-dyadic": (
+        paper_orbit_generator,
+        lambda: [
+            PointTest("x-sevenths", lambda p: p[0] / 7 + Fraction(1, 3)),
+            RidgeTest("ridge-thirds", lambda lv: lv / 3, lambda lv: lv * lv / 5 + Fraction(2, 7)),
+        ],
+        300,
+    ),
+    "hash-collisions": (
+        _halving_generator,
+        lambda: [probe_test("x"), probe_test("y"), probe_test("ridge-identity"), *_scaled_ridge_tests(5)],
+        100,
+    ),
+}
+
+
+class TestProbeMatchesTextbook:
+    """The probe equals the textbook probe exactly, field by field."""
+
+    @pytest.mark.parametrize("case", PROBE_CASES)
+    @pytest.mark.parametrize("threshold", [Fraction(1, 100), Fraction(1, 10**9)], ids=["1e-2", "1e-9"])
+    def test_fields_equal(self, case, threshold):
+        make_gen, make_tests, n = PROBE_CASES[case]
+        report = weak_star_probe(make_gen(), make_tests(), n, threshold)
+        expected = textbook_probe(make_gen(), make_tests(), n, threshold)
+        assert report.rows == expected.rows
+        assert report.final_values == expected.final_values
+        assert report.verdict == expected.verdict
+        assert report.ridge_bounds_ok == expected.ridge_bounds_ok
+        assert report.bolt == expected.bolt
+        assert report == expected
+
+    @pytest.mark.parametrize(
+        "threshold, verdict",
+        [(Fraction(1, 3), "consistent-with-zero"), (Fraction(1, 3) - Fraction(1, 10**30), "inconclusive")],
+        ids=["at", "below"],
+    )
+    def test_exact_threshold_is_inclusive(self, threshold, verdict):
+        """1/3 is the exact final value of ``const`` at n = 3; floats cannot tell these apart."""
+        report = weak_star_probe(paper_orbit_generator(), [probe_test("const")], 3, threshold)
+        assert report.verdict == verdict
+        assert report == textbook_probe(paper_orbit_generator(), [probe_test("const")], 3, threshold)
+
+    def test_halving_bolt_collides_in_hash_only(self):
+        bolt = _halving_generator().generate(100)
+        coords = [c for p in bolt.points for c in p.coords]
+        assert len(set(coords)) == 100
+        assert len({hash(c) for c in coords}) < 70

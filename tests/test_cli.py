@@ -254,6 +254,22 @@ class TestResourceCaps:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / artifact).exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag, artifact",
+        [
+            (["probe", "--preset", "paper-orbit", "--N", "abc"], "--N", "probe.json"),
+            (["probe", "--preset", "paper-orbit", "--N", "1.5"], "--N", "probe.json"),
+            (["probe", "--preset", "paper-orbit", "--N", "0"], "--N", "probe.json"),
+            (["probe", "--preset", "paper-orbit", "--seed", "x"], "--seed", "probe.json"),
+            (["paths", "--preset", "grid-2x2", "--seed", "1.5"], "--seed", "verdict.json"),
+        ],
+        ids=["N-abc", "N-1.5", "N-0", "probe-seed-x", "paths-seed-1.5"],
+    )
+    def test_bad_integer_flag_is_named(self, tmp_path, capsys, argv, flag, artifact):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / artifact).exists()
+
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", "nan"]
         code = main(argv + ["--out", str(tmp_path)])
@@ -357,6 +373,27 @@ def test_golden_artifacts(tmp_path, command, preset, target, code, name, digest)
     params = {"target": target} if target else {}
     assert run(JobConfig(command, preset=preset, out_dir=str(tmp_path), params=params)) == code
     assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# sha256 of the probe artifacts, on the default tests (x, y) at N = 1000 and
+# on x, x2 at N = 300: (extra argv, artifact, digest).
+PROBE_GOLDEN = [
+    ([], "decay.csv", "fc965ffd0fd2a1e4579d2b2c512afb86e0bfe065bcf67457141813d74de55dff"),
+    ([], "probe.json", "615cdd16e8fe8e65b5822926b153a02a414239a1671157abdde5200f435f7498"),
+    (["--tests", "x,x2", "--N", "300"], "decay.csv", "5cec3b46a502e9f2b535e3b2a8a210aecb230f66f13b30d49f265985e1bbfb57"),
+    (["--tests", "x,x2", "--N", "300"], "probe.json", "a9dc4925b5301e75865efb9b3c7363bbc03c80dc9e6365ef702a639c23aebca4"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, name, digest",
+    PROBE_GOLDEN,
+    ids=[f"{' '.join(e) or 'default'}-{n}" for e, n, _ in PROBE_GOLDEN],
+)
+def test_golden_probe_artifacts(tmp_path, extra, name, digest):
+    assert main(["probe", "--preset", "paper-orbit", *extra, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["decay.csv", "probe.json"]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
