@@ -54,18 +54,6 @@ from .presets import (
 )
 from .rationals import format_rational, rationalize
 
-COMMANDS = (
-    "paths",
-    "bolts",
-    "orbits",
-    "probe",
-    "ridgefit",
-    "netfit",
-    "sigma-build",
-    "sigma-eval",
-    "kfit",
-)
-
 PROBE_MAX_N = 100_000  # the probe's cost is quadratic in N (denominators grow by ~N/2 bits)
 SIGMA_EVAL_MAX_ROWS = 1_000_000
 
@@ -147,6 +135,14 @@ def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     points = _coordinate_rows(raw["points"], "points", dim)
     dirs = _coordinate_rows(raw["directions"], "directions", dim)
+    for i, a in enumerate(dirs):
+        if not any(a):
+            raise ValueError(f"directions[{i}]: direction must be nonzero")
+    first_index: dict[tuple[Fraction, ...], int] = {}
+    for j, x in enumerate(points):
+        i = first_index.setdefault(tuple(x), j)
+        if i != j:
+            raise ValueError(f"points[{j}] repeats points[{i}]: points must be pairwise distinct")
     values = raw.get("values")
     if values is not None:
         if not isinstance(values, list) or len(values) != len(points):

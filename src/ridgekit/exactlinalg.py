@@ -9,7 +9,8 @@ It records every row update as integers.  Two consumers share it:
   the null space.  The basis depends only on the matrix, not on the
   elimination route, so certificates are reproducible;
 * :class:`IntegerSolver` replays its recorded updates on right-hand sides:
-  factor once, solve many.  The ridge fit's ``S = M^T M`` systems use it.
+  factor once, solve many.  The ridge fit's ``[N | S]`` systems use it
+  (the closed paths beside ``S = M^T M``).
 """
 
 from __future__ import annotations

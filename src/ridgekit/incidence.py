@@ -15,8 +15,8 @@ closed path exists.
 
 :func:`build_incidence` is the only code that maps points to levels, by
 exact integer keys.  :func:`analyze` caches one :class:`Analysis` per
-configuration (the index, the closed paths, and the orthogonalized paths and
-the factorization of ``S = M^T M`` that the ridge fits need), which the
+configuration (the index, the closed paths ``N`` and the one factorization
+of ``[N | S]`` with ``S = M^T M`` that the ridge fits need), which the
 verdict, the ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.
 The closed paths and the factorization come from the one elimination
 routine of :mod:`ridgekit.exactlinalg`.
@@ -32,7 +32,7 @@ from math import lcm
 from operator import add
 from typing import Sequence
 
-from .exactlinalg import IntegerSolver, normalize_coprime, nullspace_int
+from .exactlinalg import IntegerSolver, nullspace_int
 from .measures import Direction, DiscreteMeasure, Point, is_annihilating
 from .rationals import RationalLike, rationalize
 
@@ -54,6 +54,15 @@ class PointConfig:
             raise ValueError("points and directions must share one dimension")
         if len({p.coords for p in self.points}) != len(self.points):
             raise ValueError("points must be pairwise distinct")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.points, self.dirs))
+
+    def __hash__(self) -> int:
+        """Hashed once per instance: :func:`analyze` looks a configuration up
+        on every call, and each hash walks every ``Fraction`` coordinate."""
+        return self._hash
 
     @classmethod
     def build(
@@ -268,14 +277,17 @@ class RidgeSum:
 
 class Analysis:
     """What one configuration's verdict, bolt graph and ridge fits share: the
-    level index, then on first use the closed-path basis (one elimination),
-    its orthogonalization and the factorization of ``S = M^T M``.
+    level index, then on first use the closed-path basis (one elimination)
+    and one factorization of ``[N | S]``.
 
-    A fit's values are ``f'``, the projection of ``f`` off the closed paths
-    (the null space of ``M``).  The minimum-norm ``u`` lies in the range of
-    ``M``, so ``u = M y`` for any solution ``y`` of the consistent system
-    ``S y = f'``; solutions differ by null vectors of ``M`` and give the same
-    ``u``.
+    ``N`` holds the closed paths as columns, spanning the null space of
+    ``M``, and ``S = M^T M``.  The range of ``S`` is the range of ``M^T``,
+    the orthogonal complement of that null space, so every ``f`` splits
+    uniquely as ``S y + N c`` and ``[N | S] [c; y] = f`` is consistent.
+    Its solutions share ``c`` and differ in ``y`` by null vectors of ``M``,
+    so ``u = M y`` is the same for all of them: the minimum-norm
+    least-squares solution of ``M^T u = f``, as it lies in the range of
+    ``M``.
     """
 
     def __init__(self, cfg: PointConfig) -> None:
@@ -286,43 +298,28 @@ class Analysis:
         return self.incidence.closed_paths()
 
     @cached_property
-    def orthogonal_paths(self) -> list[tuple[tuple[int, ...], int]]:
-        """The closed paths, orthogonalized: (path, squared norm) pairs."""
-        paths: list[tuple[tuple[int, ...], int]] = []
-        for vec in self.closed_paths:
-            q = normalize_coprime(_project(vec, paths))
-            paths.append((q, sum(b * b for b in q)))
-        return paths
-
-    @cached_property
     def solver(self) -> IntegerSolver:
-        n = self.incidence.n_points
-        s_rows: list[dict[int, int]] = [{} for _ in range(n)]
+        """The factorization of ``[N | S]``.  The closed paths fill the
+        leftmost columns, which the right-to-left elimination reaches last."""
+        p = len(self.closed_paths)
+        rows: list[dict[int, int]] = [
+            {c: w for c, vec in enumerate(self.closed_paths) if (w := vec[a])}
+            for a in range(self.incidence.n_points)
+        ]
         for dir_groups in self.incidence.groups:
             for members in dir_groups:
                 for a in members:
-                    row = s_rows[a]
+                    row = rows[a]
                     for b in members:
-                        row[b] = row.get(b, 0) + 1
-        return IntegerSolver(s_rows, n)
+                        row[p + b] = row.get(p + b, 0) + 1
+        return IntegerSolver(rows, p + self.incidence.n_points)
 
     def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
         """The level vectors ``u`` of the minimum-norm least-squares fit of
         ``values``, and the fitted point values ``M^T u``."""
         inc = self.incidence
-        u = inc.level_sums(self.solver.solve(_project(values, self.orthogonal_paths)))
+        u = inc.level_sums(self.solver.solve(values)[len(self.closed_paths):])
         return u, inc.gather(u)
-
-
-def _project(
-    vec: Sequence[Fraction], paths: list[tuple[tuple[int, ...], int]]
-) -> Sequence[Fraction]:
-    """``vec`` minus its components along orthogonal ``paths``."""
-    for q, qq in paths:
-        c = Fraction(sum(a * b for a, b in zip(vec, q) if b), qq)
-        if c:
-            vec = [a - c * b for a, b in zip(vec, q)]
-    return vec
 
 
 @lru_cache(maxsize=8)

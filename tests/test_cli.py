@@ -90,8 +90,28 @@ class TestInputSchema:
                 {"dimension": 2, "points": [["0", "0"], ["x", "1"]], "directions": [["1", "0"]]},
                 "points[1][0]: 'x' is not a rational",
             ),
+            (
+                {"dimension": 2, "points": [["0", "0"]], "directions": [["1", "0"], ["0", "0/3"]]},
+                "directions[1]: direction must be nonzero",
+            ),
+            (
+                {
+                    "dimension": 2,
+                    "points": [["0", "1"], ["1", "0"], ["0", "2/2"]],
+                    "directions": [["1", "0"]],
+                },
+                "points[2] repeats points[0]: points must be pairwise distinct",
+            ),
         ],
-        ids=["top-level-array", "dimension-string", "missing-directions", "points-string", "bad-entry"],
+        ids=[
+            "top-level-array",
+            "dimension-string",
+            "missing-directions",
+            "points-string",
+            "bad-entry",
+            "zero-direction",
+            "repeated-point",
+        ],
     )
     def test_schema_errors_name_the_field(self, tmp_path, capsys, payload, message):
         bad = tmp_path / "bad.json"

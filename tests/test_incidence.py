@@ -1,5 +1,6 @@
 """Incidence structure, closed-path detection, exact ridge interpolation."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +36,11 @@ from ridgekit.presets import config_preset
 
 FIVE_PT = config_preset("paper-5pt")
 GRID22 = config_preset("grid-2x2")
+GRID_DIRS = ((1, 0), (0, 1), (1, 1))
+
+
+def square_grid(m: int, dirs) -> PointConfig:
+    return PointConfig.build([(i, j) for i in range(m) for j in range(m)], dirs)
 
 
 def assert_exact_min_norm_least_squares(cfg: PointConfig, values: list[Fraction]) -> None:
@@ -215,6 +221,22 @@ class TestSharedAnalysis:
         assert density_verdict(cfg) == density_verdict(copy)
         assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
 
+    def test_cached_lookup_does_not_rehash_coordinates(self, monkeypatch):
+        cfg = large_config(random.Random(20), "generic", 40)
+        first = incidence.analyze(cfg)
+        calls = []
+        original = Fraction.__hash__
+
+        def counted_hash(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+        assert incidence.analyze(cfg) is first
+        assert calls == []
+        hash(Fraction(1, 3))  # the counter does see other hashes
+        assert len(calls) == 1
+
 
 class TestFindClosedPath:
     def test_five_point_certificate(self):
@@ -312,6 +334,28 @@ class TestInterpolateRidge:
             assert 30 <= cfg.n <= 64
             assert density_verdict(cfg).dense == (family in ("staircase", "forest"))
             assert_exact_min_norm_least_squares(cfg, random_values(rng, cfg.n))
+
+    @pytest.mark.parametrize("dirs", [GRID_DIRS[:2], GRID_DIRS], ids=["k2", "k3"])
+    def test_exact_conditions_on_16x16_grids(self, dirs):
+        """The same exact conditions where the closed paths number (m - 1)^2
+        (k = 2) and (m - 2)^2 (k = 3)."""
+        cfg = square_grid(16, dirs)
+        assert_exact_min_norm_least_squares(cfg, random_values(random.Random(len(dirs)), cfg.n))
+
+    @pytest.mark.parametrize(
+        "dirs, digest",
+        [
+            (GRID_DIRS[:2], "0e69251fa925372d35505671b4cbd1e9303f1420ea93f8140f77de1a5fc5eb5d"),
+            (GRID_DIRS, "7b9394d66500f638af7fe4045b95c35bdd49a1918fab6a74a49a71a6c0ad1ec1"),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_10x10_grid_fit_digest(self, dirs, digest):
+        """sha256 of the exact tables and residual of one seeded fit."""
+        cfg = square_grid(10, dirs)
+        ridge, residual = interpolate_ridge(cfg, random_values(random.Random(10), cfg.n))
+        text = repr([[str(v) for v in t.values] for t in ridge.tables] + [str(residual)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestLevelTable:
