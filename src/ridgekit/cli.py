@@ -135,6 +135,9 @@ def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     points = _coordinate_rows(raw["points"], "points", dim)
     dirs = _coordinate_rows(raw["directions"], "directions", dim)
+    for label, rows in (("points", points), ("directions", dirs)):
+        if not rows:
+            raise ValueError(f"{label}: need at least one {label[:-1]}")
     for i, a in enumerate(dirs):
         if not any(a):
             raise ValueError(f"directions[{i}]: direction must be nonzero")

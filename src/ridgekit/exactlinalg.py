@@ -8,9 +8,11 @@ It records every row update as integers.  Two consumers share it:
 * :func:`nullspace_int` back-substitutes over its pivot rows for a basis of
   the null space.  The basis depends only on the matrix, not on the
   elimination route, so certificates are reproducible;
-* :class:`IntegerSolver` replays its recorded updates on right-hand sides:
-  factor once, solve many.  The ridge fit's ``[N | S]`` systems use it
-  (the closed paths beside ``S = M^T M``).
+* :class:`IntegerSolver` replays its recorded updates on the integer
+  numerators of right-hand sides, with one integer denominator per row that
+  depends only on the matrix: factor once, solve many, with no ``Fraction``.
+  The ridge fit's ``[N | S]`` systems use it (the closed paths beside
+  ``S = M^T M``).
 """
 
 from __future__ import annotations
@@ -118,45 +120,69 @@ def normalize_coprime(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class IntegerSolver:
-    """Factor an integer matrix once, then solve many rational right-hand sides.
+    """Factor an integer matrix once, then solve many integer right-hand sides.
 
-    The factorization is :func:`_eliminate`.  Each update rescales its target
-    row by ``pv / g``; with ``σ`` a row's product of these scales, the updates
-    become exact multipliers ``rv·σ_p / (pv·σ_t)`` on the unscaled rows, so
-    ``solve`` replays one multiply-subtract per update.  It raises
-    ``ValueError`` when a non-pivot row ends nonzero (an inconsistent
-    system), else back-substitutes over the pivot rows and returns the
-    particular solution with free variables set to zero.
+    The factorization is :func:`_eliminate`, replayed on integers only (the
+    fraction-free idea of Bareiss, carried through to the right-hand side).
+    Each row ``t`` keeps an integer denominator ``G_t``, which depends only on
+    the matrix: the replayed right-hand side of row ``t`` is its integer
+    numerator over ``G_t``.  An update ``b_t <- (pv b_t - rv b_p) / g``
+    becomes ``b_t <- α b_t - β b_p`` with ``L = lcm(G_t, G_p)``,
+    ``α = pv L / G_t``, ``β = rv L / G_p`` and then ``G_t <- g L``.
+
+    ``solve`` raises ``ValueError`` when a non-pivot row ends nonzero (an
+    inconsistent system), else back-substitutes over the pivot rows on one
+    running denominator and returns the particular solution with free
+    variables set to zero.
     """
 
     def __init__(self, rows: Sequence[Sequence[int] | dict[int, int]], ncols: int):
         self.nrows, self.ncols = len(rows), ncols
         mat, pivots, _, updates = _eliminate(rows, ncols)
-        sigma = [Fraction(1)] * self.nrows
-        self._ops: list[tuple[int, int, Fraction]] = []  # (pivot row, target row, multiplier)
+        den = [1] * self.nrows
+        self._ops: list[tuple[int, int, int, int]] = []  # (pivot row, target row, α, β)
         for p, t, pv, rv, g in updates:
-            self._ops.append((p, t, rv * sigma[p] / (pv * sigma[t])))
-            sigma[t] = sigma[t] * pv / g
-        # (column, row, σ_p / pv, {column: entry / pv} off the pivot), left to right
+            gt, gp = den[t], den[p]
+            big_l = lcm(gt, gp)
+            self._ops.append((p, t, pv * (big_l // gt), rv * (big_l // gp)))
+            den[t] = g * big_l
+        # (column, row, G_p, G_p·pv, [(column, entry)] off the pivot), left to right
         self._pivots = []
         for col, p in reversed(pivots):
-            pv = mat[p][col]
-            off = {j: Fraction(v, pv) for j, v in mat[p].items() if j != col}
-            self._pivots.append((col, p, sigma[p] / pv, off))
+            off = [(j, v) for j, v in mat[p].items() if j != col]
+            self._pivots.append((col, p, den[p], den[p] * mat[p][col], off))
         pivot_rows = {p for _, p in pivots}
         self._leftover = [i for i in range(self.nrows) if i not in pivot_rows]
         self.rank = len(pivots)
 
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
+    def solve(self, rhs: Sequence[int]) -> tuple[list[int], int]:
+        """Solve ``A x = rhs`` for integer ``rhs``: returns integer numerators
+        ``X`` and one positive denominator ``q`` with ``x = X / q``."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
         b = list(rhs)
-        for p, t, m in self._ops:
-            if b[p]:
-                b[t] -= m * b[p]
+        for p, t, alpha, beta in self._ops:
+            bp = b[p]
+            if bp:
+                b[t] = alpha * b[t] - beta * bp
+            elif b[t]:
+                b[t] *= alpha
         if any(b[i] for i in self._leftover):
             raise ValueError("inconsistent linear system")
-        x = [Fraction(0)] * self.ncols
-        for col, p, scale, off in self._pivots:
-            x[col] = scale * b[p] - sum(v * x[j] for j, v in off.items() if x[j])
-        return x
+        # pivot row p reads pv x_col + Σ off x_j = b_p / G_p; with x = X / q,
+        # X_col = (b_p q - G_p Σ off X_j) / (G_p pv), and q grows by the part
+        # of G_p pv that does not divide the numerator.
+        x = [0] * self.ncols
+        q = 1
+        for col, p, gp, c, off in self._pivots:
+            s = sum([v * x[j] for j, v in off if x[j]])
+            num = b[p] * q - gp * s
+            if not num:
+                continue
+            h = abs(c) // gcd(num, c)
+            if h != 1:
+                x = [v * h for v in x]
+                q *= h
+                num *= h
+            x[col] = num // c
+        return x, q

@@ -107,9 +107,10 @@ class IncidenceStructure:
     def level_counts(self) -> tuple[int, ...]:
         return tuple(len(lv) for lv in self.levels)
 
-    @property
+    @cached_property
     def groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per direction, per level: the points on that level, in increasing order."""
+        """Per direction, per level: the points on that level, in increasing
+        order; built once per index."""
         out = []
         for lv, ids in zip(self.levels, self.level_of):
             members: list[list[int]] = [[] for _ in lv]
@@ -124,22 +125,22 @@ class IncidenceStructure:
         rows = [dict.fromkeys(members, 1) for dir_groups in self.groups for members in dir_groups]
         return nullspace_int(rows, self.n_points)
 
-    def level_sums(self, vec: Sequence[Fraction]) -> list[list[Fraction]]:
-        """``M @ vec``, one list per direction: the sum of a point vector over each level."""
+    def level_sums(self, vec: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
+        """``M @ vec``, one list per direction: the sum of a point vector over
+        each level.  Integer vectors give integer sums."""
         out = []
         for lv, ids in zip(self.levels, self.level_of):
-            sums = [Fraction(0)] * len(lv)
+            sums = [0] * len(lv)
             for g, x in zip(ids, vec):
                 sums[g] += x
             out.append(sums)
         return out
 
-    def gather(self, level_vecs: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    def gather(self, level_vecs: Sequence[Sequence[int | Fraction]]) -> list[int | Fraction]:
         """``M^T @ u`` for ``u`` split per direction: each point's sum over its levels."""
-        out = [Fraction(0)] * self.n_points
+        out = [0] * self.n_points
         for ids, u in zip(self.level_of, level_vecs):
-            for j, g in enumerate(ids):
-                out[j] += u[g]
+            out = list(map(add, out, map(u.__getitem__, ids)))
         return out
 
 
@@ -314,12 +315,23 @@ class Analysis:
                         row[p + b] = row.get(p + b, 0) + 1
         return IntegerSolver(rows, p + self.incidence.n_points)
 
-    def fit(self, values: list[Fraction]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    def fit(self, values: Sequence[Fraction]) -> tuple[list[list[Fraction]], Fraction]:
         """The level vectors ``u`` of the minimum-norm least-squares fit of
-        ``values``, and the fitted point values ``M^T u``."""
+        ``values``, and the exact worst-case residual ``max |f - M^T u|``.
+
+        The arithmetic is integer: ``f = F / d`` over the lcm ``d`` of its
+        denominators, the solver returns ``[c; y] = X / q``, and so
+        ``u = M X_y / (q d)`` and ``f - M^T u = (q F - M^T M X_y) / (q d)``.
+        One ``Fraction`` is built per level and one for the residual.
+        """
         inc = self.incidence
-        u = inc.level_sums(self.solver.solve(values)[len(self.closed_paths):])
-        return u, inc.gather(u)
+        d = lcm(*(v.denominator for v in values))
+        f_num = [v.numerator * (d // v.denominator) for v in values]
+        x, q = self.solver.solve(f_num)
+        sums = inc.level_sums(x[len(self.closed_paths):])
+        worst = max(abs(q * a - b) for a, b in zip(f_num, inc.gather(sums)))
+        den = q * d
+        return [[Fraction(s, den) for s in lv] for lv in sums], Fraction(worst, den)
 
 
 @lru_cache(maxsize=8)
@@ -341,10 +353,8 @@ def interpolate_ridge(
     """
     if len(values) != cfg.n:
         raise ValueError(f"expected {cfg.n} values, got {len(values)}")
-    f = [rationalize(v) for v in values]
     analysis = analyze(cfg)
-    u, fitted = analysis.fit(f)
-    residual = max(abs(a - b) for a, b in zip(f, fitted))
+    u, residual = analysis.fit([rationalize(v) for v in values])
     tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(analysis.incidence.levels, u))
     return RidgeSum(cfg.dirs, tables), residual
 

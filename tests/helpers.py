@@ -3,7 +3,10 @@
 The null-space oracle here is a deliberately plain textbook Gauss-Jordan over
 ``Fraction`` with left-to-right pivoting — a different algorithm and pivot
 order than the package's fraction-free right-to-left elimination, so the two
-routes are genuinely independent.  Its incidence rows are built here from the
+routes are genuinely independent.  The same elimination solves linear systems
+(:func:`rref_solve`) and gives the textbook minimum-norm ridge fit
+(:func:`textbook_min_norm_fit`, normal equations plus a Gram-Schmidt
+projection).  The incidence rows are built here from the
 textbook ``Fraction`` dot product, not from ``Direction.dot`` or the
 package's integer-keyed level index.  The textbook weak-star probe walks its
 bolt with four ``Fraction`` dot products per step, groups levels in dicts and
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -21,8 +25,12 @@ from ridgekit import Bolt, BoltGenerationError, PointConfig, ProbeReport, RidgeT
 from ridgekit.rationals import rationalize
 
 
-def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Brute-force rational null-space basis via forward-order Gauss-Jordan."""
+def rref(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Forward-order Gauss-Jordan over ``Fraction``, pivoting in the first
+    ``ncols`` columns only (later columns ride along as right-hand sides).
+    Returns the reduced rows and the pivot columns; row ``i`` holds the
+    pivot of ``pivot_cols[i]``, and rows past the last pivot are zero in the
+    first ``ncols`` columns."""
     mat = [[Fraction(v) for v in row] for row in rows]
     nrows = len(mat)
     pivot_cols: list[int] = []
@@ -37,15 +45,23 @@ def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
+        prow = mat[r] = [v / pv for v in mat[r]]
+        support = [j for j, v in enumerate(prow) if v]
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+                row, factor = mat[i], mat[i][c]
+                for j in support:
+                    row[j] -= factor * prow[j]
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
+    return mat, pivot_cols
+
+
+def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """Brute-force rational null-space basis via forward-order Gauss-Jordan."""
+    mat, pivot_cols = rref(rows, ncols)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
@@ -55,6 +71,19 @@ def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
             vec[pc] = -mat[row_idx][fc]
         basis.append(vec)
     return basis
+
+
+def rref_solve(rows: list[list[int]], ncols: int, rhs: list) -> list[Fraction]:
+    """The solution of ``A x = rhs`` with every non-pivot (free) variable
+    zero, by forward-order Gauss-Jordan on ``[A | rhs]``; raises
+    ``ValueError`` for an inconsistent system."""
+    mat, pivot_cols = rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] != 0 for row in mat[len(pivot_cols):]):
+        raise ValueError("inconsistent linear system")
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(mat, pivot_cols):
+        x[pc] = row[ncols]
+    return x
 
 
 def textbook_dot(a, p) -> Fraction:
@@ -79,6 +108,62 @@ def level_rows(cfg: PointConfig) -> list[list[int]]:
 
 def oracle_has_closed_path(cfg: PointConfig) -> bool:
     return bool(rref_nullspace(level_rows(cfg), cfg.n))
+
+
+def _dot(u: list, v: list) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def textbook_min_norm_fit(
+    cfg: PointConfig, vectors: list[list]
+) -> list[tuple[list[list[Fraction]], Fraction]]:
+    """The minimum-norm least-squares solution ``u`` of ``M^T u = f`` for
+    each data vector, split per direction, and its residual ``max |f - M^T u|``.
+
+    Textbook route: Gauss-Jordan on the normal equations ``M M^T u = M f``
+    (all vectors as right-hand sides of one elimination), then subtract from
+    the particular solution its projection on ``null(M M^T) = null(M^T)``,
+    which is orthogonal to ``range(M)``; the projection uses a Gram-Schmidt
+    basis of the null space read from the same reduced rows.
+    """
+    rows = level_rows(cfg)
+    nl = len(rows)
+    fs = [[rationalize(v) for v in vec] for vec in vectors]
+    aug = [
+        [sum(map(mul, ra, rb)) for rb in rows]
+        + [sum((x for m, x in zip(ra, f) if m), Fraction(0)) for f in fs]
+        for ra in rows
+    ]
+    mat, pivot_cols = rref(aug, nl)
+    ortho: list[tuple[list[Fraction], Fraction]] = []  # (vector, its square norm)
+    for fc in (c for c in range(nl) if c not in pivot_cols):
+        w = [Fraction(0)] * nl
+        w[fc] = Fraction(1)
+        for row, pc in zip(mat, pivot_cols):
+            w[pc] = -row[fc]
+        for o, oo in ortho:
+            c = _dot(w, o) / oo
+            w = [a - c * b for a, b in zip(w, o)]
+        ortho.append((w, _dot(w, w)))
+    counts = [len(lv) for lv in textbook_levels(cfg)]
+    out = []
+    for k, f in enumerate(fs):
+        u = [Fraction(0)] * nl
+        for row, pc in zip(mat, pivot_cols):
+            u[pc] = row[nl + k]
+        for o, oo in ortho:
+            c = _dot(u, o) / oo
+            u = [a - c * b for a, b in zip(u, o)]
+        fitted = [
+            sum((ui for row, ui in zip(rows, u) if row[j]), Fraction(0)) for j in range(cfg.n)
+        ]
+        residual = max(abs(a - b) for a, b in zip(f, fitted))
+        split, pos = [], 0
+        for count in counts:
+            split.append(u[pos : pos + count])
+            pos += count
+        out.append((split, residual))
+    return out
 
 
 def large_config(rng: random.Random, family: str, n: int) -> PointConfig:

@@ -102,6 +102,14 @@ class TestInputSchema:
                 },
                 "points[2] repeats points[0]: points must be pairwise distinct",
             ),
+            (
+                {"dimension": 2, "points": [], "directions": [["1", "0"]]},
+                "points: need at least one point",
+            ),
+            (
+                {"dimension": 2, "points": [["0", "1"]], "directions": []},
+                "directions: need at least one direction",
+            ),
         ],
         ids=[
             "top-level-array",
@@ -111,6 +119,8 @@ class TestInputSchema:
             "bad-entry",
             "zero-direction",
             "repeated-point",
+            "no-points",
+            "no-directions",
         ],
     )
     def test_schema_errors_name_the_field(self, tmp_path, capsys, payload, message):

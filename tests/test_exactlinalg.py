@@ -3,12 +3,14 @@
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import large_config, level_rows, random_config, rref_nullspace
+from helpers import large_config, level_rows, random_config, rref_nullspace, rref_solve
+from ridgekit import exactlinalg
 from ridgekit.exactlinalg import (
     IntegerSolver,
     normalize_coprime,
@@ -19,6 +21,16 @@ from ridgekit.rationals import format_rational, rationalize
 
 def random_int_matrix(rng, rows, cols, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def solve_fractions(solver, rhs):
+    """``solver.solve`` on a rational right-hand side: scale it to integers
+    over the lcm ``d`` of its denominators, then ``x = X / (q d)``."""
+    rhs = [Fraction(v) for v in rhs]
+    d = lcm(*(v.denominator for v in rhs))
+    x, q = solver.solve([v.numerator * (d // v.denominator) for v in rhs])
+    assert q > 0 and all(type(v) is int for v in x)
+    return [Fraction(v, q * d) for v in x]
 
 
 def right_to_left_oracle(rows, ncols):
@@ -68,14 +80,14 @@ class TestNullspace:
         small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
         x_true = data.draw(st.lists(small, min_size=ncols, max_size=ncols))
         b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in rows]
-        x = solver.solve(b)
+        x = solve_fractions(solver, b)
         assert len(x) == ncols
         assert [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows] == b
         columns = [[row[j] for row in rows] for j in range(ncols)]
         left_null = rref_nullspace(columns, len(rows)) if rows else []
         if left_null:
             with pytest.raises(ValueError, match="inconsistent"):
-                solver.solve([v + w for v, w in zip(b, left_null[0])])
+                solve_fractions(solver, [v + w for v, w in zip(b, left_null[0])])
 
     @pytest.mark.parametrize(
         "family", ["staircase", "closed-staircase", "forest", "grid", "generic"]
@@ -124,13 +136,13 @@ class TestIntegerSolver:
             a = random_int_matrix(rng, n, n)
             x_true = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
             b = [sum((r * v for r, v in zip(row, x_true)), Fraction(0)) for row in a]
-            x = IntegerSolver(a, n).solve(b)
+            x = solve_fractions(IntegerSolver(a, n), b)
             assert [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a] == b
 
     def test_detects_inconsistent(self):
         solver = IntegerSolver([[1, 1], [2, 2]], 2)
         with pytest.raises(ValueError, match="inconsistent"):
-            solver.solve([Fraction(1), Fraction(3)])
+            solver.solve([1, 3])
 
     def test_rank(self):
         assert IntegerSolver([[1, 2], [2, 4]], 2).rank == 1
@@ -151,12 +163,12 @@ class TestIntegerSolver:
             assert solver.rank == n - len(null)
             x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in s]
-            x = solver.solve(b)
+            x = solve_fractions(solver, b)
             assert [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in s] == b
             if null:
                 singular += 1
                 with pytest.raises(ValueError, match="inconsistent"):
-                    solver.solve([v + w for v, w in zip(b, null[0])])
+                    solve_fractions(solver, [v + w for v, w in zip(b, null[0])])
         assert singular >= 10
 
     def test_dict_rows_match_dense_rows(self):
@@ -165,7 +177,7 @@ class TestIntegerSolver:
             n = rng.randint(1, 9)
             a = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
             sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
-            b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+            b = [rng.randint(-5, 5) for _ in range(n)]
             dense_solver, dict_solver = IntegerSolver(a, n), IntegerSolver(sparse, n)
             assert dense_solver.rank == dict_solver.rank
             try:
@@ -175,6 +187,132 @@ class TestIntegerSolver:
                     dict_solver.solve(b)
             else:
                 assert dict_solver.solve(b) == expected
+
+
+def right_to_left_solve_oracle(rows, ncols, rhs):
+    """``IntegerSolver``'s particular solution, independently.  Its free
+    variables are the columns dependent on the columns to their right, which
+    are the free columns of the textbook left-to-right elimination of the
+    column-reversed matrix; so solve that with free variables zero and
+    reverse back.  Raises ``ValueError`` on an inconsistent system."""
+    return rref_solve([list(row)[::-1] for row in rows], ncols, rhs)[::-1]
+
+
+def float_fraction(rng):
+    """A negative or positive rational from a random float in (-1, 1): a
+    denominator of up to ``2^52``."""
+    return Fraction(rng.uniform(-1, 1))
+
+
+def solver_cases(kind, seed=11):
+    """Seeded ``(rows, ncols, rhs)`` systems of one kind:
+
+    * ``full-rank``: random square and non-square integer matrices, with a
+      right-hand side ``A x`` for a small rational ``x``;
+    * ``rank-deficient``: products ``B C`` with an inner dimension below
+      both sides, right-hand sides again in the range;
+    * ``inconsistent``: the rank-deficient matrices with a random
+      right-hand side, which the oracle refuses (only those are kept);
+    * ``float-rhs``: either matrix kind with ``x`` drawn from floats, so the
+      right-hand side carries ``2^52``-sized denominators and negative
+      entries.
+    """
+    rng = random.Random(f"{kind}-{seed}")
+    cases = []
+    while len(cases) < 60:
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        if kind == "full-rank" or (kind == "float-rhs" and rng.random() < 0.5):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = random_int_matrix(rng, m, n, -6, 6)
+        else:
+            r = rng.randint(1, min(m, n) - 1)
+            b, c = random_int_matrix(rng, m, r), random_int_matrix(rng, r, n)
+            rows = [[sum(x * y for x, y in zip(brow, col)) for col in zip(*c)] for brow in b]
+        if kind == "inconsistent":
+            rhs = [
+                float_fraction(rng) if rng.random() < 0.5 else rng.randint(-9, 9) for _ in range(m)
+            ]
+            try:
+                right_to_left_solve_oracle(rows, n, rhs)
+            except ValueError:
+                cases.append((rows, n, rhs))
+            continue
+        if kind == "float-rhs":
+            x_true = [float_fraction(rng) for _ in range(n)]
+        else:
+            x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        rhs = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in rows]
+        cases.append((rows, n, rhs))
+    return cases
+
+
+SOLVER_CASE_KINDS = ["full-rank", "rank-deficient", "inconsistent", "float-rhs"]
+
+
+def oracle_mismatches(cases):
+    """Systems on which ``IntegerSolver``, fed dense or dict rows, disagrees
+    with the textbook oracle: a different solution, or a different verdict on
+    consistency."""
+    bad = 0
+    for rows, ncols, rhs in cases:
+        try:
+            expected = right_to_left_solve_oracle(rows, ncols, rhs)
+        except ValueError:
+            expected = None
+        for form in (rows, [{j: v for j, v in enumerate(row) if v} for row in rows]):
+            try:
+                got = solve_fractions(IntegerSolver(form, ncols), rhs)
+            except ValueError as exc:
+                got = None
+                assert "inconsistent" in str(exc)
+            bad += got != expected
+    return bad
+
+
+class TestIntegerSolverOracle:
+    """``IntegerSolver.solve`` against the textbook ``Fraction`` oracle."""
+
+    @pytest.mark.parametrize("kind", SOLVER_CASE_KINDS)
+    def test_matches_textbook_oracle(self, kind):
+        cases = solver_cases(kind)
+        assert oracle_mismatches(cases) == 0
+        deficient = sum(IntegerSolver(rows, n).rank < min(len(rows), n) for rows, n, _ in cases)
+        if kind in ("rank-deficient", "inconsistent"):
+            assert deficient == len(cases)
+        if kind == "float-rhs":
+            assert any(v.denominator >= 2**52 for _, _, rhs in cases for v in rhs)
+            assert any(v < 0 for _, _, rhs in cases for v in rhs)
+
+    def test_inconsistent_systems_raise(self):
+        for rows, n, rhs in solver_cases("inconsistent"):
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_fractions(IntegerSolver(rows, n), rhs)
+
+    @pytest.mark.parametrize("mutation", ["drop-all", "drop-one", "double-one"])
+    def test_mistracked_row_denominator_is_caught(self, monkeypatch, mutation):
+        """A solver whose row denominators ``G`` are dropped (every ``g``
+        taken as 1) or mis-tracked for one update (its ``g`` taken as 1, or
+        doubled) fails the oracle comparison."""
+        original = exactlinalg._eliminate
+        mutated = []
+
+        def mutant(rows, ncols):
+            """``_eliminate`` with the ``g`` of its updates altered: every one
+            for ``drop-all``, else the first one above 1."""
+            mat, pivots, free_cols, updates = original(rows, ncols)
+            out, done = [], False
+            for p, t, pv, rv, g in updates:
+                if g > 1 and not done:
+                    g = 2 * g if mutation == "double-one" else 1
+                    done = mutation != "drop-all"
+                    mutated.append(g)
+                out.append((p, t, pv, rv, g))
+            return mat, pivots, free_cols, out
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", mutant)
+        bad = sum(oracle_mismatches(solver_cases(kind)) for kind in SOLVER_CASE_KINDS)
+        assert mutated
+        assert bad > 0
 
 
 class TestBigRationalStrings:

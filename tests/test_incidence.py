@@ -16,6 +16,7 @@ from helpers import (
     random_values,
     rref_nullspace,
     textbook_levels,
+    textbook_min_norm_fit,
 )
 from ridgekit import (
     Direction,
@@ -356,6 +357,68 @@ class TestInterpolateRidge:
         ridge, residual = interpolate_ridge(cfg, random_values(random.Random(10), cfg.n))
         text = repr([[str(v) for v in t.values] for t in ridge.tables] + [str(residual)])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def assert_matches_min_norm_oracle(cfg: PointConfig, vectors: list[list]) -> None:
+    """Every fit's tables and residual equal the textbook ``Fraction``
+    min-norm fit exactly, and are ``Fraction``s."""
+    for values, (u, residual) in zip(vectors, textbook_min_norm_fit(cfg, vectors)):
+        ridge, got = interpolate_ridge(cfg, values)
+        assert [list(t.values) for t in ridge.tables] == u
+        assert got == residual
+        assert all(type(v) is Fraction for t in ridge.tables for v in t.values)
+        assert type(got) is Fraction
+
+
+class TestMinNormOracle:
+    """The integer fit against the textbook normal-equations oracle."""
+
+    def test_c03_sweep(self):
+        """The configurations and data stream of acceptance criterion C03
+        (seeds 20260810 and 20260811); the first four of each configuration's
+        20 data vectors are compared."""
+        rng, data_rng = random.Random(20260810), random.Random(20260811)
+        for _ in range(500):
+            cfg = random_config(rng)
+            vectors = [random_values(data_rng, cfg.n) for _ in range(20)]
+            assert_matches_min_norm_oracle(cfg, vectors[:4])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_grids(self, k):
+        """m x m grids up to 20 x 20 under the first k of (1, 0), (0, 1),
+        (1, 1), (1, -1), with small rationals and with float-derived data."""
+        dirs = (GRID_DIRS + ((1, -1),))[:k]
+        rng = random.Random(f"grid-oracle-{k}")
+        for m in (5, 12, 20):
+            cfg = square_grid(m, dirs)
+            vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
+            assert_matches_min_norm_oracle(cfg, vectors)
+
+
+    def test_fit_builds_one_fraction_per_level_and_one_residual(self, monkeypatch):
+        """Factoring ``[N | S]`` builds no ``Fraction``, and a fit builds one
+        per level and one for the residual (the closed paths' own
+        back-substitution is not counted)."""
+        cfg = square_grid(8, GRID_DIRS)
+        incidence.analyze.cache_clear()
+        analysis = incidence.analyze(cfg)
+        analysis.closed_paths
+        values = random_values(random.Random(8), cfg.n)
+        built = []
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        analysis.solver
+        assert built == []
+        tables, residual = analysis.fit(values)
+        assert len(built) == sum(analysis.incidence.level_counts) + 1
+        monkeypatch.undo()
+        ridge, expected = interpolate_ridge(cfg, values)
+        assert tables == [list(t.values) for t in ridge.tables] and residual == expected
 
 
 class TestLevelTable:
