@@ -17,20 +17,20 @@ For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
 decide a limit statement, so :func:`weak_star_probe` reports empirical decay
 plus the provable telescoping bound and labels the favourable outcome
-"consistent-with-zero", never "converges".  The probe walks its bolt once:
-each point's two levels are computed once, by the step that checks them, and
-grouped by sorting integer keys (as the level index does), never by hashing.
+"consistent-with-zero", never "converges".  The probe walks its bolt once,
+and a ridge test's alternating sum telescopes along it to at most two terms
+(a link's two points share a level of its family), so no levels are grouped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 from typing import Callable, Sequence
 
-from .incidence import IncidenceStructure, PointConfig, analyze, sorted_key_ids
+from .incidence import IncidenceStructure, PointConfig, analyze
 from .measures import Direction, DiscreteMeasure, Point
 from .rationals import RationalLike, rationalize
 
@@ -378,8 +378,11 @@ def weak_star_probe(
 ) -> ProbeReport:
     """Tabulate |integral of f d(mu_n)| for n = 1..n_max along a generated bolt.
 
-    For ridge tests the alternating sums telescope within each level pair, so
-    |integral| <= (2/n)(sup|g1| + sup|g2|) must hold exactly (sup over the
+    A ridge test's alternating sum ``S_n`` telescopes, as each link joins two
+    points on one level of its family (the walk checks that).  With "along"
+    the first link's family, ``S_n = g_across(across[0]) + g_along(along[n-1])``
+    for odd n and ``g_across(across[0]) - g_across(across[n-1])`` for even n.
+    So |integral| <= (2/n)(sup|g1| + sup|g2|) must hold exactly (sup over the
     realized levels); the probe verifies that for every n.  The verdict is
     "consistent-with-zero" iff every ridge bound holds and every plain test
     ends below the threshold at n = n_max.
@@ -388,28 +391,33 @@ def weak_star_probe(
         raise ValueError("need at least one test")
     thr = rationalize(threshold)
     bolt, u_levels, v_levels = gen._walk(n_max)
-    if any(isinstance(test, RidgeTest) for test in tests):
-        u_ids, u_reps = _level_ids(u_levels)
-        v_ids, v_reps = _level_ids(v_levels)
+    along, across = (u_levels, v_levels) if bolt.first_link == 1 else (v_levels, u_levels)
 
     ridge_bounds_ok = True
     pointwise_ok = True
     per_test_values: list[list[float]] = []
     for test in tests:
         if isinstance(test, RidgeTest):
-            g1 = [rationalize(test.profile1(lv)) for lv in u_reps]
-            g2 = [rationalize(test.profile2(lv)) for lv in v_reps]
-            # integers over one common denominator: the partial sums stay exact
-            den = lcm(*(q.denominator for q in g1), *(q.denominator for q in g2))
-            h1 = [q.numerator * (den // q.denominator) for q in g1]
-            h2 = [q.numerator * (den // q.denominator) for q in g2]
-            bound = 2 * (max(map(abs, h1)) + max(map(abs, h2)))
-            terms = [h1[a] + h2[b] for a, b in zip(u_ids, v_ids)]
-            terms[1::2] = [-t for t in terms[1::2]]
-            sizes = list(map(abs, accumulate(terms)))
-            if max(sizes) > bound:
-                ridge_bounds_ok = False
-            per_test_values.append([s / (den * n) for n, s in enumerate(sizes, 1)])
+            g_along, g_across = test.profile1, test.profile2
+            if bolt.first_link == 2:
+                g_along, g_across = g_across, g_along
+            head = rationalize(g_across(across[0]))
+            last = [
+                rationalize(g_along(along[j]) if j % 2 == 0 else g_across(across[j]))
+                for j in range(n_max)
+            ]
+            bound = 2 * (max(map(abs, last[0::2])) + max([abs(head), *map(abs, last[1::2])]))
+            bound_num, bound_den = bound.as_integer_ratio()
+            a, b = head.as_integer_ratio()
+            values = []
+            for n, term in enumerate(last, 1):
+                num, den = term.as_integer_ratio()
+                size = abs(a * den + num * b if n % 2 else a * den - num * b)
+                den *= b
+                if size * bound_den > bound_num * den:
+                    ridge_bounds_ok = False
+                values.append(size / (den * n))
+            per_test_values.append(values)
         else:
             values, passed = _pointwise_decay(test, bolt.points, thr)
             if not passed:
@@ -435,16 +443,6 @@ def weak_star_probe(
         verdict=verdict,
         bolt=bolt,
     )
-
-
-def _level_ids(levels: list[Fraction]) -> tuple[list[int], list[Fraction]]:
-    """Each level's id among the distinct levels (increasing), and the levels by id."""
-    scale = lcm(*(lv.denominator for lv in levels))
-    distinct, ids = sorted_key_ids([lv.numerator * (scale // lv.denominator) for lv in levels])
-    reps: list[Fraction] = [Fraction(0)] * len(distinct)
-    for lv, g in zip(levels, ids):
-        reps[g] = lv
-    return ids, reps
 
 
 def _pointwise_decay(

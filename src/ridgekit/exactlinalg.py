@@ -1,23 +1,22 @@
-"""Exact rational linear algebra on one elimination.
+"""Exact linear algebra in integers on one elimination.
 
 :func:`_eliminate` is a sparse, forward-only, integer fraction-free
 elimination that pivots over columns right to left; rows may be dense
 sequences or ``{column: value}`` dicts, and only nonzero entries are touched.
-It records every row update as integers.  Two consumers share it:
+It records every row update as integers.  Its two consumers share one
+integer back-substitution over its pivot rows, :func:`_back_substitute`:
 
-* :func:`nullspace_int` back-substitutes over its pivot rows for a basis of
-  the null space.  The basis depends only on the matrix, not on the
-  elimination route, so certificates are reproducible;
-* :class:`IntegerSolver` replays its recorded updates on the integer
-  numerators of right-hand sides, with one integer denominator per row that
-  depends only on the matrix: factor once, solve many, with no ``Fraction``.
-  The ridge fit's ``[N | S]`` systems use it (the closed paths beside
-  ``S = M^T M``).
+* :func:`nullspace_int`, for a null-space basis that depends only on the
+  matrix, not on the elimination route, so certificates are reproducible;
+* :class:`IntegerSolver`, which first replays the recorded updates on the
+  integer numerators of right-hand sides, with one integer denominator per
+  row that depends only on the matrix: factor once, solve many.  The ridge
+  fit's ``[N | S]`` systems use it (the closed paths beside ``S = M^T M``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_right
 from math import gcd, lcm
 from typing import Sequence
 
@@ -85,38 +84,53 @@ def nullspace_int(
     """Null-space basis of an integer matrix, as coprime integer vectors.
 
     A free column of :func:`_eliminate` depends on the pivot columns to its
-    right, and its basis vector comes from back-substitution over their
-    pivot rows, nearest first.
+    right, and its basis vector is :func:`_back_substitute` over their pivot
+    rows, with a 1 preset on it and a zero right-hand side.
 
     The pivot columns are exactly the columns independent of those to their
     right, and each vector is the unique null vector with a 1 on its free
     column, 0 on the other free columns and support at or right of that
     column; so the basis depends only on the matrix, not on the elimination
-    route.  One vector per free column, right to left, each scaled to coprime
-    integers with its first nonzero entry (natural column order) positive.
+    route.  One vector per free column, right to left, in coprime integers
+    with its first nonzero entry (natural column order) positive: that entry
+    is the free column's running denominator, and each entry set is coprime
+    to the factor that scales those set before it, back to the initial 1.
     """
     mat, pivots, free_cols, _ = _eliminate(rows, ncols)
+    prows = [(col, p, mat[p], 1) for col, p in reversed(pivots)]
+    pivot_cols = [col for col, *_ in prows]
     basis: list[tuple[int, ...]] = []
     for free_col in free_cols:
-        x = {free_col: Fraction(1)}
-        for col, p in reversed(pivots):
-            if col > free_col:
-                prow = mat[p]
-                s = sum(v * x[j] for j, v in prow.items() if j in x)
-                if s:
-                    x[col] = -s / prow[col]
-        basis.append(normalize_coprime([x.get(j, Fraction(0)) for j in range(ncols)]))
+        x = [0] * ncols
+        x[free_col] = 1
+        x, _ = _back_substitute(prows[bisect_right(pivot_cols, free_col) :], [0] * len(mat), x)
+        basis.append(tuple(x))
     return basis
 
 
-def normalize_coprime(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero entry positive."""
-    scale = lcm(*(v.denominator for v in vec))
-    ints = [int(v * scale) for v in vec]
-    g = gcd(*ints) or 1
-    if next((v for v in ints if v), 0) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+def _back_substitute(prows: list[tuple], b: list[int], x: list[int]) -> tuple[list[int], int]:
+    """Back-substitute over pivot rows ``(column, index, row, G)`` in order,
+    each zero right of its column and reading ``row · x = b[index] / G``.
+
+    ``x`` holds integers preset on the columns no row sets.  Returns integer
+    numerators ``X`` and one positive denominator ``q`` with ``x = X / q``.
+    A row sets ``X_col = (b q - G Σ_(j≠col) row_j X_j) / (G row_col)``,
+    first scaling ``X`` and ``q`` by the least factor making that integral.
+    """
+    q = 1
+    for col, p, row, gp in prows:
+        s = sum([v * x[j] for j, v in row.items() if x[j]])  # x[col] is still 0
+        num = b[p] * q - gp * s
+        if not num:
+            continue
+        c = gp * row[col]
+        h = abs(c) // gcd(num, c)
+        if h != 1:
+            x = [v * h for v in x]
+            q *= h
+            num *= h
+        x[col] = num // c
+    return x, q
 
 
 class IntegerSolver:
@@ -146,11 +160,7 @@ class IntegerSolver:
             big_l = lcm(gt, gp)
             self._ops.append((p, t, pv * (big_l // gt), rv * (big_l // gp)))
             den[t] = g * big_l
-        # (column, row, G_p, G_p·pv, [(column, entry)] off the pivot), left to right
-        self._pivots = []
-        for col, p in reversed(pivots):
-            off = [(j, v) for j, v in mat[p].items() if j != col]
-            self._pivots.append((col, p, den[p], den[p] * mat[p][col], off))
+        self._pivots = [(col, p, mat[p], den[p]) for col, p in reversed(pivots)]
         pivot_rows = {p for _, p in pivots}
         self._leftover = [i for i in range(self.nrows) if i not in pivot_rows]
         self.rank = len(pivots)
@@ -169,20 +179,4 @@ class IntegerSolver:
                 b[t] *= alpha
         if any(b[i] for i in self._leftover):
             raise ValueError("inconsistent linear system")
-        # pivot row p reads pv x_col + Σ off x_j = b_p / G_p; with x = X / q,
-        # X_col = (b_p q - G_p Σ off X_j) / (G_p pv), and q grows by the part
-        # of G_p pv that does not divide the numerator.
-        x = [0] * self.ncols
-        q = 1
-        for col, p, gp, c, off in self._pivots:
-            s = sum([v * x[j] for j, v in off if x[j]])
-            num = b[p] * q - gp * s
-            if not num:
-                continue
-            h = abs(c) // gcd(num, c)
-            if h != 1:
-                x = [v * h for v in x]
-                q *= h
-                num *= h
-            x[col] = num // c
-        return x, q
+        return _back_substitute(self._pivots, b, [0] * self.ncols)

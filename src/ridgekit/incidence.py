@@ -255,6 +255,13 @@ class LevelTable:
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
 
+    @classmethod
+    def _of_index(cls, levels: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> "LevelTable":
+        """A table on one direction's levels in the index, already sorted: unchecked."""
+        table = object.__new__(cls)
+        table.__dict__.update(levels=levels, values=values)
+        return table
+
     def value_at(self, level: Fraction) -> Fraction:
         i = bisect_left(self.levels, level)
         if i == len(self.levels) or self.levels[i] != level:
@@ -355,7 +362,8 @@ def interpolate_ridge(
         raise ValueError(f"expected {cfg.n} values, got {len(values)}")
     analysis = analyze(cfg)
     u, residual = analysis.fit([rationalize(v) for v in values])
-    tables = tuple(LevelTable(lv, tuple(ui)) for lv, ui in zip(analysis.incidence.levels, u))
+    levels = analysis.incidence.levels
+    tables = tuple(LevelTable._of_index(lv, tuple(ui)) for lv, ui in zip(levels, u))
     return RidgeSum(cfg.dirs, tables), residual
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -71,6 +72,17 @@ def rref_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
             vec[pc] = -mat[row_idx][fc]
         basis.append(vec)
     return basis
+
+
+def normalize_coprime(vec: list[Fraction]) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers, first nonzero entry
+    positive: the normal form the package's null-space basis uses."""
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def rref_solve(rows: list[list[int]], ncols: int, rhs: list) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,16 @@ class TestWeakStarProbe:
         with pytest.raises(ValueError):
             weak_star_probe(paper_orbit_generator(), [], 10)
 
+    def test_alternation_broken_at_the_last_step_raises(self):
+        """The telescoped ridge sums rely on the walk's alternation check,
+        which also guards the last step."""
+        gen = _table_generator([*ORBIT_POINTS_10[:5], (1, 2)], A1, A2)  # link 4 repeats family 2
+        tests = [probe_test("ridge-identity")]
+        assert weak_star_probe(gen, tests, 5).ridge_bounds_ok
+        with pytest.raises(BoltGenerationError) as exc:
+            weak_star_probe(gen, tests, 6)
+        assert exc.value.step == 5
+
     def test_two_dots_per_point_and_no_fraction_hash(self, monkeypatch):
         calls = Counter()
         dot = Direction.dot
@@ -410,6 +421,13 @@ PROBE_CASES = {
         _halving_generator,
         lambda: [probe_test("x"), probe_test("y"), probe_test("ridge-identity"), *_scaled_ridge_tests(5)],
         100,
+    ),
+    "swapped-first-link-2": (
+        lambda: replace(
+            _halving_generator(), a1=Direction.of(0, 1), a2=Direction.of(1, 0), first_link=2
+        ),
+        lambda: [probe_test("x"), *_scaled_ridge_tests(8)],
+        101,
     ),
 }
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import large_config, level_rows, random_config, rref_nullspace, rref_solve
-from ridgekit import exactlinalg
-from ridgekit.exactlinalg import (
-    IntegerSolver,
+from helpers import (
+    large_config,
+    level_rows,
     normalize_coprime,
-    nullspace_int,
+    random_config,
+    rref_nullspace,
+    rref_solve,
 )
+from ridgekit import exactlinalg
+from ridgekit.exactlinalg import IntegerSolver, nullspace_int
 from ridgekit.rationals import format_rational, rationalize
 
 

@@ -17,3 +17,16 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_exactlinalg_imports_no_fractions():
+    """The elimination and the back-substitution run on integers only."""
+    path = Path(ridgekit.__file__).parent / "exactlinalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module)
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert modules and "fractions" not in modules
