@@ -51,9 +51,9 @@ class ActivationSpec:
     step (any positive value keeps the activation smooth).
     """
 
-    alpha: Fraction = Fraction(1)
-    half_width: Fraction = Fraction(1)
-    sharpness: Fraction = Fraction(1)
+    alpha: Fraction
+    half_width: Fraction
+    sharpness: Fraction
 
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.half_width <= 0 or self.sharpness <= 0:
@@ -142,6 +142,10 @@ class UnivariateEncoding:
 
 
 _MAX_ABS_COEFF = 10**6
+_FIT_NODES = 512  # least-squares Chebyshev nodes, raised to 8 per coefficient at high degree
+_VALIDATION_POINTS = 2049  # equispaced grid on which a candidate's worst error is measured
+_MAX_DENOMINATOR = 2**24  # largest denominator tried when rounding coefficients (from 8, doubling)
+_INDEX_BIT_CAP = 4_000_000  # a candidate whose estimated index is longer is skipped
 
 
 def _estimated_index_bits(codes: list[int]) -> int:
@@ -157,10 +161,6 @@ def encode_univariate(
     spec: ActivationSpec,
     *,
     max_degree: int = 14,
-    nodes: int = 512,
-    validation_points: int = 2049,
-    max_denominator: int = 2**24,
-    index_bit_cap: int = 4_000_000,
 ) -> UnivariateEncoding:
     """Approximate a profile on [-half_width, half_width] by an enumerated
     polynomial and return its index plus the affine placement.
@@ -179,11 +179,11 @@ def encode_univariate(
     else:
         target = g
 
-    n_nodes = max(nodes, 8 * (max_degree + 1))
+    n_nodes = max(_FIT_NODES, 8 * (max_degree + 1))
     xi_nodes = np.cos(np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)  # Chebyshev, in [-1,1]
     t_nodes = lw * xi_nodes
     samples = np.array([target(t) for t in t_nodes], dtype=float)
-    grid = np.linspace(-lw, lw, validation_points)
+    grid = np.linspace(-lw, lw, _VALIDATION_POINTS)
     grid_target = np.array([target(t) for t in grid], dtype=float)
 
     best_error = math.inf
@@ -196,7 +196,7 @@ def encode_univariate(
             continue
         seen: set[tuple] = set()
         bound = 8
-        while bound <= max_denominator:
+        while bound <= _MAX_DENOMINATOR:
             cand_coeffs = tuple(
                 Fraction(c).limit_denominator(bound) for c in coeff_floats
             )
@@ -216,7 +216,7 @@ def encode_univariate(
             best_error = min(best_error, err)
             if err <= eps_over_k:
                 try:
-                    codes_ok = _check_index_size(cand, index_bit_cap)
+                    codes_ok = _check_index_size(cand)
                 except OverflowError:
                     continue
                 if not codes_ok:
@@ -228,7 +228,7 @@ def encode_univariate(
     raise EncoderBudgetError(best_error)
 
 
-def _check_index_size(p: RationalPoly, bit_cap: int) -> bool:
+def _check_index_size(p: RationalPoly) -> bool:
     from .enumeration import rational_code
 
     if p.is_zero:
@@ -237,7 +237,7 @@ def _check_index_size(p: RationalPoly, bit_cap: int) -> bool:
     exponents = {e: c for e, c in p.terms}
     for e in range(p.degree + 1):
         codes.append(rational_code(exponents.get(e, Fraction(0))))
-    return _estimated_index_bits(codes) <= bit_cap
+    return _estimated_index_bits(codes) <= _INDEX_BIT_CAP
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,6 @@ def build_k_network(
     f_values: Sequence[RationalLike],
     eps: RationalLike,
     spec: ActivationSpec | None = None,
-    **encoder_options,
 ) -> Network:
     """Build a network with exactly one unit per direction matching the data
     within ``eps`` on the configuration points.
@@ -410,7 +409,7 @@ def build_k_network(
     exact_level_errors = []
     for a, table in zip(cfg.dirs, ridge.tables):
         extension = _table_extension(table.levels, table.values)
-        enc = encode_univariate(extension, budget, spec, **encoder_options)
+        enc = encode_univariate(extension, budget, spec)
         encodings.append(enc)
         exact_level_errors.append(
             max(

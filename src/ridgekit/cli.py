@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,7 +64,8 @@ class JobConfig:
     """One CLI job: the command plus its parameters.
 
     Flag values may still be strings as given on the command line; :func:`run`
-    parses each one and names the flag when it is malformed.
+    parses each one, names the flag when it is malformed, and holds the only
+    default of each parameter left out.
     """
 
     command: str
@@ -93,6 +95,19 @@ def _rational_at(value, path: str) -> Fraction:
         return rationalize(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{path}: {value!r} is not a rational") from None
+
+
+def _float_rational_at(value, path: str) -> Fraction:
+    """A rational flag that is also used as a float: beyond the float range it is refused."""
+    return _in_float_range(_rational_at(value, path), path)
+
+
+def _in_float_range(q: Fraction, path: str) -> Fraction:
+    try:
+        float(q)
+    except OverflowError:
+        raise ValueError(f"{path} is beyond the float range") from None
+    return q
 
 
 def _int_at(value, path: str) -> int:
@@ -252,7 +267,7 @@ def _run_probe(job: JobConfig, out: Path) -> int:
         raise ValueError(f"--N {n_max} is not positive")
     if n_max > PROBE_MAX_N:
         raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
-    threshold = _rational_at(job.params.get("threshold", "1/100"), "--threshold")
+    threshold = _float_rational_at(job.params.get("threshold", "1/100"), "--threshold")
     report = weak_star_probe(gen, tests, n_max, threshold)
     _write_csv(out / "decay.csv", ["n", "test_name", "abs_integral"], report.rows)
     payload = _source_fields(job) | {
@@ -292,14 +307,14 @@ def _run_ridgefit(job: JobConfig, out: Path) -> int:
 
 
 def _positive_eps(job: JobConfig, default: float) -> float:
-    """The float ``--eps``; a non-number, zero, a negative or NaN is refused."""
+    """The float ``--eps``; a non-number, zero, a negative, NaN or inf is refused."""
     raw_eps = job.params.get("eps", default)
     try:
         eps = float(raw_eps)
     except ValueError:
         raise ValueError(f"--eps {raw_eps!r} is not a number") from None
-    if not eps > 0:  # also rejects NaN
-        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError(f"--eps must be positive and finite, got {raw_eps!r}")
     return eps
 
 
@@ -316,10 +331,11 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
         sigma = table_oracle_from_csv(table_path)
     else:
         sigma = sigma_by_name(sigma_name)
-    theta = ThetaInterval.create(
-        _rational_at(job.params.get("theta_lo", "-5"), "--theta-lo"),
-        _rational_at(job.params.get("theta_hi", "5"), "--theta-hi"),
-    )
+    lo = _float_rational_at(job.params.get("theta_lo", "-5"), "--theta-lo")
+    hi = _float_rational_at(job.params.get("theta_hi", "5"), "--theta-hi")
+    if not lo < hi:
+        raise ValueError(f"--theta-lo {lo} must be below --theta-hi {hi}")
+    theta = ThetaInterval(lo, hi)
     eps = _positive_eps(job, 0.01)
     try:
         net = approx_network(cfg, values, sigma, theta, eps)
@@ -333,7 +349,10 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
 def _run_kfit(job: JobConfig, out: Path) -> int:
     cfg, values = _resolve_config(job)
     values = _require_values(values)
-    eps = _rational_at(job.params.get("eps", "1/100"), "--eps")
+    raw_eps = job.params.get("eps", "1/100")
+    eps = _float_rational_at(raw_eps, "--eps")
+    if not float(eps) > 0:
+        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
     try:
         net = build_k_network(cfg, values, eps)
     except DensityPreconditionError as exc:
@@ -344,15 +363,20 @@ def _run_kfit(job: JobConfig, out: Path) -> int:
 
 
 def _activation_spec(job: JobConfig) -> ActivationSpec:
-    """``--alpha``, ``--l`` and ``--sharpness``, each named when malformed."""
-    flags = ("alpha", "l", "sharpness")
-    return ActivationSpec.create(*(_rational_at(job.params.get(f, "1"), f"--{f}") for f in flags))
+    """``--alpha``, ``--l`` and ``--sharpness``, each named when malformed or not positive."""
+    values = []
+    for flag in ("alpha", "l", "sharpness"):
+        value = _float_rational_at(job.params.get(flag, "1"), f"--{flag}")
+        if not value > 0:
+            raise ValueError(f"--{flag} must be positive, got {value}")
+        values.append(value)
+    return ActivationSpec(*values)
 
 
 def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     spec = _activation_spec(job)
-    start = _rational_at(job.params.get("start", "0"), "--from")
-    stop = _rational_at(job.params.get("stop", "10"), "--to")
+    start = _float_rational_at(job.params.get("start", "0"), "--from")
+    stop = _float_rational_at(job.params.get("stop", "10"), "--to")
     step = _rational_at(job.params.get("step", "1/100"), "--step")
     if step <= 0 or stop < start:
         raise ValueError("need step > 0 and stop >= start")
@@ -372,9 +396,11 @@ def _run_sigma_build(job: JobConfig, out: Path) -> int:
     if not coeffs:
         raise ValueError("sigma-build requires --poly with comma-separated rational coefficients")
     poly = RationalPoly.from_coefficients(
-        [_rational_at(c, f"--poly[{i}]") for i, c in enumerate(coeffs.split(","))]
+        [_float_rational_at(c, f"--poly[{i}]") for i, c in enumerate(coeffs.split(","))]
     )
     spec = _activation_spec(job)
+    peak = sum((abs(c) * spec.half_width**e for e, c in poly.terms), Fraction(0))
+    _in_float_range(peak, "--poly (its largest value on [-l, l])")
     enc = encode_univariate(poly, _positive_eps(job, 0.001), spec)
     payload = _source_fields(job) | {
         "index": format_rational(Fraction(enc.index)),
@@ -428,108 +454,75 @@ def run(job: JobConfig) -> int:
         return 1
 
 
+def _comma_list(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags only, with no defaults: each ``dest`` is a :class:`JobConfig`
+    field or a ``params`` key, and :func:`run` supplies what is left out."""
     parser = argparse.ArgumentParser(
         prog="ridgekit",
         description="Density analysis and network construction for direction-restricted ridge sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", help="configuration JSON file")
+    def command(name, summary, *, config=True, target=False, activation=False):
+        p = sub.add_parser(name, help=summary)
+        if config:
+            p.add_argument("input_path", nargs="?", metavar="input", help="configuration JSON file")
             p.add_argument("--preset", help="named preset configuration")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", default=0, help="integer seed recorded in artifacts")
+        if target:
+            p.add_argument("--f", dest="target", help="named target function for the data")
+        if activation:
+            for flag in ("--alpha", "--l", "--sharpness"):
+                p.add_argument(flag)
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: current)")
+        p.add_argument("--seed", help="integer seed recorded in artifacts")
+        return p
 
-    p = sub.add_parser("paths", help="decide density / find a closed-path certificate")
-    add_common(p)
+    command("paths", "decide density / find a closed-path certificate")
+    command("bolts", "find a closed bolt (two directions)")
+    command("orbits", "orbit partition under level sharing (two directions)")
 
-    p = sub.add_parser("bolts", help="find a closed bolt (two directions)")
-    add_common(p)
-
-    p = sub.add_parser("orbits", help="orbit partition under level sharing (two directions)")
-    add_common(p)
-
-    p = sub.add_parser("probe", help="finite weak-star decay probe along a generated bolt")
+    p = command("probe", "finite weak-star decay probe along a generated bolt", config=False)
     p.add_argument("--preset", required=True, help="generator preset name")
-    p.add_argument("--N", default=1000, help="truncation length (a positive integer)")
-    p.add_argument("--tests", default="x,y", help="comma-separated test names")
-    p.add_argument("--threshold", default="1/100", help="decay threshold for plain tests")
-    add_common(p, with_input=False)
+    p.add_argument("--N", dest="n", help="truncation length (a positive integer)")
+    p.add_argument("--tests", type=_comma_list, help="comma-separated test names")
+    p.add_argument("--threshold", help="decay threshold for plain tests")
 
-    p = sub.add_parser("ridgefit", help="exact least-squares ridge interpolation")
-    add_common(p)
-    p.add_argument("--f", dest="target", help="named target function for the data")
+    command("ridgefit", "exact least-squares ridge interpolation", target=True)
 
-    p = sub.add_parser("netfit", help="fit a network with a named activation oracle")
-    add_common(p)
-    p.add_argument("--f", dest="target", help="named target function for the data")
-    p.add_argument(
-        "--sigma", default="logistic", help="activation preset (logistic, tanh-ramp, table)"
-    )
-    p.add_argument("--sigma-table", dest="sigma_table", help="CSV file for --sigma table")
-    p.add_argument("--theta-lo", default="-5")
-    p.add_argument("--theta-hi", default="5")
-    p.add_argument("--eps", default="0.01")
+    p = command("netfit", "fit a network with a named activation oracle", target=True)
+    p.add_argument("--sigma", help="activation preset (logistic, tanh-ramp, table)")
+    p.add_argument("--sigma-table", help="CSV file for --sigma table")
+    p.add_argument("--theta-lo")
+    p.add_argument("--theta-hi")
+    p.add_argument("--eps")
 
-    p = sub.add_parser("kfit", help="build the exactly-k-unit network with the constructed activation")
-    add_common(p)
-    p.add_argument("--f", dest="target", help="named target function for the data")
-    p.add_argument("--eps", default="1/100")
+    p = command("kfit", "build the exactly-k-unit network with the constructed activation", target=True)
+    p.add_argument("--eps")
 
-    p = sub.add_parser("sigma-eval", help="tabulate the constructed activation as CSV")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--l", default="1")
-    p.add_argument("--sharpness", default="1")
-    p.add_argument("--from", dest="start", default="0")
-    p.add_argument("--to", dest="stop", default="10")
-    p.add_argument("--step", default="1/100")
-    add_common(p, with_input=False)
+    p = command("sigma-eval", "tabulate the constructed activation as CSV", config=False, activation=True)
+    p.add_argument("--from", dest="start")
+    p.add_argument("--to", dest="stop")
+    p.add_argument("--step")
 
-    p = sub.add_parser("sigma-build", help="encode a rational polynomial into the activation")
+    p = command("sigma-build", "encode a rational polynomial into the activation", config=False, activation=True)
     p.add_argument("--poly", required=True, help="comma-separated rational coefficients, constant first")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--l", default="1")
-    p.add_argument("--sharpness", default="1")
-    p.add_argument("--eps", default="0.001")
-    add_common(p, with_input=False)
+    p.add_argument("--eps")
 
     return parser
 
 
+_JOB_FIELDS = {f.name for f in fields(JobConfig)} - {"params"}
+
+
 def job_from_args(args: argparse.Namespace) -> JobConfig:
-    params = {}
-    for key in (
-        "target",
-        "sigma",
-        "sigma_table",
-        "theta_lo",
-        "theta_hi",
-        "eps",
-        "alpha",
-        "l",
-        "sharpness",
-        "start",
-        "stop",
-        "step",
-        "poly",
-        "threshold",
-    ):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if hasattr(args, "N"):
-        params["n"] = args.N
-    if hasattr(args, "tests"):
-        params["tests"] = [t.strip() for t in args.tests.split(",") if t.strip()]
-    return JobConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        preset=getattr(args, "preset", None),
-        out_dir=args.out,
-        params=params,
-        seed=args.seed,
-    )
+    """The parsed flags that were given: job fields by name, the rest as ``params``."""
+    job = {key: value for key, value in vars(args).items() if value is not None}
+    params = {key: job.pop(key) for key in job.keys() - _JOB_FIELDS}
+    return JobConfig(**job, params=params)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -158,12 +158,6 @@ class RationalPoly:
         """Degree, with -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
 
-    def coefficient(self, exponent: int) -> Fraction:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return Fraction(0)
-
     def dense_coefficients(self) -> list[Fraction]:
         if self.degree > _EVAL_DEGREE_CAP:
             raise ValueError("degree too large for a dense coefficient list")

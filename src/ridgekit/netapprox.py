@@ -29,6 +29,9 @@ from .rationals import RationalLike, rationalize
 # about fourfold per round (round 5 of the default six has 8.5M atoms).
 MAX_DICTIONARY_ENTRIES = 2**24
 _ATOM_BLOCK = 512  # atoms per array evaluation while filling the dictionary
+_PROBE_MAX_DEGREE = 8  # highest degree the polynomial probe looks for
+_PROBE_SPAN = 8.0  # the probe samples [-_PROBE_SPAN, _PROBE_SPAN]
+_PROBE_RTOL = 1e-8  # a difference within this share of the sample scale has vanished
 
 
 class FitBudgetError(Exception):
@@ -158,23 +161,21 @@ def sigma_by_name(name: str, params: dict | None = None) -> SigmaOracle:
     raise ValueError(f"unknown activation preset {name!r}")
 
 
-def polynomial_degree_probe(
-    sigma: SigmaOracle, max_degree: int = 8, span: float = 8.0, rtol: float = 1e-8
-) -> int | None:
+def polynomial_degree_probe(sigma: SigmaOracle) -> int | None:
     """Detect polynomial behaviour by vanishing finite differences.
 
-    Samples the activation on an equispaced grid over ``[-span, span]``; the
-    (d+1)-th differences of a degree-d polynomial vanish identically, while
-    any genuinely curved nonpolynomial keeps them at visible size.  Returns
-    the detected degree, or None when no order up to ``max_degree`` vanishes.
+    Samples the activation on an equispaced grid; the (d+1)-th differences of
+    a degree-d polynomial vanish identically, while any genuinely curved
+    nonpolynomial keeps them at visible size.  Returns the detected degree,
+    or None when no order up to ``_PROBE_MAX_DEGREE`` vanishes.
     """
-    count = max_degree + 6
-    xs = np.linspace(-span, span, count)
+    count = _PROBE_MAX_DEGREE + 6
+    xs = np.linspace(-_PROBE_SPAN, _PROBE_SPAN, count)
     ys = np.array([sigma.evaluator(float(x)) for x in xs])
     scale = max(1.0, float(np.max(np.abs(ys))))
-    for degree in range(max_degree + 1):
+    for degree in range(_PROBE_MAX_DEGREE + 1):
         diffs = np.diff(ys, degree + 1)
-        if float(np.max(np.abs(diffs))) <= rtol * scale:
+        if float(np.max(np.abs(diffs))) <= _PROBE_RTOL * scale:
             return degree
     return None
 
@@ -276,7 +277,7 @@ def approx_univariate(
             corr[~usable] = -1.0
             if selected:
                 corr[selected] = -1.0
-            j = int(np.argmax(corr / np.where(norms > 1e-12, norms, 1.0)))
+            j = int(np.argmax(corr / np.where(usable, norms, 1.0)))
             if corr[j] <= 0:
                 break
             selected.append(j)
@@ -302,8 +303,6 @@ def approx_network(
     sigma: SigmaOracle,
     theta: ThetaInterval,
     eps: float,
-    budget: int = 48,
-    rounds: int = 6,
 ) -> Network:
     """Assemble a network matching the data within ``eps`` on the points.
 
@@ -331,9 +330,7 @@ def approx_network(
     terms: list[NetworkTerm] = []
     fit_errors: list[float] = []
     for a, table in zip(cfg.dirs, ridge.tables):
-        fit = approx_univariate(
-            table.levels, table.values, sigma, theta, per_dir_eps, budget, rounds
-        )
+        fit = approx_univariate(table.levels, table.values, sigma, theta, per_dir_eps)
         fit_errors.append(fit.achieved_error)
         for c, t, th in fit.terms:
             if not theta.contains(th):

@@ -12,6 +12,8 @@ import pytest
 
 from ridgekit import DiscreteMeasure, Direction, Point, is_annihilating
 from ridgekit.cli import JobConfig, load_config_file, main, run
+from ridgekit.presets import config_preset, target_values
+from ridgekit.rationals import format_rational
 
 
 def read_json(path: Path) -> dict:
@@ -250,7 +252,29 @@ BAD_FLAGS = [
     (["sigma-build", "--poly", "1,x"], "--poly", "encoding.json"),
     (["sigma-build", "--poly", "1,2", "--alpha", "abc"], "--alpha", "encoding.json"),
     (["probe", "--preset", "paper-orbit", "--threshold", "q"], "--threshold", "probe.json"),
+    # values that parse but are out of range, or beyond the float range of a
+    # flag that is also used as a float
+    (["kfit", *FIT_ARGS, "--eps", "1e400"], "--eps", "network.json"),
+    (["kfit", *FIT_ARGS, "--eps", "0"], "--eps", "network.json"),
+    (["netfit", *FIT_ARGS, "--theta-hi", "-5", "--theta-lo", "5"], "--theta-lo", "network.json"),
+    (["netfit", *FIT_ARGS, "--theta-hi", "1e400"], "--theta-hi", "network.json"),
+    (["sigma-eval", "--l", "-1"], "--l", "sigma.csv"),
+    (["sigma-eval", "--sharpness", "1e400"], "--sharpness", "sigma.csv"),
+    (["sigma-eval", "--to", "1e400", "--from", "1e400"], "--from", "sigma.csv"),
+    (["sigma-build", "--poly", "1e400"], "--poly", "encoding.json"),
+    (["sigma-build", "--poly", "1e308,1e308"], "--poly", "encoding.json"),
+    (["sigma-build", "--poly", "1,2", "--l", "1e400"], "--l", "encoding.json"),
+    (["probe", "--preset", "paper-orbit", "--threshold", "1e400"], "--threshold", "probe.json"),
 ]
+
+
+def _flag_case_ids(cases) -> list[str]:
+    """Ids ``command flag``; a later case of the same flag gets its last argument appended."""
+    ids: list[str] = []
+    for argv, flag, _ in cases:
+        name = f"{argv[0]} {flag}"
+        ids.append(f"{name} {argv[-1]}" if name in ids else name)
+    return ids
 
 
 class TestResourceCaps:
@@ -268,7 +292,7 @@ class TestResourceCaps:
         assert "--N" in capsys.readouterr().err
         assert not (tmp_path / "probe.json").exists()
 
-    @pytest.mark.parametrize("eps", ["nan", "0", "abc"])
+    @pytest.mark.parametrize("eps", ["nan", "0", "abc", "inf", "1e400"])
     def test_sigma_build_bad_eps_is_refused(self, tmp_path, capsys, eps):
         argv = ["sigma-build", "--poly", "1,-1/2,1/3", "--eps", eps]
         code = main(argv + ["--out", str(tmp_path)])
@@ -277,7 +301,7 @@ class TestResourceCaps:
         assert not (tmp_path / "encoding.json").exists()
 
     @pytest.mark.parametrize(
-        "argv, flag, artifact", BAD_FLAGS, ids=[f"{a[0]} {f}" for a, f, _ in BAD_FLAGS]
+        "argv, flag, artifact", BAD_FLAGS, ids=_flag_case_ids(BAD_FLAGS)
     )
     def test_bad_rational_flag_is_named(self, tmp_path, capsys, argv, flag, artifact):
         assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -301,11 +325,12 @@ class TestResourceCaps:
         assert not (tmp_path / artifact).exists()
 
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
-        argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", "nan"]
-        code = main(argv + ["--out", str(tmp_path)])
-        assert code == 1
-        assert "--eps" in capsys.readouterr().err
-        assert not (tmp_path / "network.json").exists()
+        for eps in ("nan", "inf", "1e400"):
+            argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", eps]
+            code = main(argv + ["--out", str(tmp_path)])
+            assert code == 1
+            assert "--eps" in capsys.readouterr().err
+            assert not (tmp_path / "network.json").exists()
 
 
 class TestTableActivation:
@@ -425,6 +450,46 @@ def test_golden_probe_artifacts(tmp_path, extra, name, digest):
     assert main(["probe", "--preset", "paper-orbit", *extra, "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["decay.csv", "probe.json"]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _write_config(path: str, preset: str, target: str) -> None:
+    """A preset and its target values as a configuration file."""
+    cfg = config_preset(preset)
+    payload = {
+        "dimension": cfg.points[0].dim,
+        "points": [[format_rational(c) for c in p.coords] for p in cfg.points],
+        "directions": [[format_rational(c) for c in a.coords] for a in cfg.dirs],
+        "values": [format_rational(v) for v in target_values(target, cfg)],
+    }
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+
+
+# Each command with no optional flag: (argv after the command, JobConfig
+# fields) naming the same job.  The command line and JobConfig must agree on
+# every default, so the parser may hold none of its own.
+PARITY = {
+    "paths": (["--preset", "paper-5pt"], {"preset": "paper-5pt"}),
+    "bolts": (["--preset", "grid-2x2"], {"preset": "grid-2x2"}),
+    "orbits": (["--preset", "paper-orbit"], {"preset": "paper-orbit"}),
+    "ridgefit": (["segments.json"], {"input_path": "segments.json"}),
+    "kfit": (["segments.json"], {"input_path": "segments.json"}),
+    "probe": (["--preset", "paper-orbit"], {"preset": "paper-orbit"}),
+    "sigma-eval": ([], {}),
+    "sigma-build": (["--poly", "1,1/200"], {"params": {"poly": "1,1/200"}}),  # the constant 1 is 1/200 off: --eps decides
+}
+
+
+@pytest.mark.parametrize("command", PARITY)
+def test_main_and_jobconfig_write_identical_artifacts(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    _write_config("segments.json", "parallel-segments", "xy")
+    argv, fields = PARITY[command]
+    code = main([command, *argv, "--out", "main"])
+    assert run(JobConfig(command, out_dir="run", **fields)) == code
+    names = sorted(p.name for p in Path("main").iterdir())
+    assert names and names == sorted(p.name for p in Path("run").iterdir())
+    for name in names:
+        assert Path("main", name).read_bytes() == Path("run", name).read_bytes(), name
 
 
 class TestArgParsing:
