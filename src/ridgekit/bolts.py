@@ -73,18 +73,15 @@ def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
     m = len(pts)
     if m == 0:
         return False
-    pairs = [(j, (j + 1) % m) for j in range(m if bolt.closed else m - 1)]
-    for j, jn in pairs:
-        p, q = pts[j], pts[jn]
-        if p.coords == q.coords:
+    levels = [(a1.dot(p), a2.dot(p)) for p in pts]
+    for j in range(m if bolt.closed else m - 1):
+        jn = (j + 1) % m
+        if pts[j].coords == pts[jn].coords:
             return False
-        fam = bolt.link_family(j)
-        a = a1 if fam == 1 else a2
-        other = a2 if fam == 1 else a1
-        if a.dot(p) != a.dot(q):
-            return False
-        if other.dot(p) == other.dot(q):
-            return False  # would sit in both families at once
+        (u, v), (un, vn) = levels[j], levels[jn]
+        same, other = (u == un, v == vn) if bolt.link_family(j) == 1 else (v == vn, u == un)
+        if not same or other:
+            return False  # off its family's level, or in both families at once
     return True
 
 
@@ -93,7 +90,9 @@ class BoltGraph:
     """Exact level-sharing structure of a point set under two directions.
 
     ``incidence`` is the level index of ``points`` under ``(a1, a2)``; family
-    ``i`` links the points that share a level of ``incidence.levels[i - 1]``.
+    ``i`` links the points that share a level along direction ``i``, that is
+    an entry of ``incidence.level_of[i - 1]`` (its groups are
+    ``incidence.groups[i - 1]``).
     """
 
     points: tuple[Point, ...]

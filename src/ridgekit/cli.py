@@ -287,6 +287,11 @@ def _require_values(values) -> list[Fraction]:
     return values
 
 
+def _require_float_values(values) -> list[Fraction]:
+    """Data that a network fit also uses as floats: a value beyond the float range is refused."""
+    return [_in_float_range(v, f"values[{i}]") for i, v in enumerate(_require_values(values))]
+
+
 def _run_ridgefit(job: JobConfig, out: Path) -> int:
     cfg, values = _resolve_config(job)
     values = _require_values(values)
@@ -322,7 +327,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     from .netapprox import approx_network, table_oracle_from_csv
 
     cfg, values = _resolve_config(job)
-    values = _require_values(values)
+    values = _require_float_values(values)
     sigma_name = job.params.get("sigma", "logistic")
     if sigma_name == "table":
         table_path = job.params.get("sigma_table")
@@ -348,7 +353,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
 
 def _run_kfit(job: JobConfig, out: Path) -> int:
     cfg, values = _resolve_config(job)
-    values = _require_values(values)
+    values = _require_float_values(values)
     raw_eps = job.params.get("eps", "1/100")
     eps = _float_rational_at(raw_eps, "--eps")
     if not float(eps) > 0:

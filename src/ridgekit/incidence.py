@@ -14,10 +14,17 @@ configuration is *dense* (every data vector is an exact ridge sum) iff no
 closed path exists.
 
 :func:`build_incidence` is the only code that maps points to levels, by
-exact integer keys.  :func:`analyze` caches one :class:`Analysis` per
-configuration (the index, the closed paths ``N`` and the one factorization
-of ``[N | S]`` with ``S = M^T M`` that the ridge fits need), which the
-verdict, the ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.
+exact integer keys; the ``Fraction`` levels are built only when a ridge table
+asks for them.  A point alone on a level carries that level's whole sum, so
+it is 0 in every closed path: peeling such points until none is left leaves
+the *core*, and only the core's columns are eliminated.  For two directions
+this is the leaf-peeling of the bipartite level graph, and the core is
+empty exactly when that graph is a forest.
+
+:func:`analyze` caches one :class:`Analysis` per configuration (the index,
+the closed paths ``N`` and the one factorization of ``[N | S]`` with
+``S = M^T M`` that the ridge fits need), which the verdict, the ridge fits
+and the bolt graph of :mod:`ridgekit.bolts` share.
 The closed paths and the factorization come from the one elimination
 routine of :mod:`ridgekit.exactlinalg`.
 """
@@ -52,7 +59,7 @@ class PointConfig:
         dim = self.points[0].dim
         if any(p.dim != dim for p in self.points) or any(a.dim != dim for a in self.dirs):
             raise ValueError("points and directions must share one dimension")
-        if len({p.coords for p in self.points}) != len(self.points):
+        if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
 
     @cached_property
@@ -61,7 +68,8 @@ class PointConfig:
 
     def __hash__(self) -> int:
         """Hashed once per instance: :func:`analyze` looks a configuration up
-        on every call, and each hash walks every ``Fraction`` coordinate."""
+        on every call, and each hash walks every direction's ``Fraction``
+        coordinates (the points keep their own hashes)."""
         return self._hash
 
     @classmethod
@@ -90,13 +98,15 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """The level index: ``levels[i]`` holds the distinct projection values
-    along direction ``i`` in increasing order, and ``level_of[i][j]`` is the
-    position there of point ``j``'s level.  The rows of ``M`` run over
-    (direction, level) pairs in that order.
+    """The level index: ``keys[i]`` holds the distinct integer level keys
+    along direction ``i`` in increasing order, level ``g`` lying at
+    ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position there
+    of point ``j``'s level.  The rows of ``M`` run over (direction, level)
+    pairs in that order.
     """
 
-    levels: tuple[tuple[Fraction, ...], ...]
+    keys: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
     level_of: tuple[tuple[int, ...], ...]
 
     @property
@@ -105,32 +115,91 @@ class IncidenceStructure:
 
     @property
     def level_counts(self) -> tuple[int, ...]:
-        return tuple(len(lv) for lv in self.levels)
+        return tuple(len(keys) for keys in self.keys)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per direction, the distinct projection values in increasing order,
+        as ``Fraction``s built on first use: only ridge tables read them."""
+        return tuple(
+            tuple(Fraction(key, scale) for key in keys)
+            for keys, scale in zip(self.keys, self.scales)
+        )
 
     @cached_property
     def groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per direction, per level: the points on that level, in increasing
         order; built once per index."""
         out = []
-        for lv, ids in zip(self.levels, self.level_of):
-            members: list[list[int]] = [[] for _ in lv]
+        for keys, ids in zip(self.keys, self.level_of):
+            members: list[list[int]] = [[] for _ in keys]
             for j, g in enumerate(ids):
                 members[g].append(j)
             out.append(tuple(tuple(m) for m in members))
         return tuple(out)
 
+    @cached_property
+    def core(self) -> tuple[int, ...]:
+        """The points left, in increasing order, after repeatedly removing a
+        point that is alone on one of its levels among the points left.
+
+        A point alone on a level carries that level's whole sum, so it is 0
+        in every closed path, and by induction every null vector of ``M`` is
+        zero off the core.  Each level keeps its count of remaining points
+        and the sum of their ids, which names its last point."""
+        counts: list[list[int]] = []
+        id_sums: list[list[int]] = []
+        for keys, ids in zip(self.keys, self.level_of):
+            count, total = [0] * len(keys), [0] * len(keys)
+            for j, g in enumerate(ids):
+                count[g] += 1
+                total[g] += j
+            counts.append(count)
+            id_sums.append(total)
+        alone = [t for count, total in zip(counts, id_sums) for c, t in zip(count, total) if c == 1]
+        live = [True] * self.n_points
+        while alone:
+            j = alone.pop()
+            if not live[j]:
+                continue
+            live[j] = False
+            for count, total, ids in zip(counts, id_sums, self.level_of):
+                g = ids[j]
+                count[g] -= 1
+                total[g] -= j
+                if count[g] == 1:
+                    alone.append(total[g])
+        return tuple(j for j, kept in enumerate(live) if kept)
+
     def closed_paths(self) -> list[tuple[int, ...]]:
-        """The null-space basis of ``M`` from :func:`nullspace_int`, fed one
-        sparse 0/1 row per (direction, level)."""
-        rows = [dict.fromkeys(members, 1) for dir_groups in self.groups for members in dir_groups]
-        return nullspace_int(rows, self.n_points)
+        """The null-space basis of ``M`` from :func:`nullspace_int`.
+
+        It is fed the core's columns only, relabelled in order, with one
+        sparse 0/1 row per (direction, level) holding core points, each of
+        which holds at least two.  The basis depends only on the null space
+        and the column order, and every null vector is zero off the core,
+        so widening each vector back with zeros gives ``M``'s own basis."""
+        core = self.core
+        rows: list[dict[int, int]] = []
+        for keys, ids in zip(self.keys, self.level_of):
+            members: list[dict[int, int]] = [{} for _ in keys]
+            for c, j in enumerate(core):
+                members[ids[j]][c] = 1
+            rows.extend(m for m in members if m)
+        out = []
+        for vec in nullspace_int(rows, len(core)):
+            full = [0] * self.n_points
+            for j, w in zip(core, vec):
+                full[j] = w
+            out.append(tuple(full))
+        return out
 
     def level_sums(self, vec: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
         """``M @ vec``, one list per direction: the sum of a point vector over
         each level.  Integer vectors give integer sums."""
         out = []
-        for lv, ids in zip(self.levels, self.level_of):
-            sums = [0] * len(lv)
+        for keys, ids in zip(self.keys, self.level_of):
+            sums = [0] * len(keys)
             for g, x in zip(ids, vec):
                 sums[g] += x
             out.append(sums)
@@ -166,8 +235,8 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
 
     With ``D`` the lcm of all point denominators and ``E`` that of one
     direction's, ``(E a) . (D x)`` is an integer key ordered like ``a . x``.
-    Level ids come from :func:`sorted_key_ids`, and a ``Fraction`` is built
-    only per distinct level.
+    Level ids come from :func:`sorted_key_ids`; the index keeps the distinct
+    keys and the scale ``D E`` and builds no ``Fraction``.
     """
     n = cfg.n
     big_d = lcm(*(c.denominator for p in cfg.points for c in p.coords))
@@ -175,7 +244,8 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
         [c.numerator * (big_d // c.denominator) for c in coord]
         for coord in zip(*(p.coords for p in cfg.points))
     ]
-    levels: list[tuple[Fraction, ...]] = []
+    distinct_keys: list[tuple[int, ...]] = []
+    scales: list[int] = []
     level_of: list[tuple[int, ...]] = []
     for a in cfg.dirs:
         big_e = lcm(*(c.denominator for c in a.coords))
@@ -185,10 +255,10 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
                 w = c.numerator * (big_e // c.denominator)
                 keys = list(map(add, keys, map(w.__mul__, col)))
         distinct, ids = sorted_key_ids(keys)
-        scale = big_d * big_e
-        levels.append(tuple(Fraction(key, scale) for key in distinct))
+        distinct_keys.append(tuple(distinct))
+        scales.append(big_d * big_e)
         level_of.append(tuple(ids))
-    return IncidenceStructure(tuple(levels), tuple(level_of))
+    return IncidenceStructure(tuple(distinct_keys), tuple(scales), tuple(level_of))
 
 
 @dataclass(frozen=True)
@@ -235,10 +305,12 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
     if not basis:
         return None
     vec = basis[0]
-    atoms = [(cfg.points[j], Fraction(w)) for j, w in enumerate(vec) if w != 0]
-    measure = DiscreteMeasure.from_atoms(atoms)
-    if measure.weights[0] < 0:
-        measure = -measure
+    # distinct points and nonzero weights: already the canonical form, once sorted
+    support = sorted((j for j, w in enumerate(vec) if w), key=lambda j: cfg.points[j].coords)
+    sign = 1 if vec[support[0]] > 0 else -1
+    measure = DiscreteMeasure(
+        tuple(cfg.points[j] for j in support), tuple(Fraction(sign * vec[j]) for j in support)
+    )
     return ClosedPathCertificate(measure)
 
 
@@ -310,10 +382,9 @@ class Analysis:
         """The factorization of ``[N | S]``.  The closed paths fill the
         leftmost columns, which the right-to-left elimination reaches last."""
         p = len(self.closed_paths)
-        rows: list[dict[int, int]] = [
-            {c: w for c, vec in enumerate(self.closed_paths) if (w := vec[a])}
-            for a in range(self.incidence.n_points)
-        ]
+        rows: list[dict[int, int]] = [{} for _ in range(self.incidence.n_points)]
+        for a in self.incidence.core:  # every closed path is zero off the core
+            rows[a] = {c: w for c, vec in enumerate(self.closed_paths) if (w := vec[a])}
         for dir_groups in self.incidence.groups:
             for members in dir_groups:
                 for a in members:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .rationals import RationalLike, rationalize
@@ -27,6 +28,16 @@ class Point:
     def __post_init__(self) -> None:
         if len(self.coords) == 0:
             raise ValueError("points need at least one coordinate")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coords,))
+
+    def __hash__(self) -> int:
+        """Hashed once per instance, to the dataclass's own value: each hash
+        walks every ``Fraction`` coordinate, and a configuration's
+        distinctness check, cache lookup and bolt graph all hash its points."""
+        return self._hash
 
     @classmethod
     def of(cls, *values: RationalLike) -> "Point":

@@ -85,6 +85,14 @@ def normalize_coprime(vec: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
+def right_to_left_oracle(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+    """The package's right-to-left null-space basis, independently: textbook
+    left-to-right RREF of the column-reversed matrix, each vector reversed
+    back, then normalized."""
+    reversed_rows = [list(row)[::-1] for row in rows]
+    return [normalize_coprime(vec[::-1]) for vec in rref_nullspace(reversed_rows, ncols)]
+
+
 def rref_solve(rows: list[list[int]], ncols: int, rhs: list) -> list[Fraction]:
     """The solution of ``A x = rhs`` with every non-pivot (free) variable
     zero, by forward-order Gauss-Jordan on ``[A | rhs]``; raises

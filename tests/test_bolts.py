@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ridgekit import (
+    Bolt,
     BoltGenerationError,
     BoltGenerator,
     Direction,
@@ -242,6 +243,33 @@ class TestFindClosedBolt:
                 assert is_annihilating(mu, cfg.dirs)
             agree += 1
         assert agree >= 40
+
+
+X, Y = Direction.of(1, 0), Direction.of(0, 1)
+
+
+class TestVerifyBolt:
+    """``verify_bolt`` refuses each broken sequence (the accepting cases are
+    the generated and found bolts above)."""
+
+    @pytest.mark.parametrize(
+        "points, first_link, closed, dirs",
+        [
+            ([(0, 0), (0, 0), (0, 1)], 1, False, (X, Y)),
+            ([(0, 0), (0, 1), (1, 1), (1, 2)], 2, False, (X, Y)),
+            ([(0, 0, 0), (0, 0, 1)], 1, False, (Direction.of(1, 0, 0), Direction.of(0, 1, 0))),
+            ([(0, 0), (0, 1), (1, 1), (1, 2)], 1, True, (X, Y)),
+        ],
+        ids=["repeated-point", "off-its-level", "shares-both-levels", "wrap-breaks-alternation"],
+    )
+    def test_broken_bolts_are_refused(self, points, first_link, closed, dirs):
+        bolt = Bolt(tuple(Point.of(*p) for p in points), first_link, closed=closed)
+        assert verify_bolt(bolt, *dirs) is False
+
+    def test_only_the_wrap_around_link_breaks(self):
+        """The staircase refused closed is a valid open bolt."""
+        stair = tuple(Point.of(*p) for p in [(0, 0), (0, 1), (1, 1), (1, 2)])
+        assert verify_bolt(Bolt(stair, 1), X, Y)
 
 
 class TestOrbits:

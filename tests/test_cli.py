@@ -131,6 +131,32 @@ class TestInputSchema:
         assert run(JobConfig("paths", input_path=str(bad), out_dir=str(tmp_path))) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, artifact, code",
+        [("netfit", "network.json", 1), ("kfit", "network.json", 1), ("ridgefit", "ridgefit.json", 0)],
+    )
+    def test_values_beyond_the_float_range(self, tmp_path, capsys, command, artifact, code):
+        """The network fits also use the data as floats and refuse it, naming
+        the value; the exact ridge fit takes it."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(
+            json.dumps(
+                {
+                    "dimension": 2,
+                    "points": [["0", "0"], ["1", "2"], ["2", "1"]],
+                    "directions": [["1", "0"], ["0", "1"]],
+                    "values": ["1e400", "0", "1"],
+                }
+            )
+        )
+        out = tmp_path / "o"
+        assert main([command, str(cfg_file), "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == "error: values[0] is beyond the float range\n"
+            assert not (out / artifact).exists()
+        else:
+            assert read_json(out / artifact)["residual"] == "0"
+
 
 class TestCommands:
     def test_bolts_artifact(self, tmp_path):

@@ -14,6 +14,7 @@ from helpers import (
     level_rows,
     normalize_coprime,
     random_config,
+    right_to_left_oracle,
     rref_nullspace,
     rref_solve,
 )
@@ -34,13 +35,6 @@ def solve_fractions(solver, rhs):
     x, q = solver.solve([v.numerator * (d // v.denominator) for v in rhs])
     assert q > 0 and all(type(v) is int for v in x)
     return [Fraction(v, q * d) for v in x]
-
-
-def right_to_left_oracle(rows, ncols):
-    """The right-to-left basis, independently: textbook left-to-right RREF of
-    the column-reversed matrix, each vector reversed back, then normalized."""
-    reversed_rows = [list(row)[::-1] for row in rows]
-    return [normalize_coprime(vec[::-1]) for vec in rref_nullspace(reversed_rows, ncols)]
 
 
 @st.composite

@@ -14,6 +14,7 @@ from helpers import (
     oracle_has_closed_path,
     random_config,
     random_values,
+    right_to_left_oracle,
     rref_nullspace,
     textbook_levels,
     textbook_min_norm_fit,
@@ -32,6 +33,7 @@ from ridgekit import (
     orbits,
 )
 from ridgekit import incidence
+from ridgekit.exactlinalg import nullspace_int
 from ridgekit.presets import config_preset
 
 
@@ -179,6 +181,58 @@ class TestIntegerKeys:
         assert inc.level_of == ((0, 2, 1), (0, 2, 1))
 
 
+def core_configs():
+    """The configurations of acceptance criterion C03 (seed 20260810) and
+    every large family at n = 12, 60 and 200, with the family's name (None
+    for C03)."""
+    rng = random.Random(20260810)
+    for _ in range(500):
+        yield None, random_config(rng)
+    rng = random.Random("core")
+    for family in ("staircase", "closed-staircase", "forest", "grid", "generic"):
+        for n in (12, 60, 200):
+            yield family, large_config(rng, family, n)
+
+
+class TestCore:
+    """Peeling before the elimination: the basis on the core, widened with
+    zeros, is the basis of the whole incidence matrix."""
+
+    def test_basis_equals_the_unpeeled_elimination_and_the_oracle(self):
+        for _, cfg in core_configs():
+            rows = level_rows(cfg)
+            basis = build_incidence(cfg).closed_paths()
+            assert basis == nullspace_int(rows, cfg.n)
+            assert basis == right_to_left_oracle(rows, cfg.n)
+
+    def test_zero_off_the_core_and_no_core_point_alone(self):
+        for family, cfg in core_configs():
+            inc = build_incidence(cfg)
+            core = set(inc.core)
+            assert list(inc.core) == sorted(core)
+            for vec in inc.closed_paths():
+                assert all(w == 0 for j, w in enumerate(vec) if j not in core)
+            for dir_groups in inc.groups:
+                for members in dir_groups:
+                    assert len(core.intersection(members)) != 1
+            if family is not None:
+                # staircases, forests and generic sets peel away completely
+                assert bool(core) == (family in ("closed-staircase", "grid"))
+
+    def test_verdict_builds_no_level_fraction(self):
+        """The verdict and the bolt graph read integer keys only; the
+        ``Fraction`` levels are built on a ridge fit's first use."""
+        incidence.analyze.cache_clear()
+        cfg = large_config(random.Random(21), "closed-staircase", 40)
+        assert not density_verdict(cfg).dense
+        graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+        assert find_closed_bolt(graph) is not None and orbits(graph)
+        inc = incidence.analyze(cfg).incidence
+        assert "levels" not in inc.__dict__
+        ridge, _ = interpolate_ridge(cfg, random_values(random.Random(21), cfg.n))
+        assert [t.levels for t in ridge.tables] == list(inc.__dict__["levels"])
+
+
 @pytest.fixture
 def counted_calls(monkeypatch):
     """Counts of the calls that index and eliminate, on an empty analysis cache."""
@@ -237,6 +291,27 @@ class TestSharedAnalysis:
         assert calls == []
         hash(Fraction(1, 3))  # the counter does see other hashes
         assert len(calls) == 1
+
+    def test_each_point_is_hashed_once(self, monkeypatch):
+        """The distinctness check hashes each point's coordinates once; the
+        verdict's cache lookup and the bolt graph's own configuration reuse
+        those hashes and hash only the two directions again."""
+        source = large_config(random.Random(22), "closed-staircase", 40)
+        points = tuple(Point(p.coords) for p in source.points)
+        calls = []
+        original = Fraction.__hash__
+
+        def counted_hash(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+        cfg = PointConfig(points, source.dirs)
+        assert len(calls) == cfg.n * cfg.dim
+        assert not density_verdict(cfg).dense
+        graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+        assert find_closed_bolt(graph) is not None and orbits(graph)
+        assert len(calls) == cfg.n * cfg.dim + 2 * cfg.k * cfg.dim
 
 
 class TestFindClosedPath:
