@@ -130,7 +130,7 @@ def build_bolt_graph(
     cfg = PointConfig(tuple(points), (a1, a2))
     if _parallel(a1, a2):
         raise ValueError("directions must not be parallel")
-    inc = analyze(cfg).incidence
+    inc = analyze(cfg)
     seen: dict[tuple[int, int], int] = {}
     for j, key in enumerate(zip(*inc.level_of)):
         if key in seen:
@@ -147,35 +147,35 @@ def find_closed_bolt(graph: BoltGraph) -> Bolt | None:
 
     Nodes are the distinct levels of either direction and each point is the
     edge joining its two levels; a simple cycle there is precisely a closed
-    bolt (even length, alternation forced by bipartiteness).
+    bolt (even length, alternation forced by bipartiteness).  The graph is
+    the index itself: node ``g`` is level ``g`` along ``a1``, node
+    ``n1 + g`` level ``g`` along ``a2`` (``n1`` levels lie along ``a1``), and
+    a node's edges are the points of its level group, in increasing order.
+    Roots are tried in the order in which points first touch them.
     """
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
-    for j, (g1, g2) in enumerate(zip(*graph.incidence.level_of)):
-        nu, nv = ("u", g1), ("v", g2)
-        adj.setdefault(nu, []).append((nv, j))
-        adj.setdefault(nv, []).append((nu, j))
-
-    visited: set[tuple[str, int]] = set()
-    parent: dict[tuple[str, int], tuple[tuple[str, int] | None, int | None]] = {}
-    for root in adj:
-        if root in visited:
+    inc = graph.incidence
+    n1 = inc.level_counts[0]
+    members = inc.groups[0] + inc.groups[1]
+    ends = [g1 + n1 + g2 for g1, g2 in zip(*inc.level_of)]  # edge j's two nodes sum to ends[j]
+    visited = [False] * len(members)
+    parent = [(-1, -1)] * len(members)  # node -> (parent node, tree edge)
+    for root in chain.from_iterable((g1, n1 + g2) for g1, g2 in zip(*inc.level_of)):
+        if visited[root]:
             continue
-        visited.add(root)
-        parent[root] = (None, None)
-        stack = [(root, iter(adj[root]))]
+        visited[root] = True
+        stack = [(root, iter(members[root]))]
         while stack:
             node, it = stack[-1]
-            advanced = False
-            for nb, edge in it:
-                if nb not in visited:
-                    visited.add(nb)
+            for edge in it:
+                nb = ends[edge] - node
+                if not visited[nb]:
+                    visited[nb] = True
                     parent[nb] = (node, edge)
-                    stack.append((nb, iter(adj[nb])))
-                    advanced = True
+                    stack.append((nb, iter(members[nb])))
                     break
                 if parent[node][1] != edge:
                     return _bolt_from_cycle(graph, parent, node, nb, edge)
-            if not advanced:
+            else:
                 stack.pop()
     return None
 

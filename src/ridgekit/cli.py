@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -311,15 +310,13 @@ def _run_ridgefit(job: JobConfig, out: Path) -> int:
     return 0
 
 
-def _positive_eps(job: JobConfig, default: float) -> float:
-    """The float ``--eps``; a non-number, zero, a negative, NaN or inf is refused."""
+def _positive_eps(job: JobConfig, default: str) -> Fraction:
+    """The rational ``--eps``: a non-rational such as NaN or inf, a value
+    beyond the float range, and one that is not positive as a float are refused."""
     raw_eps = job.params.get("eps", default)
-    try:
-        eps = float(raw_eps)
-    except ValueError:
-        raise ValueError(f"--eps {raw_eps!r} is not a number") from None
-    if not 0 < eps < math.inf:  # also rejects NaN
-        raise ValueError(f"--eps must be positive and finite, got {raw_eps!r}")
+    eps = _float_rational_at(raw_eps, "--eps")
+    if not float(eps) > 0:
+        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
     return eps
 
 
@@ -341,7 +338,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     if not lo < hi:
         raise ValueError(f"--theta-lo {lo} must be below --theta-hi {hi}")
     theta = ThetaInterval(lo, hi)
-    eps = _positive_eps(job, 0.01)
+    eps = float(_positive_eps(job, "0.01"))
     try:
         net = approx_network(cfg, values, sigma, theta, eps)
     except DensityPreconditionError as exc:
@@ -354,10 +351,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
 def _run_kfit(job: JobConfig, out: Path) -> int:
     cfg, values = _resolve_config(job)
     values = _require_float_values(values)
-    raw_eps = job.params.get("eps", "1/100")
-    eps = _float_rational_at(raw_eps, "--eps")
-    if not float(eps) > 0:
-        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
+    eps = _positive_eps(job, "1/100")
     try:
         net = build_k_network(cfg, values, eps)
     except DensityPreconditionError as exc:
@@ -383,8 +377,10 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     start = _float_rational_at(job.params.get("start", "0"), "--from")
     stop = _float_rational_at(job.params.get("stop", "10"), "--to")
     step = _rational_at(job.params.get("step", "1/100"), "--step")
-    if step <= 0 or stop < start:
-        raise ValueError("need step > 0 and stop >= start")
+    if step <= 0:
+        raise ValueError(f"--step must be positive, got {step}")
+    if stop < start:
+        raise ValueError(f"--to {stop} is below --from {start}")
     count = (stop - start) // step + 1
     if count > SIGMA_EVAL_MAX_ROWS:
         raise ValueError(f"--step {step} gives {count} rows, more than {SIGMA_EVAL_MAX_ROWS}")
@@ -406,7 +402,7 @@ def _run_sigma_build(job: JobConfig, out: Path) -> int:
     spec = _activation_spec(job)
     peak = sum((abs(c) * spec.half_width**e for e, c in poly.terms), Fraction(0))
     _in_float_range(peak, "--poly (its largest value on [-l, l])")
-    enc = encode_univariate(poly, _positive_eps(job, 0.001), spec)
+    enc = encode_univariate(poly, float(_positive_eps(job, "0.001")), spec)
     payload = _source_fields(job) | {
         "index": format_rational(Fraction(enc.index)),
         "scale": format_rational(enc.scale),

@@ -21,12 +21,12 @@ the *core*, and only the core's columns are eliminated.  For two directions
 this is the leaf-peeling of the bipartite level graph, and the core is
 empty exactly when that graph is a forest.
 
-:func:`analyze` caches one :class:`Analysis` per configuration (the index,
-the closed paths ``N`` and the one factorization of ``[N | S]`` with
-``S = M^T M`` that the ridge fits need), which the verdict, the ridge fits
-and the bolt graph of :mod:`ridgekit.bolts` share.
-The closed paths and the factorization come from the one elimination
-routine of :mod:`ridgekit.exactlinalg`.
+:func:`analyze` caches one index per configuration, which the verdict, the
+ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
+keeps what is derived from it on first use: the closed paths ``N``, sparse on
+the core, and the one factorization of ``[N | S]`` with ``S = M^T M`` that the
+ridge fits need, both from the one elimination routine of
+:mod:`ridgekit.exactlinalg`.
 """
 
 from __future__ import annotations
@@ -171,14 +171,16 @@ class IncidenceStructure:
                     alone.append(total[g])
         return tuple(j for j, kept in enumerate(live) if kept)
 
-    def closed_paths(self) -> list[tuple[int, ...]]:
-        """The null-space basis of ``M`` from :func:`nullspace_int`.
+    @cached_property
+    def closed_paths(self) -> list[dict[int, int]]:
+        """The null-space basis of ``M`` from :func:`nullspace_int`, each
+        vector as ``{point: weight}`` over its nonzero entries.
 
         It is fed the core's columns only, relabelled in order, with one
         sparse 0/1 row per (direction, level) holding core points, each of
         which holds at least two.  The basis depends only on the null space
         and the column order, and every null vector is zero off the core,
-        so widening each vector back with zeros gives ``M``'s own basis."""
+        so these are ``M``'s own basis vectors, with every entry on the core."""
         core = self.core
         rows: list[dict[int, int]] = []
         for keys, ids in zip(self.keys, self.level_of):
@@ -186,13 +188,51 @@ class IncidenceStructure:
             for c, j in enumerate(core):
                 members[ids[j]][c] = 1
             rows.extend(m for m in members if m)
-        out = []
-        for vec in nullspace_int(rows, len(core)):
-            full = [0] * self.n_points
-            for j, w in zip(core, vec):
-                full[j] = w
-            out.append(tuple(full))
-        return out
+        basis = nullspace_int(rows, len(core))
+        return [{core[c]: w for c, w in enumerate(vec) if w} for vec in basis]
+
+    @cached_property
+    def solver(self) -> IntegerSolver:
+        """The factorization of ``[N | S]``.  The closed paths fill the
+        leftmost columns, which the right-to-left elimination reaches last."""
+        p = len(self.closed_paths)
+        rows: list[dict[int, int]] = [{} for _ in range(self.n_points)]
+        for c, vec in enumerate(self.closed_paths):
+            for a, w in vec.items():
+                rows[a][c] = w
+        for dir_groups in self.groups:
+            for members in dir_groups:
+                for a in members:
+                    row = rows[a]
+                    for b in members:
+                        row[p + b] = row.get(p + b, 0) + 1
+        return IntegerSolver(rows, p + self.n_points)
+
+    def fit(self, values: Sequence[Fraction]) -> tuple[list[list[Fraction]], Fraction]:
+        """The level vectors ``u`` of the minimum-norm least-squares fit of
+        ``values``, and the exact worst-case residual ``max |f - M^T u|``.
+
+        ``N`` holds the closed paths as columns, spanning the null space of
+        ``M``, and ``S = M^T M``.  The range of ``S`` is the range of ``M^T``,
+        the orthogonal complement of that null space, so every ``f`` splits
+        uniquely as ``S y + N c`` and ``[N | S] [c; y] = f`` is consistent.
+        Its solutions share ``c`` and differ in ``y`` by null vectors of ``M``,
+        so ``u = M y`` is the same for all of them: the minimum-norm
+        least-squares solution of ``M^T u = f``, as it lies in the range of
+        ``M``.
+
+        The arithmetic is integer: ``f = F / d`` over the lcm ``d`` of its
+        denominators, the solver returns ``[c; y] = X / q``, and so
+        ``u = M X_y / (q d)`` and ``f - M^T u = (q F - M^T M X_y) / (q d)``.
+        One ``Fraction`` is built per level and one for the residual.
+        """
+        d = lcm(*(v.denominator for v in values))
+        f_num = [v.numerator * (d // v.denominator) for v in values]
+        x, q = self.solver.solve(f_num)
+        sums = self.level_sums(x[len(self.closed_paths):])
+        worst = max(abs(q * a - b) for a, b in zip(f_num, self.gather(sums)))
+        den = q * d
+        return [[Fraction(s, den) for s in lv] for lv in sums], Fraction(worst, den)
 
     def level_sums(self, vec: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
         """``M @ vec``, one list per direction: the sum of a point vector over
@@ -306,7 +346,7 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
         return None
     vec = basis[0]
     # distinct points and nonzero weights: already the canonical form, once sorted
-    support = sorted((j for j, w in enumerate(vec) if w), key=lambda j: cfg.points[j].coords)
+    support = sorted(vec, key=lambda j: cfg.points[j].coords)
     sign = 1 if vec[support[0]] > 0 else -1
     measure = DiscreteMeasure(
         tuple(cfg.points[j] for j in support), tuple(Fraction(sign * vec[j]) for j in support)
@@ -355,67 +395,10 @@ class RidgeSum:
         )
 
 
-class Analysis:
-    """What one configuration's verdict, bolt graph and ridge fits share: the
-    level index, then on first use the closed-path basis (one elimination)
-    and one factorization of ``[N | S]``.
-
-    ``N`` holds the closed paths as columns, spanning the null space of
-    ``M``, and ``S = M^T M``.  The range of ``S`` is the range of ``M^T``,
-    the orthogonal complement of that null space, so every ``f`` splits
-    uniquely as ``S y + N c`` and ``[N | S] [c; y] = f`` is consistent.
-    Its solutions share ``c`` and differ in ``y`` by null vectors of ``M``,
-    so ``u = M y`` is the same for all of them: the minimum-norm
-    least-squares solution of ``M^T u = f``, as it lies in the range of
-    ``M``.
-    """
-
-    def __init__(self, cfg: PointConfig) -> None:
-        self.incidence = build_incidence(cfg)
-
-    @cached_property
-    def closed_paths(self) -> list[tuple[int, ...]]:
-        return self.incidence.closed_paths()
-
-    @cached_property
-    def solver(self) -> IntegerSolver:
-        """The factorization of ``[N | S]``.  The closed paths fill the
-        leftmost columns, which the right-to-left elimination reaches last."""
-        p = len(self.closed_paths)
-        rows: list[dict[int, int]] = [{} for _ in range(self.incidence.n_points)]
-        for a in self.incidence.core:  # every closed path is zero off the core
-            rows[a] = {c: w for c, vec in enumerate(self.closed_paths) if (w := vec[a])}
-        for dir_groups in self.incidence.groups:
-            for members in dir_groups:
-                for a in members:
-                    row = rows[a]
-                    for b in members:
-                        row[p + b] = row.get(p + b, 0) + 1
-        return IntegerSolver(rows, p + self.incidence.n_points)
-
-    def fit(self, values: Sequence[Fraction]) -> tuple[list[list[Fraction]], Fraction]:
-        """The level vectors ``u`` of the minimum-norm least-squares fit of
-        ``values``, and the exact worst-case residual ``max |f - M^T u|``.
-
-        The arithmetic is integer: ``f = F / d`` over the lcm ``d`` of its
-        denominators, the solver returns ``[c; y] = X / q``, and so
-        ``u = M X_y / (q d)`` and ``f - M^T u = (q F - M^T M X_y) / (q d)``.
-        One ``Fraction`` is built per level and one for the residual.
-        """
-        inc = self.incidence
-        d = lcm(*(v.denominator for v in values))
-        f_num = [v.numerator * (d // v.denominator) for v in values]
-        x, q = self.solver.solve(f_num)
-        sums = inc.level_sums(x[len(self.closed_paths):])
-        worst = max(abs(q * a - b) for a, b in zip(f_num, inc.gather(sums)))
-        den = q * d
-        return [[Fraction(s, den) for s in lv] for lv in sums], Fraction(worst, den)
-
-
 @lru_cache(maxsize=8)
-def analyze(cfg: PointConfig) -> Analysis:
-    """The cached :class:`Analysis` of ``cfg``; a few recent configurations are kept."""
-    return Analysis(cfg)
+def analyze(cfg: PointConfig) -> IncidenceStructure:
+    """The cached level index of ``cfg``; a few recent configurations are kept."""
+    return build_incidence(cfg)
 
 
 def interpolate_ridge(
@@ -424,17 +407,16 @@ def interpolate_ridge(
     """Best exact ridge-sum fit of ``values`` on the configuration points.
 
     Solves the stacked level system in the least-squares sense over the
-    rationals (minimum-norm among minimizers, by :meth:`Analysis.fit` on the
-    cached analysis) and returns the per-direction level tables together with
-    the exact worst-case pointwise error.  The residual is zero for every
+    rationals (minimum-norm among minimizers, by :meth:`IncidenceStructure.fit`
+    on the cached index) and returns the per-direction level tables together
+    with the exact worst-case pointwise error.  The residual is zero for every
     data vector iff the configuration admits no closed path.
     """
     if len(values) != cfg.n:
         raise ValueError(f"expected {cfg.n} values, got {len(values)}")
-    analysis = analyze(cfg)
-    u, residual = analysis.fit([rationalize(v) for v in values])
-    levels = analysis.incidence.levels
-    tables = tuple(LevelTable._of_index(lv, tuple(ui)) for lv, ui in zip(levels, u))
+    inc = analyze(cfg)
+    u, residual = inc.fit([rationalize(v) for v in values])
+    tables = tuple(LevelTable._of_index(lv, tuple(ui)) for lv, ui in zip(inc.levels, u))
     return RidgeSum(cfg.dirs, tables), residual
 
 

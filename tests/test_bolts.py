@@ -1,5 +1,6 @@
 """Bolt graphs, closed bolts, orbits, alternating measures, the decay probe."""
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -28,7 +29,7 @@ from ridgekit import (
     verify_bolt,
     weak_star_probe,
 )
-from helpers import random_config, textbook_bolt, textbook_probe
+from helpers import large_config, random_config, textbook_bolt, textbook_probe
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -243,6 +244,37 @@ class TestFindClosedBolt:
                 assert is_annihilating(mu, cfg.dirs)
             agree += 1
         assert agree >= 40
+
+    def test_traversal_is_pinned(self):
+        """sha256 of every found cycle's ``(indices, first_link)``, or None
+        where there is none: seeded two-direction planar draws, the k = 2
+        families of ``large_config`` at n = 12, 60 and 200, and axis grids
+        from 2x2 to 24x24.  Any change to the search order shows here."""
+        configs = []
+        rng = random.Random("closed-bolt-pin")
+        for _ in range(3000):
+            cfg = random_config(rng, max_d=2, max_k=2)
+            if cfg.k == 2 and cfg.dim == 2:
+                configs.append(cfg)
+        rng = random.Random("closed-bolt-families")
+        for family in ("staircase", "closed-staircase", "forest"):
+            for n in (12, 60, 200):
+                configs.append(large_config(rng, family, n))
+        for m in range(2, 25):
+            configs.append(
+                PointConfig.build([(i, j) for i in range(m) for j in range(m)], [(1, 0), (0, 1)])
+            )
+        records = []
+        for cfg in configs:
+            try:
+                graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+            except ValueError:
+                continue  # parallel directions drawn
+            bolt = find_closed_bolt(graph)
+            records.append(None if bolt is None else (bolt.indices, bolt.first_link))
+        assert sum(r is not None for r in records) >= 100
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == "8efe4d8f8880927f81d8568b365f12a994422ac052c1cd4e4b111fc85cfedf94"
 
 
 X, Y = Direction.of(1, 0), Direction.of(0, 1)

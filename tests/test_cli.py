@@ -291,6 +291,9 @@ BAD_FLAGS = [
     (["sigma-build", "--poly", "1e308,1e308"], "--poly", "encoding.json"),
     (["sigma-build", "--poly", "1,2", "--l", "1e400"], "--l", "encoding.json"),
     (["probe", "--preset", "paper-orbit", "--threshold", "1e400"], "--threshold", "probe.json"),
+    (["sigma-eval", "--step", "0"], "--step", "sigma.csv"),
+    (["sigma-eval", "--step", "-1"], "--step", "sigma.csv"),
+    (["sigma-eval", "--from", "5", "--to", "1"], "--to", "sigma.csv"),
 ]
 
 
@@ -351,7 +354,7 @@ class TestResourceCaps:
         assert not (tmp_path / artifact).exists()
 
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
-        for eps in ("nan", "inf", "1e400"):
+        for eps in ("nan", "inf", "1e400", "abc", "0", "-1"):
             argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", eps]
             code = main(argv + ["--out", str(tmp_path)])
             assert code == 1
@@ -383,6 +386,24 @@ class TestTableActivation:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv, rational, decimal, artifact",
+        [
+            (["netfit", *FIT_ARGS], "1/100", "0.01", "network.json"),
+            (["sigma-build", "--poly", "1,-1/2,1/3"], "1/1000", "0.001", "encoding.json"),
+        ],
+        ids=["netfit", "sigma-build"],
+    )
+    def test_rational_eps_writes_the_decimal_bytes(
+        self, tmp_path, argv, rational, decimal, artifact
+    ):
+        """``--eps`` is read as a rational by every command, and a rational
+        passes on the same float as its decimal spelling."""
+        for sub, eps in (("rational", rational), ("decimal", decimal)):
+            assert main(argv + ["--eps", eps, "--out", str(tmp_path / sub)]) == 0
+        written = [(tmp_path / sub / artifact).read_bytes() for sub in ("rational", "decimal")]
+        assert written[0] == written[1]
+
     def test_probe_byte_identical(self, tmp_path):
         outs = []
         for sub in ("a", "b"):

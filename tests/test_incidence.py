@@ -201,7 +201,9 @@ class TestCore:
     def test_basis_equals_the_unpeeled_elimination_and_the_oracle(self):
         for _, cfg in core_configs():
             rows = level_rows(cfg)
-            basis = build_incidence(cfg).closed_paths()
+            inc = build_incidence(cfg)
+            # the sparse paths widened to n-tuples, zero off their keys
+            basis = [tuple(vec.get(j, 0) for j in range(cfg.n)) for vec in inc.closed_paths]
             assert basis == nullspace_int(rows, cfg.n)
             assert basis == right_to_left_oracle(rows, cfg.n)
 
@@ -210,8 +212,8 @@ class TestCore:
             inc = build_incidence(cfg)
             core = set(inc.core)
             assert list(inc.core) == sorted(core)
-            for vec in inc.closed_paths():
-                assert all(w == 0 for j, w in enumerate(vec) if j not in core)
+            for vec in inc.closed_paths:
+                assert core.issuperset(vec) and all(vec.values())
             for dir_groups in inc.groups:
                 for members in dir_groups:
                     assert len(core.intersection(members)) != 1
@@ -227,7 +229,7 @@ class TestCore:
         assert not density_verdict(cfg).dense
         graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
         assert find_closed_bolt(graph) is not None and orbits(graph)
-        inc = incidence.analyze(cfg).incidence
+        inc = incidence.analyze(cfg)
         assert "levels" not in inc.__dict__
         ridge, _ = interpolate_ridge(cfg, random_values(random.Random(21), cfg.n))
         assert [t.levels for t in ridge.tables] == list(inc.__dict__["levels"])
@@ -235,7 +237,7 @@ class TestCore:
 
 @pytest.fixture
 def counted_calls(monkeypatch):
-    """Counts of the calls that index and eliminate, on an empty analysis cache."""
+    """Counts of the calls that index and eliminate, on an empty ``analyze`` cache."""
     counts: Counter = Counter()
     for name in ("build_incidence", "nullspace_int"):
         original = getattr(incidence, name)
@@ -476,8 +478,8 @@ class TestMinNormOracle:
         back-substitution is not counted)."""
         cfg = square_grid(8, GRID_DIRS)
         incidence.analyze.cache_clear()
-        analysis = incidence.analyze(cfg)
-        analysis.closed_paths
+        inc = incidence.analyze(cfg)
+        inc.closed_paths
         values = random_values(random.Random(8), cfg.n)
         built = []
         original = Fraction.__new__
@@ -487,10 +489,10 @@ class TestMinNormOracle:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counted)
-        analysis.solver
+        inc.solver
         assert built == []
-        tables, residual = analysis.fit(values)
-        assert len(built) == sum(analysis.incidence.level_counts) + 1
+        tables, residual = inc.fit(values)
+        assert len(built) == sum(inc.level_counts) + 1
         monkeypatch.undo()
         ridge, expected = interpolate_ridge(cfg, values)
         assert tables == [list(t.values) for t in ridge.tables] and residual == expected
