@@ -100,14 +100,6 @@ class BoltGraph:
     a2: Direction
     incidence: IncidenceStructure
 
-    def edge_pairs(self, family: int) -> set[frozenset[int]]:
-        pairs: set[frozenset[int]] = set()
-        for members in self.incidence.groups[family - 1]:
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    pairs.add(frozenset((a, b)))
-        return pairs
-
 
 def _parallel(a: Direction, b: Direction) -> bool:
     d = a.dim

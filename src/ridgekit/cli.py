@@ -257,7 +257,9 @@ def _run_probe(job: JobConfig, out: Path) -> int:
     if not job.preset:
         raise ValueError("probe requires --preset naming a generator")
     gen = generator_preset(job.preset)
-    names = job.params.get("tests") or ["x", "y"]
+    names = job.params.get("tests", ["x", "y"])
+    if not names:
+        raise ValueError("--tests names no test")
     tests = [probe_test(n) for n in names]
     if not any(n == "ridge-identity" for n in names):
         tests.append(probe_test("ridge-identity"))
@@ -266,7 +268,10 @@ def _run_probe(job: JobConfig, out: Path) -> int:
         raise ValueError(f"--N {n_max} is not positive")
     if n_max > PROBE_MAX_N:
         raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
-    threshold = _float_rational_at(job.params.get("threshold", "1/100"), "--threshold")
+    raw_threshold = job.params.get("threshold", "1/100")
+    threshold = _float_rational_at(raw_threshold, "--threshold")
+    if threshold < 0:
+        raise ValueError(f"--threshold must not be negative, got {raw_threshold!r}")
     report = weak_star_probe(gen, tests, n_max, threshold)
     _write_csv(out / "decay.csv", ["n", "test_name", "abs_integral"], report.rows)
     payload = _source_fields(job) | {
@@ -331,6 +336,8 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
         if not table_path:
             raise ValueError("--sigma table requires --sigma-table FILE.csv")
         sigma = table_oracle_from_csv(table_path)
+    elif "sigma_table" in job.params:
+        raise ValueError(f"--sigma-table is read only with --sigma table, not --sigma {sigma_name}")
     else:
         sigma = sigma_by_name(sigma_name)
     lo = _float_rational_at(job.params.get("theta_lo", "-5"), "--theta-lo")

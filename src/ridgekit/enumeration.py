@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rationals import RationalLike, rationalize
 
@@ -142,13 +142,6 @@ class RationalPoly:
                 terms.append((e, q))
         return cls(tuple(terms))
 
-    @classmethod
-    def from_terms(cls, items: Iterable[tuple[int, RationalLike]]) -> "RationalPoly":
-        merged: dict[int, Fraction] = {}
-        for e, c in items:
-            merged[e] = merged.get(e, Fraction(0)) + rationalize(c)
-        return cls(tuple(sorted((e, c) for e, c in merged.items() if c != 0)))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -157,14 +150,6 @@ class RationalPoly:
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
-
-    def dense_coefficients(self) -> list[Fraction]:
-        if self.degree > _EVAL_DEGREE_CAP:
-            raise ValueError("degree too large for a dense coefficient list")
-        out = [Fraction(0)] * (self.degree + 1)
-        for e, c in self.terms:
-            out[e] = c
-        return out
 
     def eval_exact(self, t: RationalLike) -> Fraction:
         if self.degree > _EVAL_DEGREE_CAP:

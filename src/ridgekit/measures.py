@@ -51,16 +51,8 @@ class Point:
     def dim(self) -> int:
         return len(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]
-
-    def translate(self, shift: Sequence[Fraction]) -> "Point":
-        if len(shift) != self.dim:
-            raise ValueError("shift dimension mismatch")
-        return Point(tuple(c + s for c, s in zip(self.coords, shift)))
 
 
 @dataclass(frozen=True)
@@ -86,9 +78,6 @@ class Direction:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
 
     def dot(self, point: Point) -> Fraction:
         if point.dim != self.dim:
@@ -146,33 +135,8 @@ class DiscreteMeasure:
         kept = sorted((c, w) for c, w in merged.items() if w != 0)
         return cls(tuple(Point(c) for c, _ in kept), tuple(w for _, w in kept))
 
-    @classmethod
-    def point_mass(cls, point: Point, weight: RationalLike = 1) -> "DiscreteMeasure":
-        return cls.from_atoms([(point, weight)])
-
-    @classmethod
-    def zero(cls) -> "DiscreteMeasure":
-        return cls((), ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
-    @property
-    def dim(self) -> int | None:
-        return self.support[0].dim if self.support else None
-
     def atoms(self) -> Iterable[tuple[Point, Fraction]]:
         return zip(self.support, self.weights)
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure.from_atoms(list(self.atoms()) + list(other.atoms()))
-
-    def __neg__(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.support, tuple(-w for w in self.weights))
-
-    def scaled(self, factor: RationalLike) -> "DiscreteMeasure":
-        return DiscreteMeasure.from_atoms((p, rationalize(factor) * w) for p, w in self.atoms())
 
 
 @dataclass(frozen=True)

@@ -154,22 +154,27 @@ class TestGenerator:
         assert len(gen.generate(step)) == step
 
 
+def shared_levels(graph, family):
+    """The level groups of ``family`` that hold more than one point."""
+    return {m for m in graph.incidence.groups[family - 1] if len(m) > 1}
+
+
 class TestBoltGraph:
     def test_orbit_truncation_is_a_path(self):
         graph = build_bolt_graph([Point.from_seq(p) for p in ORBIT_POINTS_10], A1, A2)
-        e1, e2 = graph.edge_pairs(1), graph.edge_pairs(2)
-        assert e1 == {frozenset((j, j + 1)) for j in range(0, 9, 2)}
-        assert e2 == {frozenset((j, j + 1)) for j in range(1, 9, 2)}
+        assert shared_levels(graph, 1) == {(j, j + 1) for j in range(0, 9, 2)}
+        assert shared_levels(graph, 2) == {(j, j + 1) for j in range(1, 9, 2)}
 
     def test_grid_is_a_four_cycle(self):
         cfg = config_preset("grid-2x2")
         graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
-        assert len(graph.edge_pairs(1)) == 2 and len(graph.edge_pairs(2)) == 2
+        assert shared_levels(graph, 1) == {(0, 1), (2, 3)}
+        assert shared_levels(graph, 2) == {(0, 2), (1, 3)}
 
     def test_general_position_edgeless(self):
         pts = [Point.of(0, 0), Point.of(1, 5), Point.of(2, 11)]
         graph = build_bolt_graph(pts, A1, A2)
-        assert not graph.edge_pairs(1) and not graph.edge_pairs(2)
+        assert not shared_levels(graph, 1) and not shared_levels(graph, 2)
 
     def test_parallel_directions_rejected(self):
         with pytest.raises(ValueError):

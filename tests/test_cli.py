@@ -294,6 +294,10 @@ BAD_FLAGS = [
     (["sigma-eval", "--step", "0"], "--step", "sigma.csv"),
     (["sigma-eval", "--step", "-1"], "--step", "sigma.csv"),
     (["sigma-eval", "--from", "5", "--to", "1"], "--to", "sigma.csv"),
+    (["probe", "--preset", "paper-orbit", "--threshold", "-1"], "--threshold", "probe.json"),
+    (["probe", "--preset", "paper-orbit", "--tests", ""], "--tests", "probe.json"),
+    (["probe", "--preset", "paper-orbit", "--tests", ","], "--tests", "probe.json"),
+    (["netfit", *FIT_ARGS, "--sigma-table", "missing.csv"], "--sigma-table", "network.json"),
 ]
 
 

@@ -106,7 +106,3 @@ class TestRationalPoly:
         p = RationalPoly.from_coefficients([1, 0, Fraction(-1, 4), Fraction(1, 8)])
         for x in (-1.0, -0.25, 0.0, 0.5, 1.0):
             assert p.eval_float(x) == pytest.approx(float(p.eval_exact(Fraction(x))))
-
-    def test_dense_coefficients(self):
-        p = RationalPoly.from_terms([(0, Fraction(2)), (3, Fraction(-1))])
-        assert p.dense_coefficients() == [Fraction(2), 0, 0, Fraction(-1)]

@@ -577,7 +577,11 @@ class TestCertificateGeometry:
             cert = find_closed_path(cfg)
             shift = [Fraction(rng.randint(-3, 3), 2) for _ in range(cfg.dim)]
             moved = PointConfig(
-                tuple(p.translate(shift) for p in cfg.points), cfg.dirs
+                tuple(
+                    Point(tuple(c + s for c, s in zip(p.coords, shift)))
+                    for p in cfg.points
+                ),
+                cfg.dirs,
             )
             scaled = PointConfig(
                 cfg.points,

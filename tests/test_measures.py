@@ -35,7 +35,7 @@ class TestPushforward:
         assert pushforward(mu, Direction.of(1, 1)).is_zero
 
     def test_zero_measure(self):
-        assert pushforward(DiscreteMeasure.zero(), Direction.of(1, 1)).is_zero
+        assert pushforward(DiscreteMeasure.from_atoms([]), Direction.of(1, 1)).is_zero
 
     def test_five_atom_coordinate_projection(self):
         mu = five_atom_measure()
@@ -51,7 +51,7 @@ class TestPushforward:
         assert proj.weights == (Fraction(5), Fraction(-1))
 
     def test_dimension_mismatch(self):
-        mu = DiscreteMeasure.point_mass(Point.of(1, 2))
+        mu = DiscreteMeasure.from_atoms([(Point.of(1, 2), 1)])
         with pytest.raises(ValueError):
             pushforward(mu, Direction.of(1, 0, 0))
 
@@ -61,7 +61,7 @@ class TestTotalVariation:
         assert total_variation(five_atom_measure()) == 6
 
     def test_zero(self):
-        assert total_variation(DiscreteMeasure.zero()) == 0
+        assert total_variation(DiscreteMeasure.from_atoms([])) == 0
 
     def test_alternating_normalized(self):
         # normalized alternating measures always have mass exactly one
@@ -75,7 +75,7 @@ class TestTotalVariation:
 
 class TestIntegrate:
     def test_point_mass_constant(self):
-        assert integrate(DiscreteMeasure.point_mass(Point.of(3, 4)), lambda p: 1) == 1
+        assert integrate(DiscreteMeasure.from_atoms([(Point.of(3, 4), 1)]), lambda p: 1) == 1
 
     def test_five_atom_squared_ridge(self):
         mu = five_atom_measure()
@@ -88,7 +88,7 @@ class TestIntegrate:
         assert integrate(mu, lambda p: p[0]) == -1
 
     def test_float_leaks(self):
-        mu = DiscreteMeasure.point_mass(Point.of(2))
+        mu = DiscreteMeasure.from_atoms([(Point.of(2), 1)])
         assert integrate(mu, lambda p: 0.5) == pytest.approx(0.5)
 
 
@@ -97,7 +97,7 @@ class TestIsAnnihilating:
         assert is_annihilating(five_atom_measure(), [E1, E2, E3])
 
     def test_single_atom_never(self):
-        mu = DiscreteMeasure.point_mass(Point.of(1, 2))
+        mu = DiscreteMeasure.from_atoms([(Point.of(1, 2), 1)])
         assert not is_annihilating(mu, [Direction.of(1, 0), Direction.of(0, 1)])
 
     def test_closed_bolt_alternating(self):
@@ -109,7 +109,7 @@ class TestIsAnnihilating:
 
     def test_requires_directions(self):
         with pytest.raises(ValueError):
-            is_annihilating(DiscreteMeasure.zero(), [])
+            is_annihilating(DiscreteMeasure.from_atoms([]), [])
 
 
 def _measures(dim: int):
