@@ -137,7 +137,7 @@ class UnivariateEncoding:
     index: int
     scale: Fraction
     shift: Fraction
-    achieved_error: Fraction | float
+    achieved_error: float
     poly: RationalPoly
 
 
@@ -145,14 +145,6 @@ _MAX_ABS_COEFF = 10**6
 _FIT_NODES = 512  # least-squares Chebyshev nodes, raised to 8 per coefficient at high degree
 _VALIDATION_POINTS = 2049  # equispaced grid on which a candidate's worst error is measured
 _MAX_DENOMINATOR = 2**24  # largest denominator tried when rounding coefficients (from 8, doubling)
-_INDEX_BIT_CAP = 4_000_000  # a candidate whose estimated index is longer is skipped
-
-
-def _estimated_index_bits(codes: list[int]) -> int:
-    bits = max(codes[-1] - 1, 0).bit_length()
-    for z in reversed(codes[:-1]):
-        bits = 2 * max(z.bit_length(), bits) + 2
-    return bits
 
 
 def encode_univariate(
@@ -168,8 +160,10 @@ def encode_univariate(
     Fits by least squares on Chebyshev nodes with increasing degree, rounds
     coefficients through continued fractions with a doubling denominator
     bound, and accepts the first candidate whose worst error on a dense
-    validation grid is within budget (and whose index stays representable).
-    Raises :class:`EncoderBudgetError` with the best error seen otherwise.
+    validation grid is within budget (an exact match of a ``RationalPoly``
+    target has error 0) and whose index :func:`encode_poly` builds within
+    its bit cap.  Raises :class:`EncoderBudgetError` with the best error seen
+    otherwise, saying so when the cap alone skipped a candidate in budget.
     """
     if not eps_over_k > 0:  # also rejects NaN
         raise ValueError("the error budget must be positive")
@@ -187,6 +181,7 @@ def encode_univariate(
     grid_target = np.array([target(t) for t in grid], dtype=float)
 
     best_error = math.inf
+    skipped = ""  # why a candidate within the budget was skipped
     powers = [Fraction(spec.half_width) ** i for i in range(max_degree + 1)]
     for degree in range(max_degree + 1):
         cheb_coeffs = npcheb.chebfit(xi_nodes, samples, degree)
@@ -206,38 +201,21 @@ def encode_univariate(
             seen.add(cand_coeffs)
             cand = RationalPoly.from_coefficients(cand_coeffs)
             if isinstance(g, RationalPoly) and cand == g:
-                index = encode_poly(cand)
-                return UnivariateEncoding(
-                    index, spec.scale, spec.shift_for_index(index), Fraction(0), cand
-                )
-            dense = [float(c) for c in cand_coeffs]
-            approx = np.polynomial.polynomial.polyval(grid, dense)
-            err = float(np.max(np.abs(grid_target - approx)))
+                err = 0.0
+            else:
+                dense = [float(c) for c in cand_coeffs]
+                approx = np.polynomial.polynomial.polyval(grid, dense)
+                err = float(np.max(np.abs(grid_target - approx)))
             best_error = min(best_error, err)
-            if err <= eps_over_k:
-                try:
-                    codes_ok = _check_index_size(cand)
-                except OverflowError:
-                    continue
-                if not codes_ok:
-                    continue
+            if not err <= eps_over_k:  # also skips a NaN error
+                continue
+            try:
                 index = encode_poly(cand)
-                return UnivariateEncoding(
-                    index, spec.scale, spec.shift_for_index(index), err, cand
-                )
-    raise EncoderBudgetError(best_error)
-
-
-def _check_index_size(p: RationalPoly) -> bool:
-    from .enumeration import rational_code
-
-    if p.is_zero:
-        return True
-    codes = []
-    exponents = {e: c for e, c in p.terms}
-    for e in range(p.degree + 1):
-        codes.append(rational_code(exponents.get(e, Fraction(0))))
-    return _estimated_index_bits(codes) <= _INDEX_BIT_CAP
+            except OverflowError as exc:
+                skipped = f"every candidate within the error budget was skipped: {exc}"
+                continue
+            return UnivariateEncoding(index, spec.scale, spec.shift_for_index(index), err, cand)
+    raise EncoderBudgetError(best_error, skipped)
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,17 @@ def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
     return PointConfig.build(points, dirs), values
 
 
+def _named(flag: str, lookup, name: str, *args):
+    """``lookup(name, *args)``, with its refusal of an unknown name put under ``flag``."""
+    try:
+        return lookup(name, *args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _resolve_config(job: JobConfig) -> tuple[PointConfig, list[Fraction] | None]:
     if job.preset:
-        cfg = config_preset(job.preset)
+        cfg = _named("--preset", config_preset, job.preset)
         values = None
     elif job.input_path:
         cfg, values = load_config_file(job.input_path)
@@ -178,7 +186,7 @@ def _resolve_config(job: JobConfig) -> tuple[PointConfig, list[Fraction] | None]
         raise ValueError("provide --preset or an input file")
     fname = job.params.get("target")
     if fname:
-        values = target_values(fname, cfg)
+        values = _named("--f", target_values, fname, cfg)
     return cfg, values
 
 
@@ -256,11 +264,13 @@ def _run_orbits(job: JobConfig, out: Path) -> int:
 def _run_probe(job: JobConfig, out: Path) -> int:
     if not job.preset:
         raise ValueError("probe requires --preset naming a generator")
-    gen = generator_preset(job.preset)
+    gen = _named("--preset", generator_preset, job.preset)
     names = job.params.get("tests", ["x", "y"])
     if not names:
         raise ValueError("--tests names no test")
-    tests = [probe_test(n) for n in names]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--tests names a test more than once: {','.join(names)}")
+    tests = [_named("--tests", probe_test, n) for n in names]
     if not any(n == "ridge-identity" for n in names):
         tests.append(probe_test("ridge-identity"))
     n_max = _int_at(job.params.get("n", 1000), "--N")
@@ -339,7 +349,7 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     elif "sigma_table" in job.params:
         raise ValueError(f"--sigma-table is read only with --sigma table, not --sigma {sigma_name}")
     else:
-        sigma = sigma_by_name(sigma_name)
+        sigma = _named("--sigma", sigma_by_name, sigma_name)
     lo = _float_rational_at(job.params.get("theta_lo", "-5"), "--theta-lo")
     hi = _float_rational_at(job.params.get("theta_hi", "5"), "--theta-hi")
     if not lo < hi:

@@ -15,6 +15,10 @@ across runs and implementations:
 * finally m = 2 + pair(D, folded), and index 1 is reserved for the zero
   polynomial.
 
+Encoding checks every integer it builds, the exact index included, against
+one cap of ``_BIT_CAP`` bits: :func:`calkin_wilf_index` and
+:func:`encode_poly` raise OverflowError beyond it.
+
 Decoding is total on positive integers of any size.  Indices decode to
 polynomials whose degree can be astronomically larger than the number of
 nonzero terms, so polynomials are stored sparsely and zero runs are folded
@@ -42,7 +46,12 @@ def cantor_unpair(z: int) -> tuple[int, int]:
     return w - b, b
 
 
-_CW_BIT_CAP = 10**7
+_BIT_CAP = 4_000_000  # the longest integer, in bits, that encoding builds
+
+
+def _check_bits(bits: int) -> None:
+    if bits > _BIT_CAP:
+        raise OverflowError(f"the index would be longer than the {_BIT_CAP:,}-bit cap")
 
 
 def calkin_wilf_index(q: Fraction) -> int:
@@ -50,7 +59,7 @@ def calkin_wilf_index(q: Fraction) -> int:
 
     The index's bit length is the sum of the continued-fraction quotients of
     ``q``, so rationals with a huge quotient (like 10^9 or 1/10^9) have
-    indices too large to materialize; those raise OverflowError.
+    indices too large to materialize; beyond the cap they raise OverflowError.
     """
     if q <= 0:
         raise ValueError("calkin_wilf_index needs a positive rational")
@@ -67,8 +76,7 @@ def calkin_wilf_index(q: Fraction) -> int:
             runs.append(("1", k))
             num -= k * den
         total_bits += k
-        if total_bits > _CW_BIT_CAP:
-            raise OverflowError("rational code too large to materialize")
+        _check_bits(total_bits + 1)
     bits = "".join(bit * count for bit, count in reversed(runs))
     return int("1" + bits, 2)
 
@@ -178,25 +186,25 @@ class RationalPoly:
         return " + ".join(parts)
 
 
-_ZERO_RUN_CAP = 1_000_000
+def _capped_pair(a: int, b: int) -> int:
+    # a pair has at least 2 * max(operand bits) - 2 bits: one that must pass the cap is not built
+    _check_bits(2 * max(a.bit_length(), b.bit_length()) - 2)
+    z = cantor_pair(a, b)
+    _check_bits(z.bit_length())
+    return z
 
 
 def _fold_zero_run(acc: int, count: int) -> int:
-    """Apply acc -> pair(0, acc) ``count`` times; identity when acc == 0."""
-    if acc == 0 or count == 0:
+    """Apply acc -> pair(0, acc) ``count`` times; 0 is fixed, any other acc doubles in length."""
+    if acc == 0:
         return acc
-    if count > _ZERO_RUN_CAP:
-        raise OverflowError(
-            "encoding this sparse polynomial would produce an index too large"
-            " to represent"
-        )
     for _ in range(count):
-        acc = cantor_pair(0, acc)
+        acc = _capped_pair(0, acc)
     return acc
 
 
 def encode_poly(p: RationalPoly) -> int:
-    """Index of a polynomial under the enumeration (1 = zero polynomial)."""
+    """Index of a polynomial under the enumeration (1 = zero polynomial), within the cap."""
     if p.is_zero:
         return 1
     terms = p.terms
@@ -205,10 +213,12 @@ def encode_poly(p: RationalPoly) -> int:
     prev_e = degree
     for e, c in reversed(terms[:-1]):
         acc = _fold_zero_run(acc, prev_e - e - 1)
-        acc = cantor_pair(rational_code(c), acc)
+        acc = _capped_pair(rational_code(c), acc)
         prev_e = e
     acc = _fold_zero_run(acc, prev_e)
-    return 2 + cantor_pair(degree, acc)
+    index = 2 + _capped_pair(degree, acc)
+    _check_bits(index.bit_length())
+    return index
 
 
 def decode_poly(m: int) -> RationalPoly:

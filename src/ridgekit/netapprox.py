@@ -158,7 +158,7 @@ def sigma_by_name(name: str, params: dict | None = None) -> SigmaOracle:
         return tanh_ramp_oracle()
     if name == "table":
         return table_oracle([tuple(p) for p in params["points"]])
-    raise ValueError(f"unknown activation preset {name!r}")
+    raise ValueError(f"unknown activation preset {name!r}; available: logistic, table, tanh-ramp")
 
 
 def polynomial_degree_probe(sigma: SigmaOracle) -> int | None:

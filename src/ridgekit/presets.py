@@ -145,4 +145,5 @@ def probe_test(name: str) -> PointTest | RidgeTest:
     if name == "ridge-identity":
         identity = lambda level: level  # noqa: E731
         return RidgeTest("ridge-identity", identity, identity)
-    raise ValueError(f"unknown probe test {name!r}")
+    available = ", ".join(sorted([*pointwise, "ridge-identity"]))
+    raise ValueError(f"unknown probe test {name!r}; available: {available}")

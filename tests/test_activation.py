@@ -157,6 +157,19 @@ class TestEncodeUnivariate:
             encode_univariate(abs, 1e-9, SPEC, max_degree=3)
         assert 0 < exc.value.best_error < 1.0
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x: 1 / 1500001 + x,
+            RationalPoly.from_coefficients([Fraction(1, 1_500_000), 1]),
+        ],
+        ids=["near-match", "exact-match"],
+    )
+    def test_index_beyond_the_cap_is_skipped_and_named(self, g):
+        """Both accept paths check the exact index against the enumeration's cap."""
+        with pytest.raises(EncoderBudgetError, match="4,000,000-bit cap"):
+            encode_univariate(g, 1e-12, SPEC)
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             encode_univariate(lambda t: t, 0.0, SPEC)

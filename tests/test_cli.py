@@ -265,6 +265,12 @@ class TestCommands:
 
 FIT_ARGS = ["--preset", "parallel-segments", "--f", "xy"]
 # (argv, the flag its error must name, the artifact it must not write)
+UNKNOWN_NAMES = [
+    (["probe", "--preset", "paper-orbit", "--tests", "bogus"], "--tests", "probe.json"),
+    (["netfit", *FIT_ARGS, "--sigma", "bogus"], "--sigma", "network.json"),
+    (["kfit", "--preset", "parallel-segments", "--f", "bogus"], "--f", "network.json"),
+    (["paths", "--preset", "bogus"], "--preset", "verdict.json"),
+]
 BAD_FLAGS = [
     (["kfit", *FIT_ARGS, "--eps", "abc"], "--eps", "network.json"),
     (["netfit", *FIT_ARGS, "--theta-lo", "abc"], "--theta-lo", "network.json"),
@@ -298,6 +304,9 @@ BAD_FLAGS = [
     (["probe", "--preset", "paper-orbit", "--tests", ""], "--tests", "probe.json"),
     (["probe", "--preset", "paper-orbit", "--tests", ","], "--tests", "probe.json"),
     (["netfit", *FIT_ARGS, "--sigma-table", "missing.csv"], "--sigma-table", "network.json"),
+    (["probe", "--preset", "paper-orbit", "--tests", "x,y,x"], "--tests", "probe.json"),
+    # unknown names, each refused under its flag with the choices listed
+    *UNKNOWN_NAMES,
 ]
 
 
@@ -356,6 +365,23 @@ class TestResourceCaps:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / artifact).exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, artifact", UNKNOWN_NAMES, ids=_flag_case_ids(UNKNOWN_NAMES)
+    )
+    def test_unknown_name_lists_the_choices(self, tmp_path, capsys, argv, flag, artifact):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag}: unknown" in err and "; available: " in err
+
+    def test_sigma_build_index_beyond_the_cap_is_refused(self, tmp_path, capsys):
+        """An exact match whose index passes the cap is skipped, and the error says why."""
+        start = time.perf_counter()
+        argv = ["sigma-build", "--poly", "1/3000000,1", "--eps", "1e-12", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 60.0
+        assert "4,000,000-bit cap" in capsys.readouterr().err
+        assert not (tmp_path / "encoding.json").exists()
 
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         for eps in ("nan", "inf", "1e400", "abc", "0", "-1"):

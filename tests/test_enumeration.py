@@ -1,6 +1,7 @@
 """The integer <-> rational-polynomial bijection."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,30 @@ class TestPolyCodec:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             decode_poly(0)
+
+
+class TestBitCap:
+    """Every index encoding builds, the exact one included, stays within 4,000,000 bits."""
+
+    def test_index_beyond_the_cap_is_refused(self):
+        with pytest.raises(OverflowError, match="4,000,000-bit cap"):
+            encode_poly(RationalPoly.from_coefficients([Fraction(1, 1_100_000), 1]))
+
+    def test_index_below_the_cap_round_trips(self):
+        p = RationalPoly.from_coefficients([Fraction(1, 900_000), 1])
+        m = encode_poly(p)
+        assert m.bit_length() == 3_599_997
+        assert decode_poly(m) == p
+
+    def test_calkin_wilf_index_beyond_the_cap_is_refused(self):
+        with pytest.raises(OverflowError, match="4,000,000-bit cap"):
+            calkin_wilf_index(Fraction(1, 5_000_000))
+
+    def test_long_zero_run_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            encode_poly(RationalPoly(((0, Fraction(2)), (10**9, Fraction(3)))))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestRationalPoly:
