@@ -61,10 +61,7 @@ class ActivationSpec:
 
     @classmethod
     def create(
-        cls,
-        alpha: RationalLike = 1,
-        half_width: RationalLike = 1,
-        sharpness: RationalLike = 1,
+        cls, alpha: RationalLike, half_width: RationalLike, sharpness: RationalLike
     ) -> "ActivationSpec":
         return cls(rationalize(alpha), rationalize(half_width), rationalize(sharpness))
 
@@ -78,7 +75,7 @@ class ActivationSpec:
         return self.alpha / 2 - 2 * m * self.alpha
 
 
-def smooth_step(s: float, sharpness: float = 1.0) -> float:
+def smooth_step(s: float, sharpness: float) -> float:
     """C-infinity step: 0 for s <= 0, 1 for s >= 1, flat at both ends.
 
     Computed as 1 / (1 + exp(k*(1/s - 1/(1-s)))), the normalized form of the
@@ -142,7 +139,8 @@ class UnivariateEncoding:
 
 
 _MAX_ABS_COEFF = 10**6
-_FIT_NODES = 512  # least-squares Chebyshev nodes, raised to 8 per coefficient at high degree
+_MAX_DEGREE = 14  # highest polynomial degree the encoder fits
+_FIT_NODES = 512  # least-squares Chebyshev nodes
 _VALIDATION_POINTS = 2049  # equispaced grid on which a candidate's worst error is measured
 _MAX_DENOMINATOR = 2**24  # largest denominator tried when rounding coefficients (from 8, doubling)
 
@@ -151,8 +149,6 @@ def encode_univariate(
     g: RationalPoly | Callable[[float], float],
     eps_over_k: float,
     spec: ActivationSpec,
-    *,
-    max_degree: int = 14,
 ) -> UnivariateEncoding:
     """Approximate a profile on [-half_width, half_width] by an enumerated
     polynomial and return its index plus the affine placement.
@@ -173,8 +169,7 @@ def encode_univariate(
     else:
         target = g
 
-    n_nodes = max(_FIT_NODES, 8 * (max_degree + 1))
-    xi_nodes = np.cos(np.pi * (np.arange(n_nodes) + 0.5) / n_nodes)  # Chebyshev, in [-1,1]
+    xi_nodes = np.cos(np.pi * (np.arange(_FIT_NODES) + 0.5) / _FIT_NODES)  # Chebyshev, in [-1,1]
     t_nodes = lw * xi_nodes
     samples = np.array([target(t) for t in t_nodes], dtype=float)
     grid = np.linspace(-lw, lw, _VALIDATION_POINTS)
@@ -182,8 +177,8 @@ def encode_univariate(
 
     best_error = math.inf
     skipped = ""  # why a candidate within the budget was skipped
-    powers = [Fraction(spec.half_width) ** i for i in range(max_degree + 1)]
-    for degree in range(max_degree + 1):
+    powers = [Fraction(spec.half_width) ** i for i in range(_MAX_DEGREE + 1)]
+    for degree in range(_MAX_DEGREE + 1):
         cheb_coeffs = npcheb.chebfit(xi_nodes, samples, degree)
         power_xi = npcheb.cheb2poly(cheb_coeffs)
         coeff_floats = [float(power_xi[i]) / float(powers[i]) for i in range(degree + 1)]
@@ -348,7 +343,6 @@ def build_k_network(
     cfg: PointConfig,
     f_values: Sequence[RationalLike],
     eps: RationalLike,
-    spec: ActivationSpec | None = None,
 ) -> Network:
     """Build a network with exactly one unit per direction matching the data
     within ``eps`` on the configuration points.
@@ -357,9 +351,10 @@ def build_k_network(
     :class:`DensityPreconditionError` with the certificate otherwise).  The
     exact ridge interpolation supplies per-direction level profiles; each is
     extended piecewise-linearly, encoded with budget eps/(k+1), and placed by
-    one unit with coefficient 1 and weight along its direction.  The build
-    replays the network on the configuration and records exact error
-    accounting in ``report``.
+    one unit with coefficient 1 and weight along its direction, on the
+    activation whose half-width is the largest absolute level (at least 1).
+    The build replays the network on the configuration and records exact
+    error accounting in ``report``.
     """
     eps_q = rationalize(eps)
     if eps_q <= 0:
@@ -372,13 +367,7 @@ def build_k_network(
     level_bound = max(
         (abs(lv) for table in ridge.tables for lv in table.levels), default=Fraction(0)
     )
-    if spec is None:
-        spec = ActivationSpec(Fraction(1), max(level_bound, Fraction(1)), Fraction(1))
-    elif spec.half_width < level_bound:
-        raise ValueError(
-            "spec.half_width is smaller than the largest projection level; "
-            f"needs at least {level_bound}"
-        )
+    spec = ActivationSpec(Fraction(1), max(level_bound, Fraction(1)), Fraction(1))
 
     k = cfg.k
     budget = float(eps_q) / (k + 1)

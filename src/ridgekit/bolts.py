@@ -240,7 +240,7 @@ class BoltGenerator:
     rule: Callable[[Point], Point]
     a1: Direction
     a2: Direction
-    first_link: int = 1
+    first_link: int
 
     def generate(self, n: int) -> Bolt:
         return self._walk(n)[0]

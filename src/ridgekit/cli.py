@@ -6,13 +6,14 @@ artifacts as JSON/CSV with sorted keys and LF newlines, so identical jobs
 produce byte-identical outputs.
 
 Exit codes: 0 success, 2 a density precondition failed (the certificate is
-still written), 1 malformed input or internal error.
+still written), 1 a usage error, malformed input or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -54,6 +55,11 @@ from .presets import (
 )
 from .rationals import format_rational, rationalize
 
+# perfbench/tracer.py times the library by replacing the names imported here
+# (config_preset, target_values, sigma_by_name, sigma_eval and others) and
+# approx_network and table_oracle_from_csv in netapprox, which is why
+# _run_netfit imports those two at call time: call each through its module
+# global, not through a reference taken earlier.
 PROBE_MAX_N = 100_000  # the probe's cost is quadratic in N (denominators grow by ~N/2 bits)
 SIGMA_EVAL_MAX_ROWS = 1_000_000
 
@@ -404,7 +410,10 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     rows = []
     for i in range(count):
         t = start + i * step
-        rows.append((float(t), float(sigma_eval(spec, t))))
+        try:
+            rows.append((float(t), float(sigma_eval(spec, t))))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"--from/--to: sigma cannot be evaluated at t = {t}: {exc}") from None
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)
     return 0
 
@@ -476,10 +485,30 @@ def _comma_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+class _UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` with two changes: a token that starts with ``-`` and a
+    digit or a point is a value, as in ``--poly -1,2`` (argparse takes only
+    plain numbers, and no ridgekit flag looks like that), and a usage error
+    raises :class:`_UsageError` instead of exiting 2, the code of a failed
+    density precondition."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Flags only, with no defaults: each ``dest`` is a :class:`JobConfig`
     field or a ``params`` key, and :func:`run` supplies what is left out."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ridgekit",
         description="Density analysis and network construction for direction-restricted ridge sums.",
     )
@@ -544,8 +573,11 @@ def job_from_args(args: argparse.Namespace) -> JobConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return run(job_from_args(args))
 
 

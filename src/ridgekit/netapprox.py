@@ -26,8 +26,10 @@ from .rationals import RationalLike, rationalize
 
 
 # One round's dictionary is a levels x atoms float array; the atom count grows
-# about fourfold per round (round 5 of the default six has 8.5M atoms).
+# about fourfold per round (round 5 of the six has 8.5M atoms).
 MAX_DICTIONARY_ENTRIES = 2**24
+_ATOM_BUDGET = 48  # atoms one fit may select
+_ROUNDS = 6  # dictionary refinements before a fit gives up
 _ATOM_BLOCK = 512  # atoms per array evaluation while filling the dictionary
 _PROBE_MAX_DEGREE = 8  # highest degree the polynomial probe looks for
 _PROBE_SPAN = 8.0  # the probe samples [-_PROBE_SPAN, _PROBE_SPAN]
@@ -228,8 +230,6 @@ def approx_univariate(
     sigma: SigmaOracle,
     theta: ThetaInterval,
     eps: float,
-    budget: int = 48,
-    rounds: int = 6,
 ) -> UnivariateFit:
     """Greedy dictionary fit of a level profile by activation atoms.
 
@@ -254,7 +254,7 @@ def approx_univariate(
 
     exp_range = 8
     theta_count = 257
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         scales = _scale_grid(exp_range)
         atom_count = len(scales) * theta_count
         if f.size * atom_count > MAX_DICTIONARY_ENTRIES:
@@ -272,7 +272,7 @@ def approx_univariate(
 
         selected: list[int] = []
         residual = f.copy()
-        while len(selected) < budget:
+        while len(selected) < _ATOM_BUDGET:
             corr = np.abs(residual @ columns)
             corr[~usable] = -1.0
             if selected:

@@ -23,6 +23,7 @@ from ridgekit import (
     sigma_eval,
     smooth_step,
 )
+from ridgekit import activation
 from ridgekit.presets import config_preset, target_values
 
 SPEC = ActivationSpec.create(1, 1, 1)
@@ -79,21 +80,21 @@ class TestSigmaEval:
 
 class TestSmoothStep:
     def test_endpoints_and_midpoint(self):
-        assert smooth_step(-0.5) == 0.0
-        assert smooth_step(0.0) == 0.0
-        assert smooth_step(1.0) == 1.0
-        assert smooth_step(1.5) == 1.0
-        assert smooth_step(0.5) == pytest.approx(0.5)
+        assert smooth_step(-0.5, 1.0) == 0.0
+        assert smooth_step(0.0, 1.0) == 0.0
+        assert smooth_step(1.0, 1.0) == 1.0
+        assert smooth_step(1.5, 1.0) == 1.0
+        assert smooth_step(0.5, 1.0) == pytest.approx(0.5)
 
     def test_monotone(self):
         xs = [j / 100 for j in range(101)]
-        ys = [smooth_step(x) for x in xs]
+        ys = [smooth_step(x, 1.0) for x in xs]
         assert all(a <= b + 1e-15 for a, b in zip(ys, ys[1:]))
 
     def test_flat_tails(self):
         # all the mass of the transition is well inside (0, 1)
-        assert smooth_step(1e-3) == 0.0  # underflows to exactly zero
-        assert smooth_step(1 - 1e-3) == 1.0
+        assert smooth_step(1e-3, 1.0) == 0.0  # underflows to exactly zero
+        assert smooth_step(1 - 1e-3, 1.0) == 1.0
 
 
 class TestJunctionSmoothness:
@@ -152,9 +153,10 @@ class TestEncodeUnivariate:
             arg = enc.scale * t - enc.shift
             assert sigma_eval(SPEC, arg) == enc.poly.eval_exact(t)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(activation, "_MAX_DEGREE", 3)
         with pytest.raises(EncoderBudgetError) as exc:
-            encode_univariate(abs, 1e-9, SPEC, max_degree=3)
+            encode_univariate(abs, 1e-9, SPEC)
         assert 0 < exc.value.best_error < 1.0
 
     @pytest.mark.parametrize(
@@ -216,6 +218,19 @@ class TestEvalNetwork:
         p = cfg.points[3]
         assert eval_network(back, p) == eval_network(net, p)
 
+    def test_argument_in_a_gap_gives_the_float_blend(self):
+        """One term's argument on a carrier segment stays exact, the other's
+        in a gap is a float blend, and the network value is their float sum."""
+        cfg = config_preset("parallel-segments")
+        net = build_k_network(cfg, target_values("xy", cfg), Fraction(1, 100))
+        assert net.activation.half_width == 1
+        p = Point.of(Fraction(7, 8), Fraction(-3, 8))  # levels 1/2 along (1,1), 5/4 along (1,-1)
+        on_segment, in_gap = (sigma_eval(net.activation, t.w.dot(p) - t.theta) for t in net.terms)
+        assert isinstance(on_segment, Fraction) and isinstance(in_gap, float)
+        value = eval_network(net, p)
+        assert isinstance(value, float)
+        assert value == float(on_segment) + in_gap
+
 
 class TestBuildKNetwork:
     def test_zero_target(self):
@@ -251,9 +266,3 @@ class TestBuildKNetwork:
         with pytest.raises(DensityPreconditionError) as exc:
             build_k_network(cfg, [0, 0, 0, 0, 1], Fraction(1, 10))
         assert exc.value.certificate.verify(cfg.dirs)
-
-    def test_half_width_guard(self):
-        cfg = config_preset("parallel-segments")
-        small = ActivationSpec.create(1, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            build_k_network(cfg, target_values("xy", cfg), Fraction(1, 100), small)

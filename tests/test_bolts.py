@@ -74,7 +74,7 @@ def _halving_generator() -> BoltGenerator:
             return Point((value(index(y) + 1), y))
         return Point((x, value(index(x) + 1)))
 
-    return BoltGenerator("halving", Point.of(1, 1), rule, Direction.of(1, 0), Direction.of(0, 1))
+    return BoltGenerator("halving", Point.of(1, 1), rule, Direction.of(1, 0), Direction.of(0, 1), 1)
 
 
 def _scaled_ridge_tests(seed: int) -> list[RidgeTest]:
@@ -113,6 +113,7 @@ class TestGenerator:
             rule=lambda p: Point.of(p[0] + 1, p[1]),  # never perpendicular to (1,1)
             a1=A1,
             a2=A2,
+            first_link=1,
         )
         with pytest.raises(BoltGenerationError) as exc:
             bad.generate(3)

@@ -300,11 +300,18 @@ BAD_FLAGS = [
     (["sigma-eval", "--step", "0"], "--step", "sigma.csv"),
     (["sigma-eval", "--step", "-1"], "--step", "sigma.csv"),
     (["sigma-eval", "--from", "5", "--to", "1"], "--to", "sigma.csv"),
+    # the segment polynomial at t = 1e11 has a degree beyond the evaluation
+    # cap, and the gap blend at t = 1e8 + 1/2 is beyond the float range
+    (["sigma-eval", "--from", "1e11", "--to", "1e11"], "--from", "sigma.csv"),
+    (["sigma-eval", "--from", "200000001/2", "--to", "200000001/2"], "--from", "sigma.csv"),
     (["probe", "--preset", "paper-orbit", "--threshold", "-1"], "--threshold", "probe.json"),
     (["probe", "--preset", "paper-orbit", "--tests", ""], "--tests", "probe.json"),
     (["probe", "--preset", "paper-orbit", "--tests", ","], "--tests", "probe.json"),
     (["netfit", *FIT_ARGS, "--sigma-table", "missing.csv"], "--sigma-table", "network.json"),
     (["probe", "--preset", "paper-orbit", "--tests", "x,y,x"], "--tests", "probe.json"),
+    # a flag with no value: a usage error, which exits 1 like every refusal
+    (["kfit", *FIT_ARGS, "--eps"], "--eps", "network.json"),
+    (["sigma-build", "--poly"], "--poly", "encoding.json"),
     # unknown names, each refused under its flag with the choices listed
     *UNKNOWN_NAMES,
 ]
@@ -392,6 +399,25 @@ class TestResourceCaps:
             assert not (tmp_path / "network.json").exists()
 
 
+# Documented refusals before any fit: (argv, what the error names).  Each
+# exits 1 and writes nothing.
+REFUSALS = [
+    (["bolts", "--preset", "paper-5pt"], "exactly two directions"),
+    (["orbits", "--preset", "paper-5pt"], "exactly two directions"),
+    *(([c, "--preset", "grid-2x2"], "--f") for c in ("ridgefit", "kfit", "netfit")),
+    (["netfit", *FIT_ARGS, "--sigma", "table"], "--sigma-table"),
+    *(([c], "--preset") for c in ("paths", "bolts", "orbits", "ridgefit", "netfit", "kfit")),
+]
+
+
+@pytest.mark.parametrize("argv, named", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_writes_nothing(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTableActivation:
     """A malformed activation table is refused at load, naming its line."""
 
@@ -432,6 +458,23 @@ class TestDeterminism:
         for sub, eps in (("rational", rational), ("decimal", decimal)):
             assert main(argv + ["--eps", eps, "--out", str(tmp_path / sub)]) == 0
         written = [(tmp_path / sub / artifact).read_bytes() for sub in ("rational", "decimal")]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, artifact",
+        [
+            (["sigma-build"], "--poly", "-1,2", "encoding.json"),
+            (["netfit", *FIT_ARGS], "--theta-lo", "-1/2", "network.json"),
+            (["sigma-eval", "--to", "0"], "--from", "-1e-1", "sigma.csv"),
+        ],
+        ids=["poly", "theta-lo", "from"],
+    )
+    def test_value_starting_with_minus(self, tmp_path, argv, flag, value, artifact):
+        """A value that starts with ``-`` and a digit is the flag's value, as
+        with the ``=`` spelling."""
+        assert main(argv + [flag, value, "--out", str(tmp_path / "spaced")]) == 0
+        assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == 0
+        written = [(tmp_path / sub / artifact).read_bytes() for sub in ("spaced", "joined")]
         assert written[0] == written[1]
 
     def test_probe_byte_identical(self, tmp_path):
@@ -493,6 +536,9 @@ GOLDEN = [
     ("kfit", "grid-3x3", 'xy', 2, "certificate.json", "58c9c0815e2e261ad212d9570daf10e65f9c5a0a526b45b7892393425d7522ae"),
     ("kfit", "paper-5pt", 'xy', 2, "certificate.json", "1ce071af1ebbbfba3bfc03f1a1f15870f3b42da6d220cd35198f768d8feb0c15"),
     ("kfit", "grid-2x2", 'xy', 2, "certificate.json", "d947cd0ae173a00ed2590a2ead12bcd70b3ee5fc066a00d06f4e1887728f355d"),
+    ("netfit", "grid-2x2", 'xy', 2, "certificate.json", "8f6c82b434b1365145bf7f7d5d05787ae1d1dcbe3c7686394fb440ef2d510ac9"),
+    ("netfit", "grid-3x3", 'xy', 2, "certificate.json", "147b7ab4c5de940896502e29bb20e1473ac26a4fe68d5756c3d401f36b885046"),
+    ("netfit", "paper-5pt", 'xy', 2, "certificate.json", "c247a9ef83c945ac10c1b5a2cb2675cef0f17bb4c5827a7d8213df851a822b86"),
 ]
 
 
@@ -590,6 +636,18 @@ class TestArgParsing:
         )
         assert proc.returncode == 0
         assert (tmp_path / "verdict.json").exists()
+
+    def test_unknown_command_exits_one(self, tmp_path, capsys):
+        """A usage error exits 1: exit 2 is a failed density precondition."""
+        assert main(["bogus", "--out", str(tmp_path)]) == 1
+        assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kfit", "-h"])
+        assert exc.value.code == 0
+        assert "--eps" in capsys.readouterr().out
 
     def test_unknown_preset_errors(self, tmp_path, capsys):
         assert run(JobConfig("paths", preset="nope", out_dir=str(tmp_path))) == 1

@@ -100,11 +100,13 @@ class TestApproxUnivariate:
         fit = approx_univariate(levels, targets, LOGISTIC, THETA, 1e-2)
         assert fit.achieved_error <= 1e-2
 
-    def test_budget_error_carries_best(self):
+    def test_budget_error_carries_best(self, monkeypatch):
         levels = [Fraction(j, 10) for j in range(-10, 11)]
         targets = [abs(lv) for lv in levels]
+        monkeypatch.setattr(netapprox, "_ATOM_BUDGET", 2)
+        monkeypatch.setattr(netapprox, "_ROUNDS", 1)
         with pytest.raises(FitBudgetError) as exc:
-            approx_univariate(levels, targets, LOGISTIC, THETA, 1e-13, budget=2, rounds=1)
+            approx_univariate(levels, targets, LOGISTIC, THETA, 1e-13)
         assert exc.value.best_error > 0
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
@@ -117,12 +119,14 @@ class TestApproxUnivariate:
         targets = [abs(lv) for lv in levels]
         first_round = len(levels) * 34 * 257  # levels x (scales x thetas)
         monkeypatch.setattr(netapprox, "MAX_DICTIONARY_ENTRIES", first_round)
+        monkeypatch.setattr(netapprox, "_ATOM_BUDGET", 4)
+        monkeypatch.setattr(netapprox, "_ROUNDS", 2)
         args = (levels, targets, LOGISTIC, THETA, 1e-13)
         with pytest.raises(FitBudgetError) as exc:
-            approx_univariate(*args, budget=4, rounds=2)
+            approx_univariate(*args)
         assert 0 < exc.value.best_error < 1
         # Round 2 would be about four times the cap.
-        assert traced_peak(approx_univariate, *args, budget=4, rounds=2) <= 3 * first_round * 8
+        assert traced_peak(approx_univariate, *args) <= 3 * first_round * 8
 
     def test_dictionary_cap_below_the_first_round(self, monkeypatch):
         monkeypatch.setattr(netapprox, "MAX_DICTIONARY_ENTRIES", 1)
@@ -130,13 +134,14 @@ class TestApproxUnivariate:
             approx_univariate([0, 1], [0, 1], LOGISTIC, THETA, 1e-3)
         assert exc.value.best_error == 1.0
 
-    def test_column_build_memory_is_bounded(self):
+    def test_column_build_memory_is_bounded(self, monkeypatch):
         """The dictionary is filled in atom blocks: the peak stays close to
         the one ``columns`` array, with no whole-matrix temporaries."""
         levels = [Fraction(j, 8) for j in range(-40, 41)]
         targets = [abs(lv) for lv in levels]
         columns_bytes = len(levels) * 34 * 257 * 8
-        peak = traced_peak(approx_univariate, levels, targets, LOGISTIC, THETA, 1e-13, rounds=1)
+        monkeypatch.setattr(netapprox, "_ROUNDS", 1)
+        peak = traced_peak(approx_univariate, levels, targets, LOGISTIC, THETA, 1e-13)
         assert peak <= 2.5 * columns_bytes
 
 
