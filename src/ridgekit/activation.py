@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,10 +94,23 @@ def smooth_step(s: float, sharpness: float) -> float:
     return 1.0 / (1.0 + math.exp(d))
 
 
-def _segment_poly_value(spec: ActivationSpec, m: int, t: Fraction) -> Fraction:
-    """Value at ``t`` of the m-th polynomial, affinely extended from its segment."""
-    tau = (2 * spec.half_width / spec.alpha) * t - 4 * m * spec.half_width + spec.half_width
-    return decode_poly(m).eval_exact(tau)
+_DECODED_KEPT = 32  # decoded indices kept; one near the bit cap is ~450 KB
+
+
+@lru_cache(maxsize=_DECODED_KEPT)
+def _decoded(m: int) -> RationalPoly:
+    """``decode_poly(m)``, decoded once while ``m`` is among the last indices used."""
+    return decode_poly(m)
+
+
+def _segment_value(spec: ActivationSpec, m: int, qn: int, qd: int) -> tuple[int, int]:
+    """The m-th polynomial, affinely extended from its segment, at ``t = alpha * qn / qd``.
+
+    Its argument is ``tau = half_width * (2q - 4m + 1)`` with ``q = qn / qd``;
+    the value comes back as an unreduced integer ratio.
+    """
+    hw = spec.half_width
+    return _decoded(m).eval_ratio(hw.numerator * (2 * qn - (4 * m - 1) * qd), hw.denominator * qd)
 
 
 def sigma_eval(spec: ActivationSpec, t: RationalLike) -> Fraction | float:
@@ -104,26 +118,32 @@ def sigma_eval(spec: ActivationSpec, t: RationalLike) -> Fraction | float:
 
     Returns an exact Fraction when ``t`` lies on a carrier segment (the
     polynomial branch) and a float on gaps and the left tail, where the
-    transcendental blend is intrinsically inexact.
+    transcendental blend is intrinsically inexact.  Every float is the
+    correctly rounded value of its exact ratio (``int / int``).
     """
     tq = rationalize(t)
-    q = tq / spec.alpha
+    alpha = spec.alpha
+    qn = tq.numerator * alpha.denominator  # q = t / alpha = qn / qd, qd > 0
+    qd = tq.denominator * alpha.numerator
     kappa = float(spec.sharpness)
-    if q >= 1:
-        m = math.ceil(q / 2)
-        if q >= 2 * m - 1:
-            return _segment_poly_value(spec, m, tq)
+    if qn >= qd:
+        m = -(-qn // (2 * qd))  # ceil(q / 2)
+        if qn >= (2 * m - 1) * qd:
+            return Fraction(*_segment_value(spec, m, qn, qd))
         # gap between segments m-1 and m
-        s = float(q - (2 * m - 2))
-        w = smooth_step(s, kappa)
-        low = float(_segment_poly_value(spec, m - 1, tq))
-        high = float(_segment_poly_value(spec, m, tq))
+        w = smooth_step((qn - (2 * m - 2) * qd) / qd, kappa)
+        low_n, low_d = _segment_value(spec, m - 1, qn, qd)
+        low = low_n / low_d
+        high_n, high_d = _segment_value(spec, m, qn, qd)
+        high = high_n / high_d
         return (1.0 - w) * low + w * high
-    window = tq - (spec.alpha - 1)
+    # the window t - (alpha - 1), over the denominator tq.denominator * alpha.denominator
+    window = tq.numerator * alpha.denominator - (alpha.numerator - alpha.denominator) * tq.denominator
     if window <= 0:
         return 0.0
-    w = smooth_step(float(window), kappa)
-    return w * float(_segment_poly_value(spec, 1, tq))
+    w = smooth_step(window / (tq.denominator * alpha.denominator), kappa)
+    value_n, value_d = _segment_value(spec, 1, qn, qd)
+    return w * (value_n / value_d)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from pathlib import Path
 
 from .activation import (
@@ -407,11 +409,15 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     count = (stop - start) // step + 1
     if count > SIGMA_EVAL_MAX_ROWS:
         raise ValueError(f"--step {step} gives {count} rows, more than {SIGMA_EVAL_MAX_ROWS}")
+    den = lcm(start.denominator, step.denominator)  # t = (first + i * stride) / den
+    first = start.numerator * (den // start.denominator)
+    stride = step.numerator * (den // step.denominator)
     rows = []
     for i in range(count):
-        t = start + i * step
+        tn = first + i * stride
+        t = Fraction(tn, den)
         try:
-            rows.append((float(t), float(sigma_eval(spec, t))))
+            rows.append((tn / den, float(sigma_eval(spec, t))))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"--from/--to: sigma cannot be evaluated at t = {t}: {exc}") from None
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)
@@ -505,9 +511,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """Flags only, with no defaults: each ``dest`` is a :class:`JobConfig`
-    field or a ``params`` key, and :func:`run` supplies what is left out."""
+    field or a ``params`` key, and :func:`run` supplies what is left out.
+    Built by the first :func:`main` call and reused by the later ones."""
     parser = _Parser(
         prog="ridgekit",
         description="Density analysis and network construction for direction-restricted ridge sums.",

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 from typing import Sequence
 
 from .rationals import RationalLike, rationalize
@@ -159,17 +160,36 @@ class RationalPoly:
         """Degree, with -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
 
-    def eval_exact(self, t: RationalLike) -> Fraction:
+    @cached_property
+    def _integer_terms(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(D, ((e, D * c_e), ...))``: the coefficients over their common denominator ``D``."""
+        common = lcm(*(c.denominator for _, c in self.terms))
+        return common, tuple((e, c.numerator * (common // c.denominator)) for e, c in self.terms)
+
+    def eval_ratio(self, num: int, den: int) -> tuple[int, int]:
+        """The value at ``num / den`` (``den > 0``) as an unreduced integer ratio.
+
+        A sparse Horner on integers, top term first: with ``A_e = D * c_e``,
+        ``I = I * num**gap + A_e * den**(degree - e)``, and the value is
+        ``I * num**e0 / (D * den**degree)`` for the lowest exponent ``e0``.
+        """
         if self.degree > _EVAL_DEGREE_CAP:
             raise ValueError("degree too large to evaluate")
-        x = rationalize(t)
-        total = Fraction(0)
-        prev_e, prev_p = 0, Fraction(1)
-        for e, c in self.terms:
-            prev_p = prev_p * x ** (e - prev_e)
+        if not self.terms:
+            return 0, 1
+        common, terms = self._integer_terms
+        prev_e, acc = terms[-1]
+        den_power = 1  # den ** (degree - prev_e)
+        for e, a in reversed(terms[:-1]):
+            gap = prev_e - e
+            den_power *= den**gap
+            acc = acc * num**gap + a * den_power
             prev_e = e
-            total += c * prev_p
-        return total
+        return acc * num**prev_e, common * den_power * den**prev_e
+
+    def eval_exact(self, t: RationalLike) -> Fraction:
+        x = rationalize(t)
+        return Fraction(*self.eval_ratio(x.numerator, x.denominator))
 
     def eval_float(self, t: float) -> float:
         if self.degree > _EVAL_DEGREE_CAP:

@@ -18,6 +18,10 @@ RationalLike = Union[int, str, float, Fraction]
 # Thresholds/indices can run to hundreds of thousands of digits; CPython caps
 # int<->str conversion by default, so each conversion raises the cap and restores it.
 _STR_DIGITS_MARGIN = 64
+# CPython 3.11's int-to-str is quadratic: integers longer than this many bits
+# are written by divide and conquer through ``decimal``, which is faster there.
+_SPLIT_BITS = 40_000
+_LEAF_BITS = 128  # the halves below this length are converted directly
 
 
 @contextmanager
@@ -53,9 +57,55 @@ def rationalize(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
+def _decimal_string(n: int) -> str:
+    """``str(n)`` in subquadratic time, by divide and conquer through ``decimal``
+    (the method of CPython 3.12's ``_pylong``).
+
+    ``n``'s binary halves are converted on their own and joined as
+    ``low + high * 2**half``, with the powers of two computed and kept in
+    ``Decimal``, whose large products libmpdec forms in subquadratic time.
+    """
+    import decimal  # here, not at import: only integers past the split length need it
+
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2**w as a Decimal
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = D(1 << w)
+            elif w - 1 in powers:
+                p = powers[w - 1] * 2
+            else:
+                p = power(w >> 1) * power(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # n >= 0 has at most w bits
+        if w <= _LEAF_BITS:
+            return D(n)
+        half = w >> 1
+        high = n >> half
+        return convert(n - (high << half), half) + convert(high, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _int_string(n: int) -> str:
+    if n.bit_length() > _SPLIT_BITS:
+        return _decimal_string(n)
+    with _str_digits(n.bit_length() // 3 + 2):
+        return str(n)
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p" or "p/q", safe for very large terms."""
-    with _str_digits(max(q.numerator.bit_length(), q.denominator.bit_length()) // 3 + 2):
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _int_string(q.numerator)
+    return f"{_int_string(q.numerator)}/{_int_string(q.denominator)}"

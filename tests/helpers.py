@@ -10,11 +10,14 @@ projection).  The incidence rows are built here from the
 textbook ``Fraction`` dot product, not from ``Direction.dot`` or the
 package's integer-keyed level index.  The textbook weak-star probe walks its
 bolt with four ``Fraction`` dot products per step, groups levels in dicts and
-sums in plain ``Fraction``s.
+sums in plain ``Fraction``s.  The textbook activation places each segment
+argument from ``t`` by the affine map, decodes the index afresh on every
+call and evaluates by a ``Fraction`` Horner.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,7 +25,17 @@ from operator import mul
 
 import numpy as np
 
-from ridgekit import Bolt, BoltGenerationError, PointConfig, ProbeReport, RidgeTest
+from ridgekit import (
+    ActivationSpec,
+    Bolt,
+    BoltGenerationError,
+    PointConfig,
+    ProbeReport,
+    RationalPoly,
+    RidgeTest,
+    decode_poly,
+    smooth_step,
+)
 from ridgekit.rationals import rationalize
 
 
@@ -329,3 +342,56 @@ def textbook_probe(gen, tests, n_max: int, threshold=Fraction(1, 100)) -> ProbeR
         verdict="consistent-with-zero" if ridge_ok and pointwise_ok else "inconclusive",
         bolt=bolt,
     )
+
+
+def textbook_poly_value(poly: RationalPoly, t: Fraction) -> Fraction:
+    """``poly(t)`` by a ``Fraction`` Horner over the sparse terms, top term first."""
+    if poly.is_zero:
+        return Fraction(0)
+    total = Fraction(0)
+    prev = poly.degree
+    for e, c in reversed(poly.terms):
+        total = total * t ** (prev - e) + c
+        prev = e
+    return total * t**prev
+
+
+def textbook_sigma(spec: ActivationSpec, t: Fraction) -> Fraction | float:
+    """The constructed activation as the module docstring defines it: the
+    m-th polynomial at ``(2 l / alpha) t - 4 m l + l`` on the m-th carrier
+    segment, the smooth blend of the two neighbouring extensions on a gap,
+    and the first extension windowed down over one unit below the first
+    segment.  Every segment value decodes its index afresh."""
+
+    def extended(m: int) -> Fraction:
+        tau = (2 * spec.half_width / spec.alpha) * t - 4 * m * spec.half_width + spec.half_width
+        return textbook_poly_value(decode_poly(m), tau)
+
+    q = t / spec.alpha
+    kappa = float(spec.sharpness)
+    if q >= 1:
+        m = math.ceil(q / 2)
+        if q >= 2 * m - 1:
+            return extended(m)
+        w = smooth_step(float(q - (2 * m - 2)), kappa)
+        return (1.0 - w) * float(extended(m - 1)) + w * float(extended(m))
+    window = t - (spec.alpha - 1)
+    if window <= 0:
+        return 0.0
+    return smooth_step(float(window), kappa) * float(extended(1))
+
+
+def random_rational(rng: random.Random, max_num: int = 50, max_den: int = 12) -> Fraction:
+    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+
+
+def random_sparse_poly(rng: random.Random, max_degree: int = 12) -> RationalPoly:
+    """A seeded polynomial with random exponent gaps; one in ten is zero and one in ten a constant."""
+    roll = rng.random()
+    degree = -1 if roll < 0.1 else 0 if roll < 0.2 else rng.randint(1, max_degree)
+    exponents = sorted(rng.sample(range(degree), rng.randint(0, degree)) + [degree]) if degree >= 0 else []
+    terms = []
+    for e in exponents:
+        c = random_rational(rng, 1000, 97)
+        terms.append((e, c or Fraction(1)))
+    return RationalPoly(tuple(terms))

@@ -2,10 +2,17 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from helpers import (
+    random_rational,
+    random_sparse_poly,
+    textbook_poly_value,
+    textbook_sigma,
+)
 from ridgekit import (
     ActivationSpec,
     DensityPreconditionError,
@@ -24,6 +31,7 @@ from ridgekit import (
     smooth_step,
 )
 from ridgekit import activation
+from ridgekit.cli import main
 from ridgekit.presets import config_preset, target_values
 
 SPEC = ActivationSpec.create(1, 1, 1)
@@ -266,3 +274,98 @@ class TestBuildKNetwork:
         with pytest.raises(DensityPreconditionError) as exc:
             build_k_network(cfg, [0, 0, 0, 0, 1], Fraction(1, 10))
         assert exc.value.certificate.verify(cfg.dirs)
+
+
+class TestTextbookOracle:
+    """``eval_exact`` and ``sigma_eval`` against the textbook forms in helpers:
+    the same rational on a segment, the same float on a gap or the tail."""
+
+    def test_eval_exact_matches_the_fraction_horner(self):
+        rng = random.Random(2020)
+        cases = [
+            (RationalPoly.zero(), Fraction(-3, 4)),
+            (RationalPoly.from_coefficients([Fraction(-7, 5)]), Fraction(0)),
+            (RationalPoly.from_coefficients([0, 0, Fraction(1, 3), 0, 0, 0, Fraction(-2, 7)]), Fraction(-5, 2)),
+            (RationalPoly.from_coefficients([Fraction(1, 2), 0, 0, 3]), Fraction(0)),
+        ]
+        cases += [(random_sparse_poly(rng), random_rational(rng)) for _ in range(500)]
+        for p, t in cases:
+            want = textbook_poly_value(p, t)
+            assert p.eval_exact(t) == want, (p, t)
+            num, den = p.eval_ratio(6 * t.numerator, 6 * t.denominator)  # an unreduced argument
+            assert den > 0 and Fraction(num, den) == want
+
+    def test_degree_cap_is_checked_before_any_power(self):
+        p = RationalPoly(((10**12, Fraction(1)),))
+        with pytest.raises(ValueError, match="degree too large"):
+            p.eval_exact(Fraction(3, 2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sigma_eval_matches_the_textbook_activation(self, seed):
+        rng = random.Random(seed)
+        spec = ActivationSpec(
+            Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+            Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+        )
+        kinds = Counter()
+        for _ in range(300):
+            t = spec.alpha * Fraction(rng.randint(-60, 900), rng.randint(1, 24))
+            got, want = sigma_eval(spec, t), textbook_sigma(spec, t)
+            assert type(got) is type(want) and got == want, (spec, t)
+            kinds[type(got)] += 1
+        assert kinds[Fraction] and kinds[float]
+
+
+@pytest.fixture
+def decode_counts(monkeypatch):
+    """How often ``activation`` decodes each index, from an empty memo."""
+    counts: Counter = Counter()
+    real = activation.decode_poly
+
+    def counting(m):
+        counts[m] += 1
+        return real(m)
+
+    activation._decoded.cache_clear()
+    monkeypatch.setattr(activation, "decode_poly", counting)
+    yield counts
+    activation._decoded.cache_clear()
+
+
+def _term_index(spec: ActivationSpec, term: NetworkTerm) -> int:
+    """The index whose segment the term's threshold selects: theta = alpha/2 - 2 m alpha."""
+    m = (spec.alpha / 2 - term.theta) / (2 * spec.alpha)
+    assert m.denominator == 1
+    return int(m)
+
+
+class TestDecodeOnce:
+    def test_sigma_eval_rows_decode_each_segment_once(self, tmp_path, decode_counts):
+        assert main(["sigma-eval", "--to", "20", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "sigma.csv").read_text().splitlines()) == 2002
+        assert decode_counts == {m: 1 for m in range(1, 11)}
+
+    @pytest.mark.parametrize(
+        "preset, target, eps",
+        [("parallel-segments", "xy", Fraction(1, 100)), ("monotone-curve", "norm", Fraction(1, 10))],
+        ids=["parallel-segments", "monotone-curve"],
+    )
+    def test_network_replay_decodes_each_term_once(self, decode_counts, preset, target, eps):
+        cfg = config_preset(preset)
+        net = build_k_network(cfg, target_values(target, cfg), eps)
+        activation._decoded.cache_clear()
+        decode_counts.clear()
+        for p in cfg.points:
+            assert isinstance(eval_network(net, p), Fraction)
+        assert decode_counts == {_term_index(net.activation, t): 1 for t in net.terms}
+
+    def test_million_bit_index_decodes_once(self, decode_counts):
+        p = RationalPoly.from_coefficients([Fraction(1, 250_000), 1])
+        m = encode_poly(p)
+        assert m.bit_length() > 10**6 - 10
+        net = Network((NetworkTerm(Fraction(1), Direction.of(SPEC.scale), SPEC.shift_for_index(m)),), SPEC)
+        for j in range(20):
+            t = Fraction(j - 10, 10)
+            assert eval_network(net, Point((t,))) == textbook_poly_value(p, t)
+        assert decode_counts == {m: 1}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ridgekit import DiscreteMeasure, Direction, Point, is_annihilating
+from ridgekit import cli
 from ridgekit.cli import JobConfig, load_config_file, main, run
 from ridgekit.presets import config_preset, target_values
 from ridgekit.rationals import format_rational
@@ -575,6 +577,25 @@ def test_golden_probe_artifacts(tmp_path, extra, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of sigma.csv: the benchmark's `sigma-eval --to 20` (tail, ten segments
+# and their gaps at the defaults) and a run with non-unit parameters whose
+# rows cover the zero tail, the window, segments and gaps: (argv, digest).
+SIGMA_GOLDEN = [
+    (["--to", "20"], "ebf1cf970b4abfb4b500ee945aaa2dd7f1d7c5257d102f7ca2d41b8376dd8e14"),
+    (
+        ["--alpha", "3/2", "--l", "5/2", "--sharpness", "1/2", "--from", "-3/2", "--to", "9", "--step", "1/16"],
+        "27741c4d06ce35765b27c65c41b140bd4e0109ab65e7acddd32cbe4c621a1fce",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SIGMA_GOLDEN, ids=["to-20", "non-unit"])
+def test_golden_sigma_eval(tmp_path, argv, digest):
+    assert main(["sigma-eval", *argv, "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
+    assert hashlib.sha256((tmp_path / "sigma.csv").read_bytes()).hexdigest() == digest
+
+
 def _write_config(path: str, preset: str, target: str) -> None:
     """A preset and its target values as a configuration file."""
     cfg = config_preset(preset)
@@ -615,6 +636,28 @@ def test_main_and_jobconfig_write_identical_artifacts(tmp_path, monkeypatch, com
         assert Path("main", name).read_bytes() == Path("run", name).read_bytes(), name
 
 
+ONE_PROCESS_CALLS = [["sigma-eval", "--to", "2"], ["sigma-build", "--poly"]]  # valid, then a usage error
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+@pytest.fixture(scope="module")
+def separate_runs(tmp_path_factory) -> dict[tuple, tuple]:
+    """Each of ``ONE_PROCESS_CALLS`` in a process of its own: exit code, stderr, artifacts."""
+    runs = {}
+    for argv in ONE_PROCESS_CALLS:
+        out = tmp_path_factory.mktemp("separate") / argv[0]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridgekit", *argv, "--out", str(out)],
+            capture_output=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        runs[tuple(argv)] = (proc.returncode, proc.stderr.decode(), _artifacts(out))
+    return runs
+
+
 class TestArgParsing:
     def test_main_paths(self, tmp_path):
         code = main(["paths", "--preset", "grid-2x2", "--out", str(tmp_path)])
@@ -648,6 +691,22 @@ class TestArgParsing:
             main(["kfit", "-h"])
         assert exc.value.code == 0
         assert "--eps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("order", ["usage-error-first", "valid-first"])
+    def test_main_calls_in_one_process_match_separate_runs(
+        self, tmp_path, capsys, monkeypatch, separate_runs, order
+    ):
+        """The parser is built by the first ``main`` call and reused: a usage
+        error before or after a valid command changes neither's exit code,
+        stderr or artifacts."""
+        assert [code for code, *_ in separate_runs.values()] == [0, 1]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+        cli._build_parser.cache_clear()
+        calls = ONE_PROCESS_CALLS if order == "valid-first" else ONE_PROCESS_CALLS[::-1]
+        for argv in calls:
+            out = tmp_path / argv[0]
+            code = main([*argv, "--out", str(out)])
+            assert (code, capsys.readouterr().err, _artifacts(out)) == separate_runs[tuple(argv)]
 
     def test_unknown_preset_errors(self, tmp_path, capsys):
         assert run(JobConfig("paths", preset="nope", out_dir=str(tmp_path))) == 1

@@ -18,7 +18,7 @@ from helpers import (
     rref_nullspace,
     rref_solve,
 )
-from ridgekit import exactlinalg
+from ridgekit import exactlinalg, rationals
 from ridgekit.exactlinalg import IntegerSolver, nullspace_int
 from ridgekit.rationals import format_rational, rationalize
 
@@ -324,6 +324,28 @@ class TestBigRationalStrings:
         q = Fraction(10**100000 + 7, 3**20000)
         assert rationalize(format_rational(q)) == q
         assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+    def test_long_integers_are_written_as_str_writes_them(self):
+        """Integers longer than the split length are written by divide and
+        conquer: the digits are ``str()``'s, sign included, on both sides of
+        the split, and the process-wide digit limit is left as it was."""
+        rng = random.Random(31)
+        split = rationals._SPLIT_BITS
+        lengths = [split, split + 1, 10**5, rng.randint(2 * 10**5, 5 * 10**5), 10**6]
+        ints = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in lengths]
+        before = sys.get_int_max_str_digits()
+        texts = [(format_rational(Fraction(n)), format_rational(Fraction(-n))) for n in ints]
+        quotient = format_rational(Fraction(ints[2], ints[3] + 2))
+        assert sys.get_int_max_str_digits() == before
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = [str(n) for n in ints]
+            assert texts == [(d, "-" + d) for d in digits]  # str(-n) is "-" + str(n)
+            q = Fraction(ints[2], ints[3] + 2)
+            assert quotient == f"{q.numerator}/{q.denominator}"
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_plain_forms(self):
         assert format_rational(Fraction(-3, 32)) == "-3/32"
