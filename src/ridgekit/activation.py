@@ -6,8 +6,9 @@ activation equals the m-th polynomial of the enumeration, composed with the
 affine map that carries the segment onto ``[-l, l]``.  On the gaps between
 carrier segments the two neighbouring polynomial extensions are blended with
 a step that is flat (all derivatives zero) at both ends, so the result is
-infinitely differentiable; below the first segment the first extension is
-windowed down to zero over one unit.
+infinitely differentiable.  Below the first segment the activation is 0:
+the first polynomial of the enumeration is the zero polynomial, so it is 0
+up to the end of the first segment and no window is needed there.
 
 Because every continuous profile on ``[-l, l]`` is close to some rational
 polynomial, a single translate of this activation reproduces it: one neuron
@@ -117,33 +118,28 @@ def sigma_eval(spec: ActivationSpec, t: RationalLike) -> Fraction | float:
     """Evaluate the activation, exactly on carrier segments.
 
     Returns an exact Fraction when ``t`` lies on a carrier segment (the
-    polynomial branch) and a float on gaps and the left tail, where the
-    transcendental blend is intrinsically inexact.  Every float is the
-    correctly rounded value of its exact ratio (``int / int``).
+    polynomial branch), a float on gaps, where the transcendental blend is
+    intrinsically inexact, and the float ``0.0`` on the left tail
+    ``t < alpha``, where the first (zero) polynomial's extension is 0.
+    Every gap float is the correctly rounded value of its exact ratio
+    (``int / int``).
     """
     tq = rationalize(t)
     alpha = spec.alpha
     qn = tq.numerator * alpha.denominator  # q = t / alpha = qn / qd, qd > 0
     qd = tq.denominator * alpha.numerator
-    kappa = float(spec.sharpness)
-    if qn >= qd:
-        m = -(-qn // (2 * qd))  # ceil(q / 2)
-        if qn >= (2 * m - 1) * qd:
-            return Fraction(*_segment_value(spec, m, qn, qd))
-        # gap between segments m-1 and m
-        w = smooth_step((qn - (2 * m - 2) * qd) / qd, kappa)
-        low_n, low_d = _segment_value(spec, m - 1, qn, qd)
-        low = low_n / low_d
-        high_n, high_d = _segment_value(spec, m, qn, qd)
-        high = high_n / high_d
-        return (1.0 - w) * low + w * high
-    # the window t - (alpha - 1), over the denominator tq.denominator * alpha.denominator
-    window = tq.numerator * alpha.denominator - (alpha.numerator - alpha.denominator) * tq.denominator
-    if window <= 0:
+    if qn < qd:
         return 0.0
-    w = smooth_step(window / (tq.denominator * alpha.denominator), kappa)
-    value_n, value_d = _segment_value(spec, 1, qn, qd)
-    return w * (value_n / value_d)
+    m = -(-qn // (2 * qd))  # ceil(q / 2)
+    if qn >= (2 * m - 1) * qd:
+        return Fraction(*_segment_value(spec, m, qn, qd))
+    # gap between segments m-1 and m
+    w = smooth_step((qn - (2 * m - 2) * qd) / qd, float(spec.sharpness))
+    low_n, low_d = _segment_value(spec, m - 1, qn, qd)
+    low = low_n / low_d
+    high_n, high_d = _segment_value(spec, m, qn, qd)
+    high = high_n / high_d
+    return (1.0 - w) * low + w * high
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .incidence import IncidenceStructure, PointConfig, analyze
@@ -68,21 +69,44 @@ class Bolt:
 
 
 def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
-    """Check consecutive distinctness and strict alternation (wrap included if closed)."""
+    """Check consecutive distinctness and strict alternation (wrap included if closed).
+
+    The check does its own arithmetic, on integers: with ``D`` the lcm of
+    all the bolt's point denominators and ``E`` that of one direction's,
+    ``(E a) . (D x)`` is an integer equal for two points exactly when their
+    levels ``a . x`` are, and ``D x`` equal exactly when the points are.
+    Raises ``ValueError`` when a point's dimension is not the directions'.
+    """
     pts = bolt.points
     m = len(pts)
     if m == 0:
         return False
-    levels = [(a1.dot(p), a2.dot(p)) for p in pts]
+    for a in (a1, a2):
+        for dim in {len(p.coords) for p in pts}:
+            if dim != a.dim:
+                raise ValueError(f"dimension mismatch: direction is {a.dim}-d, point is {dim}-d")
+    big_d = lcm(*(c.denominator for p in pts for c in p.coords))
+    scaled = [tuple([c.numerator * (big_d // c.denominator) for c in p.coords]) for p in pts]
+    u, v = (
+        [sum(map(mul, w, x)) for x in scaled]
+        for w in (_integer_multiple(a1), _integer_multiple(a2))
+    )
     for j in range(m if bolt.closed else m - 1):
         jn = (j + 1) % m
-        if pts[j].coords == pts[jn].coords:
+        if scaled[j] == scaled[jn]:
             return False
-        (u, v), (un, vn) = levels[j], levels[jn]
-        same, other = (u == un, v == vn) if bolt.link_family(j) == 1 else (v == vn, u == un)
+        same, other = u[j] == u[jn], v[j] == v[jn]
+        if bolt.link_family(j) == 2:
+            same, other = other, same
         if not same or other:
             return False  # off its family's level, or in both families at once
     return True
+
+
+def _integer_multiple(a: Direction) -> list[int]:
+    """``E a``, with ``E`` the lcm of the coordinates' denominators."""
+    big_e = lcm(*(c.denominator for c in a.coords))
+    return [c.numerator * (big_e // c.denominator) for c in a.coords]
 
 
 @dataclass(frozen=True)

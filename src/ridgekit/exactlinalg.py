@@ -8,6 +8,7 @@ integer back-substitution over its pivot rows, :func:`_back_substitute`:
 
 * :func:`nullspace_int`, for a null-space basis that depends only on the
   matrix, not on the elimination route, so certificates are reproducible;
+  its vectors are back-substituted one at a time, as they are asked for;
 * :class:`IntegerSolver`, which first replays the recorded updates on the
   integer numerators of right-hand sides, with one integer denominator per
   row that depends only on the matrix: factor once, solve many.  The ridge
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def _eliminate(
@@ -80,8 +81,12 @@ def _eliminate(
 
 def nullspace_int(
     rows: Sequence[Sequence[int] | dict[int, int]], ncols: int
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Null-space basis of an integer matrix, as coprime integer vectors.
+
+    The matrix is eliminated once, by this call; the returned iterator then
+    back-substitutes each vector only when it is asked for, so a caller that
+    needs the first vector alone pays for one back-substitution.
 
     A free column of :func:`_eliminate` depends on the pivot columns to its
     right, and its basis vector is :func:`_back_substitute` over their pivot
@@ -99,13 +104,15 @@ def nullspace_int(
     mat, pivots, free_cols, _ = _eliminate(rows, ncols)
     prows = [(col, p, mat[p], 1) for col, p in reversed(pivots)]
     pivot_cols = [col for col, *_ in prows]
-    basis: list[tuple[int, ...]] = []
-    for free_col in free_cols:
-        x = [0] * ncols
-        x[free_col] = 1
-        x, _ = _back_substitute(prows[bisect_right(pivot_cols, free_col) :], [0] * len(mat), x)
-        basis.append(tuple(x))
-    return basis
+
+    def vectors() -> Iterator[tuple[int, ...]]:
+        for free_col in free_cols:
+            x = [0] * ncols
+            x[free_col] = 1
+            x, _ = _back_substitute(prows[bisect_right(pivot_cols, free_col) :], [0] * len(mat), x)
+            yield tuple(x)
+
+    return vectors()
 
 
 def _back_substitute(prows: list[tuple], b: list[int], x: list[int]) -> tuple[list[int], int]:

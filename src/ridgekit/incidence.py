@@ -23,10 +23,13 @@ empty exactly when that graph is a forest.
 
 :func:`analyze` caches one index per configuration, which the verdict, the
 ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
-keeps what is derived from it on first use: the closed paths ``N``, sparse on
-the core, and the one factorization of ``[N | S]`` with ``S = M^T M`` that the
-ridge fits need, both from the one elimination routine of
-:mod:`ridgekit.exactlinalg`.
+keeps what is derived from it on first use, all from the one elimination
+routine of :mod:`ridgekit.exactlinalg`: the core's one elimination for the
+null space, and from it the first closed path, which is all the verdict
+reads; the other closed paths, back-substituted only when the ridge fits ask
+for all of ``N``; and the one factorization of ``[N | S]`` with
+``S = M^T M`` that the ridge fits need.  It also keeps the points' integer
+coordinates, by which the certificate is sorted.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactlinalg import IntegerSolver, nullspace_int
 from .measures import Direction, DiscreteMeasure, Point, is_annihilating
@@ -102,12 +105,15 @@ class IncidenceStructure:
     along direction ``i`` in increasing order, level ``g`` lying at
     ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position there
     of point ``j``'s level.  The rows of ``M`` run over (direction, level)
-    pairs in that order.
+    pairs in that order.  ``columns[c][j]`` is coordinate ``c`` of point
+    ``j`` times the lcm ``D > 0`` of all point denominators, so the points'
+    integer coordinate tuples sort as their ``Fraction`` ones do.
     """
 
     keys: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]
     level_of: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_points(self) -> int:
@@ -172,9 +178,12 @@ class IncidenceStructure:
         return tuple(j for j, kept in enumerate(live) if kept)
 
     @cached_property
-    def closed_paths(self) -> list[dict[int, int]]:
+    def _null_vectors(self) -> Iterator[dict[int, int]]:
         """The null-space basis of ``M`` from :func:`nullspace_int`, each
-        vector as ``{point: weight}`` over its nonzero entries.
+        vector as ``{point: weight}`` over its nonzero entries, computed as
+        it is read: the elimination runs here, on first use, and each vector
+        is back-substituted when it is taken.  Only
+        :attr:`first_closed_path` and :attr:`closed_paths` take them.
 
         It is fed the core's columns only, relabelled in order, with one
         sparse 0/1 row per (direction, level) holding core points, each of
@@ -188,8 +197,20 @@ class IncidenceStructure:
             for c, j in enumerate(core):
                 members[ids[j]][c] = 1
             rows.extend(m for m in members if m)
-        basis = nullspace_int(rows, len(core))
-        return [{core[c]: w for c, w in enumerate(vec) if w} for vec in basis]
+        vectors = nullspace_int(rows, len(core))
+        return ({core[c]: w for c, w in enumerate(vec) if w} for vec in vectors)
+
+    @cached_property
+    def first_closed_path(self) -> dict[int, int] | None:
+        """The first null-space basis vector, the one the verdict reads, or
+        None when ``M`` has full column rank."""
+        return next(self._null_vectors, None)
+
+    @cached_property
+    def closed_paths(self) -> list[dict[int, int]]:
+        """The whole null-space basis: the first closed path, then the rest."""
+        first = self.first_closed_path
+        return [] if first is None else [first, *self._null_vectors]
 
     @cached_property
     def solver(self) -> IntegerSolver:
@@ -276,7 +297,8 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
     With ``D`` the lcm of all point denominators and ``E`` that of one
     direction's, ``(E a) . (D x)`` is an integer key ordered like ``a . x``.
     Level ids come from :func:`sorted_key_ids`; the index keeps the distinct
-    keys and the scale ``D E`` and builds no ``Fraction``.
+    keys, the scale ``D E`` and the coordinate columns ``D x``, and builds no
+    ``Fraction``.
     """
     n = cfg.n
     big_d = lcm(*(c.denominator for p in cfg.points for c in p.coords))
@@ -298,7 +320,9 @@ def build_incidence(cfg: PointConfig) -> IncidenceStructure:
         distinct_keys.append(tuple(distinct))
         scales.append(big_d * big_e)
         level_of.append(tuple(ids))
-    return IncidenceStructure(tuple(distinct_keys), tuple(scales), tuple(level_of))
+    return IncidenceStructure(
+        tuple(distinct_keys), tuple(scales), tuple(level_of), tuple(map(tuple, columns))
+    )
 
 
 @dataclass(frozen=True)
@@ -339,14 +363,16 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
     The certificate is the first null-space basis vector under the
     right-to-left pivot order, restricted to its nonzero coordinates; the
     restriction satisfies the same level equations, so the support is itself
-    a closed path.
+    a closed path.  The support is sorted by the index's integer coordinates,
+    which share one positive denominator and so sort like the points.
     """
-    basis = analyze(cfg).closed_paths
-    if not basis:
+    inc = analyze(cfg)
+    vec = inc.first_closed_path
+    if vec is None:
         return None
-    vec = basis[0]
     # distinct points and nonzero weights: already the canonical form, once sorted
-    support = sorted(vec, key=lambda j: cfg.points[j].coords)
+    scaled = list(zip(*inc.columns))
+    support = sorted(vec, key=scaled.__getitem__)
     sign = 1 if vec[support[0]] > 0 else -1
     measure = DiscreteMeasure(
         tuple(cfg.points[j] for j in support), tuple(Fraction(sign * vec[j]) for j in support)

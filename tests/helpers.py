@@ -8,7 +8,8 @@ routes are genuinely independent.  The same elimination solves linear systems
 (:func:`textbook_min_norm_fit`, normal equations plus a Gram-Schmidt
 projection).  The incidence rows are built here from the
 textbook ``Fraction`` dot product, not from ``Direction.dot`` or the
-package's integer-keyed level index.  The textbook weak-star probe walks its
+package's integer-keyed level index, and the textbook certificate sorts its
+support by ``Fraction`` coordinates.  The textbook weak-star probe walks its
 bolt with four ``Fraction`` dot products per step, groups levels in dicts and
 sums in plain ``Fraction``s.  The textbook activation places each segment
 argument from ``t`` by the affine map, decodes the index afresh on every
@@ -141,6 +142,19 @@ def level_rows(cfg: PointConfig) -> list[list[int]]:
 
 def oracle_has_closed_path(cfg: PointConfig) -> bool:
     return bool(rref_nullspace(level_rows(cfg), cfg.n))
+
+
+def textbook_certificate(cfg: PointConfig) -> list[tuple[tuple[Fraction, ...], int]] | None:
+    """The closed-path certificate as ``(coordinates, weight)`` pairs, or None
+    without a closed path: the first vector of :func:`right_to_left_oracle`
+    on the textbook level rows, kept on its support, sorted by the points'
+    ``Fraction`` coordinates and signed so that the first weight is positive."""
+    basis = right_to_left_oracle(level_rows(cfg), cfg.n)
+    if not basis:
+        return None
+    atoms = sorted((p.coords, w) for p, w in zip(cfg.points, basis[0]) if w)
+    sign = 1 if atoms[0][1] > 0 else -1
+    return [(coords, sign * w) for coords, w in atoms]
 
 
 def _dot(u: list, v: list) -> Fraction:

@@ -50,6 +50,23 @@ class TestSigmaEval:
         assert sigma_eval(SPEC, Fraction(-1)) == 0.0  # alpha - 2
         assert sigma_eval(SPEC, Fraction(-100)) == 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_left_tail_is_positive_zero(self, seed):
+        """Below the first segment (t < alpha) the value is the float +0.0,
+        including the unit just below alpha, where the first (zero)
+        polynomial's extension would be windowed."""
+        rng = random.Random(f"left-tail-{seed}")
+        spec = ActivationSpec(
+            Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+            Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+        )
+        ts = [spec.alpha - Fraction(1, 10**12), spec.alpha - 1, Fraction(-(10**30))]
+        ts += [spec.alpha - Fraction(rng.randint(1, 10**6), rng.randint(1, 10**5)) for _ in range(200)]
+        for t in ts:
+            value = sigma_eval(spec, t)
+            assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0, t
+
     def test_segment_identity_random(self):
         rng = random.Random(17)
         for _ in range(300):

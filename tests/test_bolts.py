@@ -310,6 +310,67 @@ class TestVerifyBolt:
         assert verify_bolt(Bolt(stair, 1), X, Y)
 
 
+def bolt_of(*points, first_link=1, closed=False) -> Bolt:
+    return Bolt(tuple(Point.of(*p) for p in points), first_link, closed=closed)
+
+
+class TestVerifyBoltIntegers:
+    """``verify_bolt`` compares integer keys over the bolt's common point
+    denominator and each direction's own lcm: these cases separate that
+    from a comparison over per-point denominators or an unscaled direction."""
+
+    def test_points_with_different_denominators_share_a_level(self):
+        third = Fraction(1, 3)
+        assert verify_bolt(bolt_of((third, 2 * third), (1, 0)), A1, A2)
+        assert verify_bolt(bolt_of((1, 0), (third, 2 * third)), A1, A2)
+        # levels (1, -2/3), (1, 1/5), (1/3, 1/5), (1/3, -2/3): a closed 4-cycle
+        square = bolt_of((Fraction(1, 6), Fraction(5, 6)), (Fraction(3, 5), Fraction(2, 5)),
+                         (Fraction(4, 15), Fraction(1, 15)), (Fraction(-1, 6), Fraction(1, 2)),
+                         closed=True)
+        assert verify_bolt(square, A1, A2)
+
+    def test_levels_one_unit_apart_are_refused(self):
+        """Along the link's family the levels differ by one unit over the
+        common denominator of the two points."""
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        assert not verify_bolt(bolt_of((third, 2 * third), (1, -sixth)), A1, A2)  # a1-levels 6/6 and 5/6
+        assert not verify_bolt(bolt_of((third, 0), (Fraction(2, 3), 1)), X, Y)  # 1/3 and 2/3
+        tiny = Fraction(1, 10**30)
+        assert not verify_bolt(bolt_of((0, 0), (tiny, 5)), X, Y)
+        assert not verify_bolt(bolt_of((Fraction(1, 7), 0), (Fraction(1, 7) + tiny, 5)), X, Y)
+        # and one unit apart across the link's family still counts as apart
+        assert verify_bolt(bolt_of((0, 0), (0, tiny)), X, Y)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_fractional_direction_matches_its_integer_multiple(self, position):
+        """(1/2, 1/3) against (3, 2): the same verdict on every bolt, as a1
+        or as a2.  Its numerators (1, 1) alone would put (0, 3) and (2, 0)
+        on different levels and (0, 2) and (2, 0) on one."""
+        fractional, integer = Direction.of(Fraction(1, 2), Fraction(1, 3)), Direction.of(3, 2)
+        link = position + 1  # the fractional direction's family
+        bolts = [
+            (bolt_of((0, 3), (2, 0), first_link=link), True),
+            (bolt_of((0, 2), (2, 0), first_link=link), False),
+            (bolt_of((0, 3), (2, 0), (2, 7), (Fraction(14, 3) + 2, 0), first_link=link), True),
+            (bolt_of((Fraction(2, 5), 0), (0, Fraction(3, 5)), first_link=link), True),
+        ]
+        for bolt, valid in bolts:
+            for a in (fractional, integer):
+                dirs = (a, X) if position == 0 else (X, a)
+                assert verify_bolt(bolt, *dirs) is valid, (bolt, a)
+
+    def test_dimension_mismatch_raises(self):
+        bolt = bolt_of((0, 0), (0, 1))
+        three_d = Direction.of(1, 0, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_bolt(bolt, three_d, Direction.of(0, 1, 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_bolt(bolt, X, three_d)
+        mixed = Bolt((Point.of(0, 0), Point.of(0, 1, 2)), 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_bolt(mixed, X, Y)
+
+
 class TestOrbits:
     def test_orbit_truncation_single_class(self):
         graph = build_bolt_graph([Point.from_seq(p) for p in ORBIT_POINTS_10], A1, A2)

@@ -16,6 +16,7 @@ from helpers import (
     random_values,
     right_to_left_oracle,
     rref_nullspace,
+    textbook_certificate,
     textbook_levels,
     textbook_min_norm_fit,
 )
@@ -32,8 +33,8 @@ from ridgekit import (
     interpolate_ridge,
     orbits,
 )
-from ridgekit import incidence
-from ridgekit.exactlinalg import nullspace_int
+from ridgekit import exactlinalg, incidence
+from ridgekit.exactlinalg import IntegerSolver, nullspace_int
 from ridgekit.presets import config_preset
 
 
@@ -204,7 +205,7 @@ class TestCore:
             inc = build_incidence(cfg)
             # the sparse paths widened to n-tuples, zero off their keys
             basis = [tuple(vec.get(j, 0) for j in range(cfg.n)) for vec in inc.closed_paths]
-            assert basis == nullspace_int(rows, cfg.n)
+            assert basis == list(nullspace_int(rows, cfg.n))
             assert basis == right_to_left_oracle(rows, cfg.n)
 
     def test_zero_off_the_core_and_no_core_point_alone(self):
@@ -344,6 +345,139 @@ class TestFindClosedPath:
         cert = find_closed_path(FIVE_PT)
         assert all(w.denominator == 1 for w in cert.measure.weights)
         assert cert.measure.weights[0] > 0
+
+
+def certificate_atoms(cfg: PointConfig):
+    cert = find_closed_path(cfg)
+    return None if cert is None else [(p.coords, w) for p, w in cert.measure.atoms()]
+
+
+MIXED_DENOMINATORS = (1, 3, 7, 2**5 * 3**3 * 5**2 * 7, 10**9 + 7, 2**61 - 1, 10**20 + 39)
+
+
+def mixed_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-(10**12), 10**12), rng.choice(MIXED_DENOMINATORS))
+
+
+def shuffled(rng: random.Random, cfg: PointConfig) -> PointConfig:
+    """``cfg`` with its points in a seeded order, so that no sort can be
+    passed by keeping the input order."""
+    points = list(cfg.points)
+    rng.shuffle(points)
+    return PointConfig(tuple(points), cfg.dirs)
+
+
+class TestCertificateOracle:
+    """``find_closed_path`` against the textbook certificate: the first
+    right-to-left oracle vector on its support, sorted by ``Fraction``
+    coordinates, first weight positive."""
+
+    def test_acceptance_sweep(self):
+        rng = random.Random(20260810)
+        found = 0
+        for _ in range(500):
+            cfg = random_config(rng)
+            want = textbook_certificate(cfg)
+            assert certificate_atoms(cfg) == want
+            found += want is not None
+        assert found >= 100
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_grids(self, k):
+        """a x b grids up to 10 x 10 under the first k of (1, 0), (0, 1),
+        (1, 1), (1, -1), with their points in a seeded order."""
+        dirs = (GRID_DIRS + ((1, -1),))[:k]
+        rng = random.Random(f"certificate-grid-{k}")
+        found = 0
+        for a, b in ((2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (10, 10)):
+            cfg = shuffled(rng, PointConfig.build([(i, j) for i in range(a) for j in range(b)], dirs))
+            want = textbook_certificate(cfg)
+            assert certificate_atoms(cfg) == want
+            found += want is not None
+        assert found >= 3
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_mixed_large_denominators(self, k):
+        """Grids placed by ``(c i + s0, c j + s1)`` with rationals of large,
+        mixed denominators (``c``'s is composite, so the points' own
+        denominators differ with ``i`` and ``j``), negative
+        coordinates among them; for k = 2 also grids on random rational rows
+        and columns, and closed staircases on such levels.  A sort by a
+        wrong scale, such as each point's own denominator, reorders these
+        supports."""
+        dirs = (GRID_DIRS + ((1, -1),))[:k]
+        rng = random.Random(f"certificate-mixed-{k}")
+        checked = 0
+        for a, b in ((3, 4), (4, 4), (5, 7), (8, 8)):
+            c = Fraction(rng.randint(1, 10**6) * rng.choice((1, -1)), MIXED_DENOMINATORS[3])
+            s0, s1 = mixed_rational(rng), mixed_rational(rng)
+            points = [(c * i + s0, c * j + s1) for i in range(a) for j in range(b)]
+            configs = [PointConfig.build(points, dirs)]
+            if k == 2:
+                rows = sorted({mixed_rational(rng) for _ in range(a)})
+                cols = sorted({mixed_rational(rng) for _ in range(b)})
+                configs.append(PointConfig.build([(x, y) for x in rows for y in cols], dirs))
+                levels = [mixed_rational(rng) for _ in range(2 * a + 2)]
+                configs.append(
+                    PointConfig.build([(v * 3, w) for v, w in zip(levels, levels[1:])]
+                                      + [(levels[-1] * 3, levels[0])], dirs)
+                )
+            for cfg in configs:
+                cfg = shuffled(rng, cfg)
+                assert len({p.coords[0].denominator for p in cfg.points}) > 1
+                want = textbook_certificate(cfg)
+                assert certificate_atoms(cfg) == want
+                checked += want is not None
+        assert checked >= 3
+
+
+@pytest.fixture
+def back_substitutions(monkeypatch):
+    """Counts of ``exactlinalg._back_substitute`` calls and of the ridge
+    solves among them, on an empty ``analyze`` cache."""
+    counts: Counter = Counter()
+    back_substitute, solve = exactlinalg._back_substitute, IntegerSolver.solve
+
+    def counted_back_substitute(*args):
+        counts["back_substitute"] += 1
+        return back_substitute(*args)
+
+    def counted_solve(self, rhs):
+        counts["solve"] += 1
+        return solve(self, rhs)
+
+    monkeypatch.setattr(exactlinalg, "_back_substitute", counted_back_substitute)
+    monkeypatch.setattr(IntegerSolver, "solve", counted_solve)
+    incidence.analyze.cache_clear()
+    yield counts
+    incidence.analyze.cache_clear()
+
+
+class TestBackSubstitutions:
+    """The verdict back-substitutes the one null vector it reads; a fit adds
+    the rest of the basis once, and one back-substitution per solve."""
+
+    def test_verdict_makes_one_and_a_fit_adds_the_rest(self, back_substitutions):
+        cfg = square_grid(8, GRID_DIRS)
+        nullity = len(rref_nullspace(level_rows(cfg), cfg.n))
+        assert nullity > 1
+        assert not density_verdict(cfg).dense
+        assert back_substitutions == {"back_substitute": 1}
+        interpolate_ridge(cfg, random_values(random.Random(8), cfg.n))
+        assert back_substitutions == {"back_substitute": nullity + 1, "solve": 1}
+        assert len(incidence.analyze(cfg).closed_paths) == nullity
+
+    def test_fit_first_then_verdict_shares_the_first_vector(self, back_substitutions):
+        cfg = square_grid(8, GRID_DIRS)
+        nullity = len(rref_nullspace(level_rows(cfg), cfg.n))
+        interpolate_ridge(cfg, random_values(random.Random(9), cfg.n))
+        assert density_verdict(cfg).certificate == find_closed_path(cfg)
+        assert back_substitutions == {"back_substitute": nullity + 1, "solve": 1}
+
+    def test_dense_verdict_makes_none(self, back_substitutions):
+        cfg = large_config(random.Random(22), "generic", 60)
+        assert density_verdict(cfg).dense
+        assert back_substitutions == {}
 
 
 class TestInterpolateRidge:
