@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,7 +158,56 @@ _MAX_ABS_COEFF = 10**6
 _MAX_DEGREE = 14  # highest polynomial degree the encoder fits
 _FIT_NODES = 512  # least-squares Chebyshev nodes
 _VALIDATION_POINTS = 2049  # equispaced grid on which a candidate's worst error is measured
-_MAX_DENOMINATOR = 2**24  # largest denominator tried when rounding coefficients (from 8, doubling)
+_DENOMINATOR_BOUNDS = tuple(8 << i for i in range(22))  # 8, 16, ..., 2**24: the rounding ladder
+
+
+def _best_approximations(c: float) -> list[tuple[int, int]]:
+    """``Fraction(c).limit_denominator(b)`` for every bound ``b`` of
+    ``_DENOMINATOR_BOUNDS``, as lowest-terms ``(numerator, denominator)`` pairs.
+
+    One walk down the continued fraction of ``c`` serves every bound, with
+    ``limit_denominator``'s semiconvergent and tie rule: the walk stops at the
+    last convergent ``p1/q1`` whose successor's denominator passes the bound,
+    and the semiconvergent ``(p0 + k p1) / (q0 + k q1)`` with the largest
+    ``k`` in the bound wins unless ``p1/q1`` is at least as close.
+    """
+    num, den = c.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den  # the remainder of the expansion is n / d
+    ladder = []
+    for bound in _DENOMINATOR_BOUNDS:
+        if den <= bound:
+            ladder.append((num, den))
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        # c lies between the two candidates, 1 / (q1 (q0 + k q1)) apart, and
+        # d / (q1 den) from p1/q1
+        if 2 * d * (q0 + k * q1) <= den:
+            ladder.append((p1, q1))
+        else:
+            ladder.append((p0 + k * p1, q0 + k * q1))
+    return ladder
+
+
+def _poly_of(ratios: Sequence[tuple[int, int]]) -> RationalPoly:
+    """The polynomial whose dense coefficients are the ratios ``n / d``."""
+    return RationalPoly.from_coefficients([Fraction(n, d) for n, d in ratios])
+
+
+def _sample_points(spec: ActivationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Chebyshev fit nodes on [-1, 1], the same nodes scaled to
+    [-half_width, half_width] and the validation grid there: a profile is
+    sampled at the last two."""
+    lw = float(spec.half_width)
+    xi_nodes = np.cos(np.pi * (np.arange(_FIT_NODES) + 0.5) / _FIT_NODES)
+    return xi_nodes, lw * xi_nodes, np.linspace(-lw, lw, _VALIDATION_POINTS)
 
 
 def encode_univariate(
@@ -175,57 +224,70 @@ def encode_univariate(
     validation grid is within budget (an exact match of a ``RationalPoly``
     target has error 0) and whose index :func:`encode_poly` builds within
     its bit cap.  Raises :class:`EncoderBudgetError` with the best error seen
-    otherwise, saying so when the cap alone skipped a candidate in budget.
+    otherwise, saying so when the cap alone skipped a candidate in budget or
+    when every fit had a coefficient beyond ``_MAX_ABS_COEFF``.
     """
+    exact = g if isinstance(g, RationalPoly) else None
+    target = g if exact is None else exact.eval_float
+
+    def sample(ts: np.ndarray) -> np.ndarray:
+        return np.array([target(t) for t in ts], dtype=float)
+
+    return _encode(sample, exact, eps_over_k, spec)
+
+
+def _encode(
+    sample: Callable[[np.ndarray], np.ndarray],
+    exact: RationalPoly | None,
+    eps_over_k: float,
+    spec: ActivationSpec,
+) -> UnivariateEncoding:
+    """:func:`encode_univariate` on a profile given by ``sample``, which maps
+    an array of arguments to the array of profile values; ``exact`` is the
+    profile itself when it is a polynomial."""
     if not eps_over_k > 0:  # also rejects NaN
         raise ValueError("the error budget must be positive")
-    lw = float(spec.half_width)
-    if isinstance(g, RationalPoly):
-        target = g.eval_float
-    else:
-        target = g
-
-    xi_nodes = np.cos(np.pi * (np.arange(_FIT_NODES) + 0.5) / _FIT_NODES)  # Chebyshev, in [-1,1]
-    t_nodes = lw * xi_nodes
-    samples = np.array([target(t) for t in t_nodes], dtype=float)
-    grid = np.linspace(-lw, lw, _VALIDATION_POINTS)
-    grid_target = np.array([target(t) for t in grid], dtype=float)
+    xi_nodes, t_nodes, grid = _sample_points(spec)
+    samples = sample(t_nodes)
+    grid_target = sample(grid)
 
     best_error = math.inf
+    tried = False
     skipped = ""  # why a candidate within the budget was skipped
     powers = [Fraction(spec.half_width) ** i for i in range(_MAX_DEGREE + 1)]
     for degree in range(_MAX_DEGREE + 1):
         cheb_coeffs = npcheb.chebfit(xi_nodes, samples, degree)
         power_xi = npcheb.cheb2poly(cheb_coeffs)
         coeff_floats = [float(power_xi[i]) / float(powers[i]) for i in range(degree + 1)]
-        if any(abs(c) > _MAX_ABS_COEFF for c in coeff_floats):
+        if not all(abs(c) <= _MAX_ABS_COEFF for c in coeff_floats):  # also skips NaN
             continue
-        seen: set[tuple] = set()
-        bound = 8
-        while bound <= _MAX_DENOMINATOR:
-            cand_coeffs = tuple(
-                Fraction(c).limit_denominator(bound) for c in coeff_floats
-            )
-            bound *= 2
-            if cand_coeffs in seen:
+        tried = True
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        for ratios in zip(*map(_best_approximations, coeff_floats)):
+            if ratios in seen:
                 continue
-            seen.add(cand_coeffs)
-            cand = RationalPoly.from_coefficients(cand_coeffs)
-            if isinstance(g, RationalPoly) and cand == g:
+            seen.add(ratios)
+            if exact is not None and _poly_of(ratios) == exact:
                 err = 0.0
             else:
-                dense = [float(c) for c in cand_coeffs]
+                dense = [n / d for n, d in ratios]  # float(Fraction(n, d)), correctly rounded
                 approx = np.polynomial.polynomial.polyval(grid, dense)
                 err = float(np.max(np.abs(grid_target - approx)))
             best_error = min(best_error, err)
             if not err <= eps_over_k:  # also skips a NaN error
                 continue
+            cand = _poly_of(ratios)
             try:
                 index = encode_poly(cand)
             except OverflowError as exc:
                 skipped = f"every candidate within the error budget was skipped: {exc}"
                 continue
             return UnivariateEncoding(index, spec.scale, spec.shift_for_index(index), err, cand)
+    if not tried:
+        skipped = (
+            "could not reach the requested accuracy: every fit has a coefficient "
+            f"beyond the {_MAX_ABS_COEFF:,} coefficient cap"
+        )
     raise EncoderBudgetError(best_error, skipped)
 
 
@@ -345,16 +407,6 @@ def eval_network(net: Network, x: Point) -> Fraction | float:
     return total
 
 
-def _table_extension(levels: Sequence[Fraction], values: Sequence[Fraction]):
-    lv = np.array([float(v) for v in levels], dtype=float)
-    va = np.array([float(v) for v in values], dtype=float)
-
-    def extension(t: float) -> float:
-        return float(np.interp(t, lv, va))
-
-    return extension
-
-
 def build_k_network(
     cfg: PointConfig,
     f_values: Sequence[RationalLike],
@@ -391,8 +443,9 @@ def build_k_network(
     encodings = []
     exact_level_errors = []
     for a, table in zip(cfg.dirs, ridge.tables):
-        extension = _table_extension(table.levels, table.values)
-        enc = encode_univariate(extension, budget, spec)
+        levels = np.array([float(v) for v in table.levels])
+        values = np.array([float(v) for v in table.values])
+        enc = _encode(partial(np.interp, xp=levels, fp=values), None, budget, spec)
         encodings.append(enc)
         exact_level_errors.append(
             max(

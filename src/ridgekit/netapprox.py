@@ -16,12 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .activation import Network, NetworkTerm, eval_network
-from .incidence import DensityPreconditionError, PointConfig, density_verdict, interpolate_ridge
+from .activation import Network, NetworkTerm
+from .incidence import (
+    DensityPreconditionError,
+    PointConfig,
+    analyze,
+    density_verdict,
+    interpolate_ridge,
+)
 from .rationals import RationalLike, rationalize
 
 
@@ -201,10 +209,14 @@ class ThetaInterval:
         q = rationalize(x)
         return self.lo < q < self.hi
 
-    def interior_grid(self, count: int) -> list[Fraction]:
-        """``count`` equispaced rationals strictly inside the interval."""
-        step = (self.hi - self.lo) / (count + 1)
-        return [self.lo + step * (j + 1) for j in range(count)]
+    def _interior_grid(self, count: int) -> tuple[list[int], int]:
+        """``count`` equispaced rationals strictly inside the interval, as
+        integer numerators over one common denominator: the ``j``-th is
+        ``(lo (count - j) + hi (j + 1)) / (count + 1)``."""
+        lo_n = self.lo.numerator * self.hi.denominator
+        hi_n = self.hi.numerator * self.lo.denominator
+        den = self.lo.denominator * self.hi.denominator * (count + 1)
+        return [lo_n * (count - j) + hi_n * (j + 1) for j in range(count)], den
 
 
 @dataclass(frozen=True)
@@ -259,25 +271,27 @@ def approx_univariate(
         atom_count = len(scales) * theta_count
         if f.size * atom_count > MAX_DICTIONARY_ENTRIES:
             raise FitBudgetError(best_error)
-        thetas = theta.interior_grid(theta_count)
-        # Atom j is (scales[j // theta_count], thetas[j % theta_count]).
+        theta_nums, theta_den = theta._interior_grid(theta_count)
+        # Atom j is (scales[j // theta_count], theta_nums[j % theta_count] / theta_den);
+        # int / int rounds correctly, as float(Fraction) does.
         ft = np.repeat([float(t) for t in scales], theta_count)
-        fth = np.tile([float(th) for th in thetas], len(scales))
+        fth = np.tile([th / theta_den for th in theta_nums], len(scales))
         columns = np.empty((f.size, atom_count))
         for j0 in range(0, atom_count, _ATOM_BLOCK):
             j1 = j0 + _ATOM_BLOCK
             columns[:, j0:j1] = sigma.evaluate(np.multiply.outer(ys, ft[j0:j1]) - fth[j0:j1])
         norms = np.linalg.norm(columns, axis=0)
-        usable = norms > 1e-12
+        unusable = ~(norms > 1e-12)  # NaN norms too
+        divisors = np.where(unusable, 1.0, norms)
 
         selected: list[int] = []
         residual = f.copy()
         while len(selected) < _ATOM_BUDGET:
             corr = np.abs(residual @ columns)
-            corr[~usable] = -1.0
+            corr[unusable] = -1.0
             if selected:
                 corr[selected] = -1.0
-            j = int(np.argmax(corr / np.where(usable, norms, 1.0)))
+            j = int(np.argmax(corr / divisors))
             if corr[j] <= 0:
                 break
             selected.append(j)
@@ -288,13 +302,52 @@ def approx_univariate(
             best_error = min(best_error, err)
             if err <= eps:
                 terms = tuple(
-                    (Fraction(float(c)), scales[jj // theta_count], thetas[jj % theta_count])
+                    (
+                        Fraction(float(c)),
+                        scales[jj // theta_count],
+                        Fraction(theta_nums[jj % theta_count], theta_den),
+                    )
                     for c, jj in zip(coef, selected)
                 )
                 return UnivariateFit(terms, err)
         exp_range *= 2
         theta_count = theta_count * 2 + 1
     raise FitBudgetError(best_error)
+
+
+def _replayed_error(cfg: PointConfig, f_values: Sequence[RationalLike], net: Network) -> float:
+    """``max |f(x) - eval_network(net, x)|`` over the configuration points,
+    by the same float operations without a ``Fraction`` per term and point.
+
+    With ``D x`` the index's integer coordinate columns and ``E`` the lcm of
+    a weight's denominators, ``w . x - theta`` is the integer ratio
+    ``((E w) . (D x) theta_d - theta_n E D) / (E D theta_d)``, rounded once
+    by ``int / int`` as ``float(Fraction)`` rounds; each point sums its terms
+    in the network's order.
+    """
+    columns = analyze(cfg).columns
+    big_d = lcm(*(c.denominator for p in cfg.points for c in p.coords))
+    evaluator = net.activation.evaluator
+    totals = [0.0] * cfg.n
+    for term in net.terms:
+        big_e = lcm(*(c.denominator for c in term.w.coords))
+        dots = [0] * cfg.n
+        for c, col in zip(term.w.coords, columns):
+            if c:
+                w = c.numerator * (big_e // c.denominator)
+                dots = list(map(add, dots, map(w.__mul__, col)))
+        theta_d = term.theta.denominator
+        offset = term.theta.numerator * big_e * big_d
+        den = big_e * big_d * theta_d
+        weight = float(term.c)
+        totals = [
+            total + weight * evaluator((dot * theta_d - offset) / den)
+            for total, dot in zip(totals, dots)
+        ]
+    replayed = 0.0
+    for fv, total in zip(f_values, totals):
+        replayed = max(replayed, abs(float(rationalize(fv)) - total))
+    return replayed
 
 
 def approx_network(
@@ -338,9 +391,7 @@ def approx_network(
             terms.append(NetworkTerm(c, a.scale(t), th))
 
     net = Network(tuple(terms), sigma)
-    replayed = 0.0
-    for point, fv in zip(cfg.points, f_values):
-        replayed = max(replayed, abs(float(rationalize(fv)) - eval_network(net, point)))
+    replayed = _replayed_error(cfg, f_values, net)
     bound = float(residual) + sum(fit_errors)
     if not replayed <= bound + 1e-9:  # also fails on a NaN bound
         raise AssertionError("error budget accounting violated")

@@ -13,7 +13,10 @@ support by ``Fraction`` coordinates.  The textbook weak-star probe walks its
 bolt with four ``Fraction`` dot products per step, groups levels in dicts and
 sums in plain ``Fraction``s.  The textbook activation places each segment
 argument from ``t`` by the affine map, decodes the index afresh on every
-call and evaluates by a ``Fraction`` Horner.
+call and evaluates by a ``Fraction`` Horner.  The textbook threshold grid
+steps through the interval in ``Fraction``s, and the textbook replay runs
+:func:`eval_network`, which forms every term argument through
+``Direction.dot``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from ridgekit import (
     ProbeReport,
     RationalPoly,
     RidgeTest,
+    ThetaInterval,
     decode_poly,
+    eval_network,
     smooth_step,
 )
 from ridgekit.rationals import rationalize
@@ -409,3 +414,17 @@ def random_sparse_poly(rng: random.Random, max_degree: int = 12) -> RationalPoly
         c = random_rational(rng, 1000, 97)
         terms.append((e, c or Fraction(1)))
     return RationalPoly(tuple(terms))
+
+
+def interior_grid(theta: ThetaInterval, count: int) -> list[Fraction]:
+    """``count`` equispaced rationals strictly inside the interval, by ``Fraction`` steps."""
+    step = (theta.hi - theta.lo) / (count + 1)
+    return [theta.lo + step * (j + 1) for j in range(count)]
+
+
+def textbook_replayed_error(cfg: PointConfig, values, net) -> float:
+    """``max |f(x) - eval_network(net, x)|`` over the configuration points."""
+    replayed = 0.0
+    for point, fv in zip(cfg.points, values):
+        replayed = max(replayed, abs(float(rationalize(fv)) - eval_network(net, point)))
+    return replayed

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -32,9 +33,11 @@ from ridgekit import (
 )
 from ridgekit import activation
 from ridgekit.cli import main
+from ridgekit.incidence import interpolate_ridge
 from ridgekit.presets import config_preset, target_values
 
 SPEC = ActivationSpec.create(1, 1, 1)
+PRESETS = ["paper-5pt", "grid-2x2", "grid-3x3", "parallel-segments", "monotone-curve", "paper-orbit"]
 
 
 class TestSigmaEval:
@@ -197,6 +200,13 @@ class TestEncodeUnivariate:
         with pytest.raises(EncoderBudgetError, match="4,000,000-bit cap"):
             encode_univariate(g, 1e-12, SPEC)
 
+    @pytest.mark.parametrize("g", [lambda t: 2e6, lambda t: 1e308 * math.cos(50 * t)], ids=["large", "overflow"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_fit_beyond_the_coefficient_cap_is_named(self, g):
+        """Every degree is skipped, the overflowing profile's by its NaN coefficients."""
+        with pytest.raises(EncoderBudgetError, match="1,000,000 coefficient cap"):
+            encode_univariate(g, 1e-3, SPEC)
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             encode_univariate(lambda t: t, 0.0, SPEC)
@@ -205,6 +215,73 @@ class TestEncodeUnivariate:
     def test_negative_or_nan_budget(self, eps):
         with pytest.raises(ValueError, match="budget must be positive"):
             encode_univariate(lambda t: t, eps, SPEC)
+
+
+def ladder_inputs() -> list[float]:
+    """Signed zeros, integers, dyadics (denominators within and beyond the
+    bounds, with exact ties among them), subnormals, +-1e6 and seeded floats."""
+    rng = random.Random(22)
+    special = [0.0, -0.0, 1.0, -3.0, 1e6, -1e6, 0.125, -3 / 16, 2.0**-24, 5 * 2.0**-30]
+    special += [5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3, -2 / 7, 0.1, 999999.999]
+    dyadic = [n / 2**m for m in range(2, 12) for n in range(-40, 41)]
+    dyadic += [rng.randint(-(2**30), 2**30) / 2 ** rng.randint(4, 40) for _ in range(2000)]
+    seeded = [rng.uniform(-10, 10) for _ in range(2000)] + [rng.gauss(0, 1e-3) for _ in range(500)]
+    seeded += [rng.uniform(-1e6, 1e6) for _ in range(500)]
+    return special + dyadic + seeded
+
+
+class TestRoundingLadder:
+    """``_best_approximations`` against ``Fraction.limit_denominator``."""
+
+    def test_every_bound_is_limit_denominator(self):
+        for c in ladder_inputs():
+            want = [Fraction(c).limit_denominator(b) for b in activation._DENOMINATOR_BOUNDS]
+            assert activation._best_approximations(c) == [(q.numerator, q.denominator) for q in want], c
+
+    @pytest.mark.parametrize(
+        "c, convergent, semiconvergent",
+        [(1 / 16, Fraction(0), Fraction(1, 8)), (-17 / 16, Fraction(-1), Fraction(-9, 8))],
+    )
+    def test_a_tie_takes_the_convergent(self, c, convergent, semiconvergent):
+        assert abs(Fraction(c) - convergent) == abs(Fraction(c) - semiconvergent)
+        assert activation._best_approximations(c)[0] == (convergent.numerator, convergent.denominator)
+
+
+class TestProfileSamples:
+    """kfit samples each level profile with one ``np.interp`` call per array."""
+
+    @pytest.mark.parametrize("target", ["xy", "x2-y", "norm"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_array_interp_is_the_scalar_interp(self, preset, target):
+        cfg = config_preset(preset)
+        ridge, _ = interpolate_ridge(cfg, target_values(target, cfg))
+        bound = max(abs(lv) for table in ridge.tables for lv in table.levels)
+        spec = ActivationSpec(Fraction(1), max(bound, Fraction(1)), Fraction(1))
+        _, t_nodes, grid = activation._sample_points(spec)
+        for table in ridge.tables:
+            levels = np.array([float(v) for v in table.levels])
+            values = np.array([float(v) for v in table.values])
+            for ts in (t_nodes, grid):
+                scalar = np.array([float(np.interp(t, levels, values)) for t in ts])
+                assert np.interp(ts, levels, values).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize(
+        "preset, target, eps",
+        [("parallel-segments", "xy", Fraction(1, 100)), ("monotone-curve", "norm", Fraction(1, 10))],
+    )
+    def test_build_k_network_encodes_like_a_scalar_profile(self, preset, target, eps):
+        """Each unit is the encoding of its profile given as a scalar callable."""
+        cfg = config_preset(preset)
+        values = target_values(target, cfg)
+        net = build_k_network(cfg, values, eps)
+        ridge, _ = interpolate_ridge(cfg, values)
+        budget = float(eps) / (cfg.k + 1)
+        for i, (a, table, term) in enumerate(zip(cfg.dirs, ridge.tables, net.terms)):
+            levels = [float(v) for v in table.levels]
+            profile = [float(v) for v in table.values]
+            enc = encode_univariate(lambda t: float(np.interp(t, levels, profile)), budget, net.activation)
+            assert term.w == a.scale(enc.scale) and term.theta == enc.shift
+            assert net.report["encoder_errors"][i] == enc.achieved_error
 
 
 class TestEvalNetwork:

@@ -392,6 +392,39 @@ class TestResourceCaps:
         assert "4,000,000-bit cap" in capsys.readouterr().err
         assert not (tmp_path / "encoding.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["sigma-build", "--poly", "2000000"], None),
+            (["kfit"], ["1e308", "-1e308", "1e308"]),
+            (["kfit"], ["0", "20000000"]),
+        ],
+        ids=["sigma-build-large", "kfit-overflow", "kfit-large"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_coefficients_beyond_the_cap_are_named(self, tmp_path, capsys, argv, values):
+        """A fit whose every degree has a coefficient beyond the cap, NaN
+        included, is refused with the cap named, not as ``best error inf``."""
+        if values is not None:
+            cfg_file = tmp_path / "cfg.json"
+            points = [[str(i)] for i in range(len(values))]
+            cfg_file.write_text(
+                json.dumps({"dimension": 1, "points": points, "directions": [["1"]], "values": values})
+            )
+            argv = argv + [str(cfg_file)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "beyond the 1,000,000 coefficient cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_index_of_more_than_a_million_digits_is_written_within_a_minute(self, tmp_path):
+        start = time.perf_counter()
+        argv = ["sigma-build", "--poly", "1/900000,1", "--eps", "1e-12", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 60.0
+        index = read_json(tmp_path / "encoding.json")["index"]
+        assert index.isdigit() and len(index) > 10**6
+
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         for eps in ("nan", "inf", "1e400", "abc", "0", "-1"):
             argv = ["netfit", "--preset", "parallel-segments", "--f", "xy", "--eps", eps]
@@ -478,6 +511,30 @@ class TestDeterminism:
         assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == 0
         written = [(tmp_path / sub / artifact).read_bytes() for sub in ("spaced", "joined")]
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "argv, spelled, artifacts",
+        [
+            (
+                ["sigma-build", "--poly", "1,-1/2,1/3"],
+                ["--eps", "0.001", "--alpha", "1", "--l", "1", "--sharpness", "1"],
+                ["encoding.json"],
+            ),
+            (
+                ["probe", "--preset", "paper-orbit", "--N", "200"],
+                ["--tests", "x,y", "--threshold", "1/100"],
+                ["decay.csv", "probe.json"],
+            ),
+        ],
+        ids=["sigma-build", "probe"],
+    )
+    def test_omitted_flags_and_spelled_out_defaults_write_the_same_bytes(
+        self, tmp_path, argv, spelled, artifacts
+    ):
+        assert main(argv + ["--out", str(tmp_path / "omitted")]) == 0
+        assert main(argv + spelled + ["--out", str(tmp_path / "spelled")]) == 0
+        for name in artifacts:
+            assert (tmp_path / "omitted" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
 
     def test_probe_byte_identical(self, tmp_path):
         outs = []

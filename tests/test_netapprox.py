@@ -1,6 +1,7 @@
 """Generic-activation fits: dictionary matching, assembly, hypothesis guards."""
 
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -8,9 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import interior_grid, random_rational, textbook_replayed_error
 from ridgekit import (
     DensityPreconditionError,
+    Direction,
     FitBudgetError,
+    Network,
+    NetworkTerm,
+    Point,
+    PointConfig,
     PolynomialActivationError,
     SigmaOracle,
     ThetaInterval,
@@ -53,10 +60,30 @@ class TestThetaInterval:
         assert not THETA.contains(5)
 
     def test_interior_grid(self):
-        grid = THETA.interior_grid(257)
+        grid = interior_grid(THETA, 257)
         assert len(grid) == 257
         assert all(THETA.contains(x) for x in grid)
         assert Fraction(0) in grid
+
+    @pytest.mark.parametrize("count", [257, 515, 1031])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-5, 5),
+            (Fraction(-7, 3), Fraction(5, 11)),
+            (Fraction(1, 3), Fraction(17, 7)),
+            (Fraction(-9, 7), Fraction(-1, 6)),
+        ],
+        ids=["-5,5", "-7/3,5/11", "1/3,17/7", "-9/7,-1/6"],
+    )
+    def test_integer_grid_is_the_fraction_grid(self, lo, hi, count):
+        """Each numerator over the common denominator is the textbook grid
+        point, and ``int / int`` is its correctly rounded float."""
+        theta = ThetaInterval.create(lo, hi)
+        nums, den = theta._interior_grid(count)
+        grid = interior_grid(theta, count)
+        assert [Fraction(n, den) for n in nums] == grid
+        assert [n / den for n in nums] == [float(th) for th in grid]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -99,6 +126,21 @@ class TestApproxUnivariate:
         targets = [abs(lv) for lv in levels]
         fit = approx_univariate(levels, targets, LOGISTIC, THETA, 1e-2)
         assert fit.achieved_error <= 1e-2
+
+    def test_selected_thetas_are_grid_points(self):
+        """On an interval with non-dyadic endpoints every selected threshold
+        is an entry of the textbook grid of some round."""
+        theta = ThetaInterval.create(Fraction(-7, 3), Fraction(5, 11))
+        levels = [Fraction(j, 10) for j in range(-10, 11)]
+        targets = [abs(lv) for lv in levels]
+        fit = approx_univariate(levels, targets, LOGISTIC, theta, 1e-3)
+        assert len(fit.terms) > 1
+        grids = set()
+        count = 257
+        for _ in range(netapprox._ROUNDS):
+            grids.update(interior_grid(theta, count))
+            count = 2 * count + 1
+        assert all(type(th) is Fraction and th in grids for _, _, th in fit.terms)
 
     def test_budget_error_carries_best(self, monkeypatch):
         levels = [Fraction(j, 10) for j in range(-10, 11)]
@@ -239,6 +281,47 @@ class TestApproxNetwork:
             abs(float(rationalize(v)) - eval_network(net, x)) for x, v in zip(cfg.points, values)
         )
         assert net.report["replayed_error"] == replayed
+
+
+def random_curve(rng: random.Random, n: int = 81) -> PointConfig:
+    """A monotone curve in R^3 with seeded rational coordinates over mixed
+    denominators, under three rational directions."""
+    candidates = sorted({Fraction(rng.randint(-60, 60), rng.choice([120, 160, 210])) for _ in range(4 * n)})
+    ts = sorted(rng.sample(candidates, n))
+    points = tuple(Point.of(t, t - Fraction(1, 4) + Fraction(rng.randint(-4, 4), 160), 3 * t / 7) for t in ts)
+    dirs = (Direction.of(1, 0, 0), Direction.of(0, Fraction(2, 3), 0), Direction.of(0, 0, Fraction(-5, 4)))
+    return PointConfig(points, dirs)
+
+
+class TestReplay:
+    """The netfit replay against the textbook ``eval_network`` loop."""
+
+    @pytest.mark.parametrize("oracle", [LOGISTIC, tanh_ramp_oracle(), TABLE], ids=lambda o: o.name)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_curve_replay_is_eval_network(self, oracle, seed):
+        cfg = random_curve(random.Random(seed))
+        assert cfg.n == 81
+        values = [p[0] * p[1] * p[2] for p in cfg.points]
+        net = approx_network(cfg, values, oracle, THETA, 1e-2)
+        assert net.report["replayed_error"] == textbook_replayed_error(cfg, values, net)
+
+    @pytest.mark.parametrize("oracle", [LOGISTIC, tanh_ramp_oracle(), TABLE], ids=lambda o: o.name)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_network_replay_is_eval_network(self, oracle, seed):
+        """Weights with mixed denominators, zero coordinates and thresholds
+        of any sign, on points over several denominators."""
+        rng = random.Random(seed)
+        dim = rng.randint(1, 4)
+        points = {tuple(random_rational(rng, 30, 9) for _ in range(dim)) for _ in range(40)}
+        cfg = PointConfig(tuple(map(Point, sorted(points))), (Direction.of(*[1] * dim),))
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            w = [random_rational(rng, 20, 11) if rng.random() < 0.7 else Fraction(0) for _ in range(dim)]
+            w[rng.randrange(dim)] = random_rational(rng, 20, 11) or Fraction(1)
+            terms.append(NetworkTerm(random_rational(rng, 99, 13), Direction(tuple(w)), random_rational(rng, 60, 17)))
+        net = Network(tuple(terms), oracle)
+        values = [random_rational(rng) for _ in range(cfg.n)]
+        assert netapprox._replayed_error(cfg, values, net) == textbook_replayed_error(cfg, values, net)
 
 
 class TestOracles:
