@@ -20,9 +20,10 @@ thresholds are stored and consumed as exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,9 +126,14 @@ def sigma_eval(spec: ActivationSpec, t: RationalLike) -> Fraction | float:
     (``int / int``).
     """
     tq = rationalize(t)
+    return _sigma_ratio(spec, tq.numerator, tq.denominator)
+
+
+def _sigma_ratio(spec: ActivationSpec, tn: int, td: int) -> Fraction | float:
+    """:func:`sigma_eval` at ``t = tn / td`` (``td > 0``), an unreduced integer ratio."""
     alpha = spec.alpha
-    qn = tq.numerator * alpha.denominator  # q = t / alpha = qn / qd, qd > 0
-    qd = tq.denominator * alpha.numerator
+    qn = tn * alpha.denominator  # q = t / alpha = qn / qd, qd > 0
+    qd = td * alpha.numerator
     if qn < qd:
         return 0.0
     m = -(-qn // (2 * qd))  # ceil(q / 2)
@@ -382,29 +388,59 @@ def eval_network(net: Network, x: Point) -> Fraction | float:
     every argument lands on a carrier segment; any gap contribution, or an
     oracle activation, makes the result a float.
     """
-    if net.dim is not None and x.dim != net.dim:
-        raise ValueError(f"network is {net.dim}-d, point is {x.dim}-d")
-    if isinstance(net.activation, ActivationSpec):
-        exact_total = Fraction(0)
-        float_total = 0.0
-        has_float = False
-        for term in net.terms:
-            u = term.w.dot(x) - term.theta
-            value = sigma_eval(net.activation, u)
-            if isinstance(value, Fraction):
-                exact_total += term.c * value
-            else:
-                float_total += float(term.c) * value
-                has_float = True
-        if has_float:
-            return float(exact_total) + float_total
-        return exact_total
-    evaluator = net.activation.evaluator
-    total = 0.0
+    return _network_values(net, [x])[0]
+
+
+def _network_values(net: Network, points: Sequence[Point]) -> list[Fraction | float]:
+    """:func:`eval_network` at each point, on integers.
+
+    With ``D`` the lcm of the points' coordinate denominators and ``E`` that
+    of a weight's, the argument ``w . x - theta`` is the integer ratio
+    ``((E w) . (D x) theta_d - theta_n E D) / (E D theta_d)``.  Each point
+    sums its terms in the network's order.  A constructed activation's
+    segment values add up exactly and its gap values in floats, and one gap
+    makes the total a float; an oracle's ``evaluator`` gets the argument
+    rounded once, as ``int / int``.
+    """
+    dim = net.dim
+    for x in points:
+        if dim is not None and x.dim != dim:
+            raise ValueError(f"network is {dim}-d, point is {x.dim}-d")
+    big_d = math.lcm(*(c.denominator for x in points for c in x.coords))
+    columns = [
+        [c.numerator * (big_d // c.denominator) for c in col]
+        for col in zip(*(x.coords for x in points))
+    ]
+    spec = net.activation if isinstance(net.activation, ActivationSpec) else None
+    exact = [Fraction(0)] * len(points)
+    floats = [0.0] * len(points)
+    has_float = [False] * len(points)
     for term in net.terms:
-        u = term.w.dot(x) - term.theta
-        total += float(term.c) * evaluator(float(u))
-    return total
+        big_e = math.lcm(*(c.denominator for c in term.w.coords))
+        dots = [0] * len(points)  # (E w) . (D x), one coordinate column at a time
+        for c, col in zip(term.w.coords, columns):
+            if c:
+                dots = list(map(add, dots, map((c.numerator * (big_e // c.denominator)).__mul__, col)))
+        theta_d = term.theta.denominator
+        offset = term.theta.numerator * big_e * big_d
+        den = big_e * big_d * theta_d
+        if spec is None:
+            weight, evaluator = float(term.c), net.activation.evaluator
+            floats = [
+                total + weight * evaluator((dot * theta_d - offset) / den)
+                for total, dot in zip(floats, dots)
+            ]
+            continue
+        for i, dot in enumerate(dots):
+            value = _sigma_ratio(spec, dot * theta_d - offset, den)
+            if isinstance(value, Fraction):
+                exact[i] += term.c * value
+            else:
+                floats[i] += float(term.c) * value
+                has_float[i] = True
+    if spec is None:
+        return floats
+    return [float(e) + f if h else e for e, f, h in zip(exact, floats, has_float)]
 
 
 def build_k_network(
@@ -458,13 +494,11 @@ def build_k_network(
         )
 
     net = Network(tuple(terms), spec)
-    f = [rationalize(v) for v in f_values]
     replayed = Fraction(0)
-    for point, fv in zip(cfg.points, f):
-        value = eval_network(net, point)
+    for fv, value in zip(f_values, _network_values(net, cfg.points)):
         if not isinstance(value, Fraction):
             raise AssertionError("configuration points must hit carrier segments")
-        replayed = max(replayed, abs(fv - value))
+        replayed = max(replayed, abs(rationalize(fv) - value))
     bound_exact = residual + sum(exact_level_errors, Fraction(0))
     if replayed > bound_exact:
         raise AssertionError("error budget accounting violated")
@@ -480,5 +514,4 @@ def build_k_network(
         "error_bound": float(bound_exact),
         "indices_bit_length": [e.index.bit_length() for e in encodings],
     }
-    object.__setattr__(net, "report", report)
-    return net
+    return replace(net, report=report)

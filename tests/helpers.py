@@ -14,9 +14,10 @@ bolt with four ``Fraction`` dot products per step, groups levels in dicts and
 sums in plain ``Fraction``s.  The textbook activation places each segment
 argument from ``t`` by the affine map, decodes the index afresh on every
 call and evaluates by a ``Fraction`` Horner.  The textbook threshold grid
-steps through the interval in ``Fraction``s, and the textbook replay runs
-:func:`eval_network`, which forms every term argument through
-``Direction.dot``.
+steps through the interval in ``Fraction``s.  The textbook network evaluator
+and replay form every term argument at one point at a time through
+``textbook_dot``, not over the points' common denominator, and evaluate the
+constructed activation by the textbook activation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ridgekit import (
     RidgeTest,
     ThetaInterval,
     decode_poly,
-    eval_network,
     smooth_step,
 )
 from ridgekit.rationals import rationalize
@@ -422,9 +422,32 @@ def interior_grid(theta: ThetaInterval, count: int) -> list[Fraction]:
     return [theta.lo + step * (j + 1) for j in range(count)]
 
 
+def textbook_eval_network(net, x) -> Fraction | float:
+    """The network at ``x``, one term at a time: each argument is
+    ``textbook_dot(w, x) - theta`` as one ``Fraction``.  The constructed
+    activation (:func:`textbook_sigma`) adds segment values exactly and gap
+    values in floats, and the total is a float once one gap value is; an
+    oracle's ``evaluator`` gets ``float`` of the argument."""
+    if isinstance(net.activation, ActivationSpec):
+        exact_total, float_total, has_float = Fraction(0), 0.0, False
+        for term in net.terms:
+            value = textbook_sigma(net.activation, textbook_dot(term.w, x) - term.theta)
+            if isinstance(value, Fraction):
+                exact_total += term.c * value
+            else:
+                float_total += float(term.c) * value
+                has_float = True
+        return float(exact_total) + float_total if has_float else exact_total
+    total = 0.0
+    for term in net.terms:
+        total += float(term.c) * net.activation.evaluator(float(textbook_dot(term.w, x) - term.theta))
+    return total
+
+
 def textbook_replayed_error(cfg: PointConfig, values, net) -> float:
-    """``max |f(x) - eval_network(net, x)|`` over the configuration points."""
+    """``max |f(x) - N(x)|`` over the configuration points, with ``N(x)``
+    from :func:`textbook_eval_network`."""
     replayed = 0.0
     for point, fv in zip(cfg.points, values):
-        replayed = max(replayed, abs(float(rationalize(fv)) - eval_network(net, point)))
+        replayed = max(replayed, abs(float(rationalize(fv)) - textbook_eval_network(net, point)))
     return replayed

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from helpers import (
     random_rational,
     random_sparse_poly,
+    textbook_dot,
+    textbook_eval_network,
     textbook_poly_value,
     textbook_sigma,
 )
@@ -369,6 +372,28 @@ class TestBuildKNetwork:
             build_k_network(cfg, [0, 0, 0, 0, 1], Fraction(1, 10))
         assert exc.value.certificate.verify(cfg.dirs)
 
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [(2, "error budget accounting violated"), (1, "configuration points must hit carrier segments")],
+        ids=["next-segment", "gap"],
+    )
+    def test_replay_catches_a_misplaced_threshold(self, monkeypatch, alphas, message):
+        """The first unit's threshold, lowered by two alphas, selects the next
+        carrier segment's polynomial, and by one alpha puts its arguments on
+        a gap; its recorded encoding and error stay those of its own index."""
+        real = activation._encode
+        seen = []
+
+        def misplaced(sample, exact, budget, spec):
+            enc = real(sample, exact, budget, spec)
+            seen.append(enc)
+            return replace(enc, shift=enc.shift - alphas * spec.alpha) if len(seen) == 1 else enc
+
+        monkeypatch.setattr(activation, "_encode", misplaced)
+        cfg = config_preset("monotone-curve")
+        with pytest.raises(AssertionError, match=message):
+            build_k_network(cfg, target_values("norm", cfg), Fraction(1, 10))
+
 
 class TestTextbookOracle:
     """``eval_exact`` and ``sigma_eval`` against the textbook forms in helpers:
@@ -409,6 +434,47 @@ class TestTextbookOracle:
             assert type(got) is type(want) and got == want, (spec, t)
             kinds[type(got)] += 1
         assert kinds[Fraction] and kinds[float]
+
+    def test_network_values_match_the_textbook_evaluator(self):
+        """Seeded networks whose arguments land on carrier segments, on gaps
+        and on the left tail, at points over several denominators:
+        ``eval_network`` and the replay's list evaluation give the textbook
+        value and type."""
+        places, kinds = Counter(), Counter()
+        for seed in range(8):
+            rng = random.Random(seed)
+            spec = ActivationSpec(
+                Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+                Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+            )
+            dim = rng.randint(1, 3)
+            coords = set()
+            while len(coords) < 30:
+                coords.add(tuple(Fraction(rng.randint(-9, 9), 9 * rng.choice([1, 2, 5, 7])) for _ in range(dim)))
+            points = [Point(x) for x in sorted(coords)]
+            terms = []
+            for _ in range(rng.randint(3, 6)):
+                # |w . x| <= alpha / 2, so with no offset the argument stays on
+                # segment m; an offset of up to one alpha reaches the gaps, and
+                # below segment 1 the left tail
+                w = [spec.alpha * Fraction(rng.randint(-4, 4), 8 * dim) for _ in range(dim)]
+                w[rng.randrange(dim)] = spec.alpha / (2 * dim * rng.choice([1, 3, 4]))
+                m = rng.choice([1, rng.randint(1, 40)])
+                offset = rng.choice([0, 0, spec.alpha * Fraction(rng.randint(-8, 8), 8)])
+                c = random_rational(rng, 99, 13) or Fraction(1)
+                terms.append(NetworkTerm(c, Direction(tuple(w)), spec.shift_for_index(m) + offset))
+            net = Network(tuple(terms), spec)
+            want = [textbook_eval_network(net, x) for x in points]
+            for got in (activation._network_values(net, points), [eval_network(net, x) for x in points]):
+                assert [type(v) for v in got] == [type(v) for v in want] and got == want, seed
+            kinds.update(type(v) for v in want)
+            for x in points:
+                for term in terms:
+                    q = (textbook_dot(term.w, x) - term.theta) / spec.alpha
+                    places["tail" if q < 1 else "segment" if q >= 2 * math.ceil(q / 2) - 1 else "gap"] += 1
+        assert kinds[Fraction] and kinds[float], kinds
+        assert places["segment"] and places["gap"] and places["tail"], places
 
 
 @pytest.fixture

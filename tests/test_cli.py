@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -424,6 +425,22 @@ class TestResourceCaps:
         assert time.perf_counter() - start < 60.0
         index = read_json(tmp_path / "encoding.json")["index"]
         assert index.isdigit() and len(index) > 10**6
+
+    @pytest.mark.parametrize("sigma", ["logistic", "tanh-ramp"])
+    def test_netfit_targets_near_the_float_limit_are_refused_without_a_warning(
+        self, tmp_path, capsys, sigma
+    ):
+        cfg_file = tmp_path / "cfg.json"
+        values = ["1e308", "-1e308", "1e308"]
+        cfg_file.write_text(
+            json.dumps({"dimension": 1, "points": [["0"], ["1"], ["2"]], "directions": [["1"]], "values": values})
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["netfit", str(cfg_file), "--sigma", sigma, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: fit budget exhausted; best error 1e+308\n"
+        assert not out.exists()
 
     def test_netfit_nan_eps_is_refused(self, tmp_path, capsys):
         for eps in ("nan", "inf", "1e400", "abc", "0", "-1"):

@@ -4,12 +4,13 @@ import math
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import interior_grid, random_rational, textbook_replayed_error
+from helpers import interior_grid, random_rational, textbook_eval_network, textbook_replayed_error
 from ridgekit import (
     DensityPreconditionError,
     Direction,
@@ -30,9 +31,8 @@ from ridgekit import (
     table_oracle,
     tanh_ramp_oracle,
 )
-from ridgekit import netapprox
+from ridgekit import activation, netapprox
 from ridgekit.presets import config_preset, target_values
-from ridgekit.rationals import rationalize
 
 THETA = ThetaInterval.create(-5, 5)
 LOGISTIC = logistic_oracle()
@@ -277,10 +277,7 @@ class TestApproxNetwork:
         cfg = config_preset(preset)
         values = target_values(target, cfg)
         net = approx_network(cfg, values, oracle, THETA, 1e-2)
-        replayed = max(
-            abs(float(rationalize(v)) - eval_network(net, x)) for x, v in zip(cfg.points, values)
-        )
-        assert net.report["replayed_error"] == replayed
+        assert net.report["replayed_error"] == textbook_replayed_error(cfg, values, net)
 
 
 def random_curve(rng: random.Random, n: int = 81) -> PointConfig:
@@ -294,7 +291,7 @@ def random_curve(rng: random.Random, n: int = 81) -> PointConfig:
 
 
 class TestReplay:
-    """The netfit replay against the textbook ``eval_network`` loop."""
+    """The netfit replay and ``eval_network`` against the textbook network evaluator."""
 
     @pytest.mark.parametrize("oracle", [LOGISTIC, tanh_ramp_oracle(), TABLE], ids=lambda o: o.name)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -320,8 +317,24 @@ class TestReplay:
             w[rng.randrange(dim)] = random_rational(rng, 20, 11) or Fraction(1)
             terms.append(NetworkTerm(random_rational(rng, 99, 13), Direction(tuple(w)), random_rational(rng, 60, 17)))
         net = Network(tuple(terms), oracle)
-        values = [random_rational(rng) for _ in range(cfg.n)]
-        assert netapprox._replayed_error(cfg, values, net) == textbook_replayed_error(cfg, values, net)
+        want = [textbook_eval_network(net, x) for x in cfg.points]
+        assert activation._network_values(net, cfg.points) == want
+        assert [eval_network(net, x) for x in cfg.points] == want
+
+    def test_replay_catches_a_skewed_coefficient(self, monkeypatch):
+        """A fit whose first coefficient is changed after it reported its
+        error makes the replayed error exceed the accounted bound."""
+        real = netapprox.approx_univariate
+
+        def skewed(*args):
+            fit = real(*args)
+            (c, t, th), *rest = fit.terms
+            return replace(fit, terms=((c + 1, t, th), *rest))
+
+        monkeypatch.setattr(netapprox, "approx_univariate", skewed)
+        cfg = config_preset("monotone-curve")
+        with pytest.raises(AssertionError, match="error budget accounting violated"):
+            approx_network(cfg, target_values("prod", cfg), LOGISTIC, THETA, 1e-2)
 
 
 class TestOracles:
