@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from .enumeration import RationalPoly, decode_poly, encode_poly
 from .incidence import DensityPreconditionError, PointConfig, find_closed_path, interpolate_ridge
-from .measures import Direction, Point
+from .measures import Direction, Point, integer_columns
 from .rationals import RationalLike, format_rational, rationalize
 
 
@@ -242,6 +241,8 @@ def encode_univariate(
     return _encode(sample, exact, eps_over_k, spec)
 
 
+# Profiles near the float limit give inf and NaN coefficients, beyond the cap.
+@np.errstate(over="ignore", invalid="ignore")
 def _encode(
     sample: Callable[[np.ndarray], np.ndarray],
     exact: RationalPoly | None,
@@ -388,39 +389,32 @@ def eval_network(net: Network, x: Point) -> Fraction | float:
     every argument lands on a carrier segment; any gap contribution, or an
     oracle activation, makes the result a float.
     """
-    return _network_values(net, [x])[0]
+    if net.dim is not None and x.dim != net.dim:
+        raise ValueError(f"network is {net.dim}-d, point is {x.dim}-d")
+    return _network_values(net, integer_columns([x]))[0]
 
 
-def _network_values(net: Network, points: Sequence[Point]) -> list[Fraction | float]:
-    """:func:`eval_network` at each point, on integers.
+def _network_values(net: Network, integer_points: tuple[int, Sequence]) -> list[Fraction | float]:
+    """:func:`eval_network` at each point of ``integer_points``, which is the
+    ``(D, columns)`` of :func:`integer_columns`, on integers.
 
-    With ``D`` the lcm of the points' coordinate denominators and ``E`` that
-    of a weight's, the argument ``w . x - theta`` is the integer ratio
+    With ``E`` the lcm of a weight's denominators, the argument
+    ``w . x - theta`` is the integer ratio
     ``((E w) . (D x) theta_d - theta_n E D) / (E D theta_d)``.  Each point
     sums its terms in the network's order.  A constructed activation's
     segment values add up exactly and its gap values in floats, and one gap
     makes the total a float; an oracle's ``evaluator`` gets the argument
     rounded once, as ``int / int``.
     """
-    dim = net.dim
-    for x in points:
-        if dim is not None and x.dim != dim:
-            raise ValueError(f"network is {dim}-d, point is {x.dim}-d")
-    big_d = math.lcm(*(c.denominator for x in points for c in x.coords))
-    columns = [
-        [c.numerator * (big_d // c.denominator) for c in col]
-        for col in zip(*(x.coords for x in points))
-    ]
+    big_d, columns = integer_points
+    n = len(columns[0])
     spec = net.activation if isinstance(net.activation, ActivationSpec) else None
-    exact = [Fraction(0)] * len(points)
-    floats = [0.0] * len(points)
-    has_float = [False] * len(points)
+    exact = [Fraction(0)] * n
+    floats = [0.0] * n
+    has_float = [False] * n
     for term in net.terms:
-        big_e = math.lcm(*(c.denominator for c in term.w.coords))
-        dots = [0] * len(points)  # (E w) . (D x), one coordinate column at a time
-        for c, col in zip(term.w.coords, columns):
-            if c:
-                dots = list(map(add, dots, map((c.numerator * (big_e // c.denominator)).__mul__, col)))
+        big_e = term.w.integer_multiple[0]
+        dots = term.w.integer_keys(columns)  # (E w) . (D x)
         theta_d = term.theta.denominator
         offset = term.theta.numerator * big_e * big_d
         den = big_e * big_d * theta_d
@@ -495,7 +489,7 @@ def build_k_network(
 
     net = Network(tuple(terms), spec)
     replayed = Fraction(0)
-    for fv, value in zip(f_values, _network_values(net, cfg.points)):
+    for fv, value in zip(f_values, _network_values(net, cfg.integer_columns)):
         if not isinstance(value, Fraction):
             raise AssertionError("configuration points must hit carrier segments")
         replayed = max(replayed, abs(rationalize(fv) - value))

@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 from typing import Callable, Sequence
 
 from .incidence import IncidenceStructure, PointConfig, analyze
-from .measures import Direction, DiscreteMeasure, Point
+from .measures import Direction, DiscreteMeasure, Point, integer_columns
 from .rationals import RationalLike, rationalize
 
 
@@ -71,11 +70,11 @@ class Bolt:
 def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
     """Check consecutive distinctness and strict alternation (wrap included if closed).
 
-    The check does its own arithmetic, on integers: with ``D`` the lcm of
-    all the bolt's point denominators and ``E`` that of one direction's,
-    ``(E a) . (D x)`` is an integer equal for two points exactly when their
-    levels ``a . x`` are, and ``D x`` equal exactly when the points are.
-    Raises ``ValueError`` when a point's dimension is not the directions'.
+    The check does its own arithmetic, on integers: the bolt's points over
+    their common denominator (:func:`integer_columns`) are equal exactly when
+    the points are, and their integer keys (:meth:`Direction.integer_keys`)
+    exactly when their levels are.  Raises ``ValueError`` when a point's
+    dimension is not the directions'.
     """
     pts = bolt.points
     m = len(pts)
@@ -85,12 +84,9 @@ def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
         for dim in {len(p.coords) for p in pts}:
             if dim != a.dim:
                 raise ValueError(f"dimension mismatch: direction is {a.dim}-d, point is {dim}-d")
-    big_d = lcm(*(c.denominator for p in pts for c in p.coords))
-    scaled = [tuple([c.numerator * (big_d // c.denominator) for c in p.coords]) for p in pts]
-    u, v = (
-        [sum(map(mul, w, x)) for x in scaled]
-        for w in (_integer_multiple(a1), _integer_multiple(a2))
-    )
+    _, columns = integer_columns(pts)
+    scaled = list(zip(*columns))
+    u, v = a1.integer_keys(columns), a2.integer_keys(columns)
     for j in range(m if bolt.closed else m - 1):
         jn = (j + 1) % m
         if scaled[j] == scaled[jn]:
@@ -101,12 +97,6 @@ def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
         if not same or other:
             return False  # off its family's level, or in both families at once
     return True
-
-
-def _integer_multiple(a: Direction) -> list[int]:
-    """``E a``, with ``E`` the lcm of the coordinates' denominators."""
-    big_e = lcm(*(c.denominator for c in a.coords))
-    return [c.numerator * (big_e // c.denominator) for c in a.coords]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ points as a sum of per-direction level profiles.  Hence the verdict: the
 configuration is *dense* (every data vector is an exact ridge sum) iff no
 closed path exists.
 
-:func:`build_incidence` is the only code that maps points to levels, by
-exact integer keys; the ``Fraction`` levels are built only when a ridge table
-asks for them.  A point alone on a level carries that level's whole sum, so
+:func:`build_incidence` is the only code that maps points to levels, by the
+integer keys of :mod:`ridgekit.measures` on the configuration's columns
+(:attr:`PointConfig.integer_columns`); ridge tables alone build ``Fraction``
+levels.  A point alone on a level carries that level's whole sum, so
 it is 0 in every closed path: peeling such points until none is left leaves
 the *core*, and only the core's columns are eliminated.  For two directions
 this is the leaf-peeling of the bipartite level graph, and the core is
@@ -28,8 +29,7 @@ routine of :mod:`ridgekit.exactlinalg`: the core's one elimination for the
 null space, and from it the first closed path, which is all the verdict
 reads; the other closed paths, back-substituted only when the ridge fits ask
 for all of ``N``; and the one factorization of ``[N | S]`` with
-``S = M^T M`` that the ridge fits need.  It also keeps the points' integer
-coordinates, by which the certificate is sorted.
+``S = M^T M`` that the ridge fits need.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .exactlinalg import IntegerSolver, nullspace_int
-from .measures import Direction, DiscreteMeasure, Point, is_annihilating
+from .measures import Direction, DiscreteMeasure, Point, integer_columns, is_annihilating
 from .rationals import RationalLike, rationalize
 
 
@@ -75,6 +75,11 @@ class PointConfig:
         coordinates (the points keep their own hashes)."""
         return self._hash
 
+    @cached_property
+    def integer_columns(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """:func:`integer_columns` of the points, scaled once per configuration."""
+        return integer_columns(self.points)
+
     @classmethod
     def build(
         cls,
@@ -105,15 +110,12 @@ class IncidenceStructure:
     along direction ``i`` in increasing order, level ``g`` lying at
     ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position there
     of point ``j``'s level.  The rows of ``M`` run over (direction, level)
-    pairs in that order.  ``columns[c][j]`` is coordinate ``c`` of point
-    ``j`` times the lcm ``D > 0`` of all point denominators, so the points'
-    integer coordinate tuples sort as their ``Fraction`` ones do.
+    pairs in that order.
     """
 
     keys: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]
     level_of: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_points(self) -> int:
@@ -294,35 +296,21 @@ def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
     """Index every point by its exact projection level along every direction.
 
-    With ``D`` the lcm of all point denominators and ``E`` that of one
-    direction's, ``(E a) . (D x)`` is an integer key ordered like ``a . x``.
-    Level ids come from :func:`sorted_key_ids`; the index keeps the distinct
-    keys, the scale ``D E`` and the coordinate columns ``D x``, and builds no
+    The integer keys ``(E a) . (D x)`` of :meth:`Direction.integer_keys` are
+    ordered like ``a . x``.  Level ids come from :func:`sorted_key_ids`; the
+    index keeps the distinct keys and the scale ``D E``, and builds no
     ``Fraction``.
     """
-    n = cfg.n
-    big_d = lcm(*(c.denominator for p in cfg.points for c in p.coords))
-    columns = [
-        [c.numerator * (big_d // c.denominator) for c in coord]
-        for coord in zip(*(p.coords for p in cfg.points))
-    ]
+    big_d, columns = cfg.integer_columns
     distinct_keys: list[tuple[int, ...]] = []
     scales: list[int] = []
     level_of: list[tuple[int, ...]] = []
     for a in cfg.dirs:
-        big_e = lcm(*(c.denominator for c in a.coords))
-        keys = [0] * n
-        for c, col in zip(a.coords, columns):
-            if c:
-                w = c.numerator * (big_e // c.denominator)
-                keys = list(map(add, keys, map(w.__mul__, col)))
-        distinct, ids = sorted_key_ids(keys)
+        distinct, ids = sorted_key_ids(a.integer_keys(columns))
         distinct_keys.append(tuple(distinct))
-        scales.append(big_d * big_e)
+        scales.append(big_d * a.integer_multiple[0])
         level_of.append(tuple(ids))
-    return IncidenceStructure(
-        tuple(distinct_keys), tuple(scales), tuple(level_of), tuple(map(tuple, columns))
-    )
+    return IncidenceStructure(tuple(distinct_keys), tuple(scales), tuple(level_of))
 
 
 @dataclass(frozen=True)
@@ -363,15 +351,15 @@ def find_closed_path(cfg: PointConfig) -> ClosedPathCertificate | None:
     The certificate is the first null-space basis vector under the
     right-to-left pivot order, restricted to its nonzero coordinates; the
     restriction satisfies the same level equations, so the support is itself
-    a closed path.  The support is sorted by the index's integer coordinates,
-    which share one positive denominator and so sort like the points.
+    a closed path.  The support is sorted by the configuration's integer
+    coordinates, which sort like the points.
     """
     inc = analyze(cfg)
     vec = inc.first_closed_path
     if vec is None:
         return None
     # distinct points and nonzero weights: already the canonical form, once sorted
-    scaled = list(zip(*inc.columns))
+    scaled = list(zip(*cfg.integer_columns[1]))
     support = sorted(vec, key=scaled.__getitem__)
     sign = 1 if vec[support[0]] > 0 else -1
     measure = DiscreteMeasure(

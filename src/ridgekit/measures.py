@@ -6,7 +6,8 @@ rational weights.  Projecting it along a direction ``a`` (the map
 level ``c`` collects the weights of all support points with ``a . x == c``.
 A measure *annihilates* a family of directions when every such projection is
 the zero measure; these are exactly the measures orthogonal to all sums of
-ridge profiles along those directions.
+ridge profiles along those directions.  Levels are formed here on integers
+too, as ``(E a) . (D x)``: :func:`integer_columns`, :meth:`Direction.integer_keys`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .rationals import RationalLike, rationalize
@@ -96,11 +99,36 @@ class Direction:
                     num, den = num * d + term * den, den * d
         return Fraction(num, den)
 
+    @cached_property
+    def integer_multiple(self) -> tuple[int, tuple[int, ...]]:
+        """``(E, E a)``, with ``E`` the lcm of the coordinates' denominators."""
+        big_e = lcm(*(c.denominator for c in self.coords))
+        return big_e, tuple(c.numerator * (big_e // c.denominator) for c in self.coords)
+
+    def integer_keys(self, columns: Sequence[Sequence[int]]) -> list[int]:
+        """``(E a) . (D x)`` per point of the columns of :func:`integer_columns`."""
+        keys = [0] * len(columns[0])
+        for w, col in zip(self.integer_multiple[1], columns):
+            if w:
+                keys = list(map(add, keys, map(w.__mul__, col)))
+        return keys
+
     def scale(self, factor: RationalLike) -> "Direction":
         f = rationalize(factor)
         if f == 0:
             raise ValueError("cannot scale a direction by zero")
         return Direction(tuple(f * c for c in self.coords))
+
+
+def integer_columns(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The points over one denominator: the lcm ``D`` of all their coordinate
+    denominators, and per coordinate the column of ``D x``.  ``D > 0``, so
+    the points' integer coordinate tuples sort as their ``Fraction`` ones do."""
+    big_d = lcm(*(c.denominator for p in points for c in p.coords))
+    return big_d, tuple(
+        tuple(c.numerator * (big_d // c.denominator) for c in coord)
+        for coord in zip(*(p.coords for p in points))
+    )
 
 
 @dataclass(frozen=True)

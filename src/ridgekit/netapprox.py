@@ -353,7 +353,7 @@ def approx_network(
 
     net = Network(tuple(terms), sigma)
     replayed = 0.0
-    for fv, value in zip(f_values, _network_values(net, cfg.points)):
+    for fv, value in zip(f_values, _network_values(net, cfg.integer_columns)):
         replayed = max(replayed, abs(float(rationalize(fv)) - value))
     bound = float(residual) + sum(fit_errors)
     if not replayed <= bound + 1e-9:  # also fails on a NaN bound

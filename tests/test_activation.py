@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -34,9 +35,10 @@ from ridgekit import (
     sigma_eval,
     smooth_step,
 )
-from ridgekit import activation
+from ridgekit import activation, incidence, measures
 from ridgekit.cli import main
 from ridgekit.incidence import interpolate_ridge
+from ridgekit.measures import integer_columns
 from ridgekit.presets import config_preset, target_values
 
 SPEC = ActivationSpec.create(1, 1, 1)
@@ -204,7 +206,6 @@ class TestEncodeUnivariate:
             encode_univariate(g, 1e-12, SPEC)
 
     @pytest.mark.parametrize("g", [lambda t: 2e6, lambda t: 1e308 * math.cos(50 * t)], ids=["large", "overflow"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_fit_beyond_the_coefficient_cap_is_named(self, g):
         """Every degree is skipped, the overflowing profile's by its NaN coefficients."""
         with pytest.raises(EncoderBudgetError, match="1,000,000 coefficient cap"):
@@ -310,8 +311,9 @@ class TestEvalNetwork:
         net = Network(
             (NetworkTerm(Fraction(1), Direction.of(1, 0), Fraction(0)),), SPEC
         )
-        with pytest.raises(ValueError):
-            eval_network(net, Point.of(1))
+        for p in (Point.of(1), Point.of(1, 2, 3)):
+            with pytest.raises(ValueError, match=f"network is 2-d, point is {p.dim}-d"):
+                eval_network(net, p)
 
     def test_serialization_round_trip(self):
         cfg = config_preset("parallel-segments")
@@ -338,6 +340,23 @@ class TestEvalNetwork:
 
 
 class TestBuildKNetwork:
+    def test_each_configuration_is_scaled_once(self, monkeypatch):
+        """On a configuration new to the index cache, the level index and the
+        replay share the configuration's one ``integer_columns``."""
+        real, calls = measures.integer_columns, []
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ridgekit") and getattr(module, "integer_columns", None) is real:
+                monkeypatch.setattr(module, "integer_columns", counted)
+        incidence.analyze.cache_clear()
+        cfg = config_preset("parallel-segments")
+        build_k_network(cfg, target_values("xy", cfg), Fraction(1, 100))
+        assert calls == [cfg.n]
+
     def test_zero_target(self):
         cfg = config_preset("parallel-segments")
         net = build_k_network(cfg, [0] * cfg.n, Fraction(1, 100))
@@ -466,7 +485,7 @@ class TestTextbookOracle:
                 terms.append(NetworkTerm(c, Direction(tuple(w)), spec.shift_for_index(m) + offset))
             net = Network(tuple(terms), spec)
             want = [textbook_eval_network(net, x) for x in points]
-            for got in (activation._network_values(net, points), [eval_network(net, x) for x in points]):
+            for got in (activation._network_values(net, integer_columns(points)), [eval_network(net, x) for x in points]):
                 assert [type(v) for v in got] == [type(v) for v in want] and got == want, seed
             kinds.update(type(v) for v in want)
             for x in points:

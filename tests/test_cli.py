@@ -402,7 +402,6 @@ class TestResourceCaps:
         ],
         ids=["sigma-build-large", "kfit-overflow", "kfit-large"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_coefficients_beyond_the_cap_are_named(self, tmp_path, capsys, argv, values):
         """A fit whose every degree has a coefficient beyond the cap, NaN
         included, is refused with the cap named, not as ``best error inf``."""

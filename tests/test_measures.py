@@ -1,11 +1,13 @@
 """Measure layer: pushforwards, total variation, integration, annihilation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import textbook_dot
 from ridgekit import (
     Direction,
     DiscreteMeasure,
@@ -16,6 +18,7 @@ from ridgekit import (
     pushforward,
     total_variation,
 )
+from ridgekit.measures import integer_columns
 
 E1, E2, E3 = Direction.of(1, 0, 0), Direction.of(0, 1, 0), Direction.of(0, 0, 1)
 
@@ -161,6 +164,42 @@ class TestDot:
         got = Direction(tuple(a)).dot(Point(tuple(x)))
         assert got == sum((Fraction(c) * v for c, v in zip(a, x)), Fraction(0))
         assert type(got) is Fraction
+
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_and_ordered_as_the_textbook_dot(self, seed):
+        """Over mixed denominators, and with the coordinates ``2^-k`` and
+        ``2^-(k+61)``, whose hashes collide, each key is ``D E`` times the
+        textbook dot, so keys are equal and ordered exactly as levels are."""
+        rng = random.Random(seed)
+        dim = rng.randint(1, 4)
+        k = rng.randint(1, 40)
+        twins = [Fraction(1, 2**k), Fraction(1, 2 ** (k + 61))]
+
+        def coord():
+            if rng.random() < 0.3:
+                return rng.choice(twins) * rng.choice([1, -1, 3])
+            return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7, 12]))
+
+        coords = {(t,) + (Fraction(0),) * (dim - 1) for t in twins}
+        while len(coords) < 40:
+            coords.add(tuple(coord() for _ in range(dim)))
+        points = [Point(x) for x in coords]
+        rng.shuffle(points)
+        big_d, columns = integer_columns(points)
+        assert len(columns) == dim and all(len(col) == len(points) for col in columns)
+        for _ in range(6):
+            a = Direction((coord() or Fraction(1),) + tuple(coord() for _ in range(dim - 1)))
+            big_e, multiple = a.integer_multiple
+            assert all(type(w) is int for w in multiple) and big_e > 0
+            keys = a.integer_keys(columns)
+            dots = [textbook_dot(a, p) for p in points]
+            assert all(type(key) is int for key in keys)
+            assert keys == [dot * big_d * big_e for dot in dots]
+            for ki, di in zip(keys, dots):
+                assert [(ki < kj, ki == kj) for kj in keys] == [(di < dj, di == dj) for dj in dots]
 
 
 class TestProperties:

@@ -318,7 +318,7 @@ class TestReplay:
             terms.append(NetworkTerm(random_rational(rng, 99, 13), Direction(tuple(w)), random_rational(rng, 60, 17)))
         net = Network(tuple(terms), oracle)
         want = [textbook_eval_network(net, x) for x in cfg.points]
-        assert activation._network_values(net, cfg.points) == want
+        assert activation._network_values(net, cfg.integer_columns) == want
         assert [eval_network(net, x) for x in cfg.points] == want
 
     def test_replay_catches_a_skewed_coefficient(self, monkeypatch):
