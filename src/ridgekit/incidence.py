@@ -20,16 +20,24 @@ levels.  A point alone on a level carries that level's whole sum, so
 it is 0 in every closed path: peeling such points until none is left leaves
 the *core*, and only the core's columns are eliminated.  For two directions
 this is the leaf-peeling of the bipartite level graph, and the core is
-empty exactly when that graph is a forest.
+empty exactly when that graph is a forest.  The peel is kept in order, each
+point with the level it was alone on; on those rows ``M`` is unit triangular.
 
 :func:`analyze` caches one index per configuration, which the verdict, the
 ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
 keeps what is derived from it on first use, all from the one elimination
 routine of :mod:`ridgekit.exactlinalg`: the core's one elimination for the
 null space, and from it the first closed path, which is all the verdict
-reads; the other closed paths, back-substituted only when the ridge fits ask
-for all of ``N``; and the one factorization of ``[N | S]`` with
-``S = M^T M`` that the ridge fits need.
+reads; and one factorization per index for the ridge fits, on one of two
+routes chosen from the index alone, the smaller system winning.  With ``L``
+levels, ``n`` points and ``z = L - n``:
+
+* the core is empty and ``z < n``: ``M`` has full column rank, the fit
+  back-substitutes along the peel and projects out the null space of
+  ``M^T``, and the ``z × z`` Gram matrix of a basis of that null space is
+  factored;
+* otherwise the other closed paths are back-substituted too, and
+  ``[N | S]`` with ``S = M^T M`` is factored, ``n`` rows.
 """
 
 from __future__ import annotations
@@ -147,36 +155,59 @@ class IncidenceStructure:
         return tuple(out)
 
     @cached_property
-    def core(self) -> tuple[int, ...]:
-        """The points left, in increasing order, after repeatedly removing a
-        point that is alone on one of its levels among the points left.
+    def peel(self) -> tuple[tuple[int, int, int], ...]:
+        """The points removed by repeatedly removing a point that is alone on
+        one of its levels among the points left, in removal order, each as
+        ``(point, direction, level)`` with the level it was alone on.
 
-        A point alone on a level carries that level's whole sum, so it is 0
-        in every closed path, and by induction every null vector of ``M`` is
-        zero off the core.  Each level keeps its count of remaining points
-        and the sum of their ids, which names its last point."""
-        counts: list[list[int]] = []
-        id_sums: list[list[int]] = []
-        for keys, ids in zip(self.keys, self.level_of):
+        Each level keeps its count of remaining points and the sum of their
+        ids, which names its last point; the stack holds each point found
+        alone with that level, and skips a point already removed through
+        another level.  Call the removed points ``j_1 … j_t`` and their levels
+        ``l_1 … l_t``: every point of ``l_s`` other than ``j_s`` was removed
+        before it, so each other level of ``j_s`` is either no ``l_r`` or an
+        ``l_r`` with ``r > s``, and the rows ``l_1 … l_t`` of ``M`` are unit
+        triangular on the columns ``j_1 … j_t``."""
+        tables = []
+        for i, (keys, ids) in enumerate(zip(self.keys, self.level_of)):
             count, total = [0] * len(keys), [0] * len(keys)
             for j, g in enumerate(ids):
                 count[g] += 1
                 total[g] += j
-            counts.append(count)
-            id_sums.append(total)
-        alone = [t for count, total in zip(counts, id_sums) for c, t in zip(count, total) if c == 1]
+            tables.append((i, count, total, ids))
+        alone = [
+            (t, i, g)
+            for i, count, total, _ in tables
+            for g, (c, t) in enumerate(zip(count, total))
+            if c == 1
+        ]
         live = [True] * self.n_points
+        order = []
         while alone:
-            j = alone.pop()
+            step = alone.pop()
+            j = step[0]
             if not live[j]:
                 continue
             live[j] = False
-            for count, total, ids in zip(counts, id_sums, self.level_of):
+            order.append(step)
+            for i, count, total, ids in tables:
                 g = ids[j]
                 count[g] -= 1
                 total[g] -= j
                 if count[g] == 1:
-                    alone.append(total[g])
+                    alone.append((total[g], i, g))
+        return tuple(order)
+
+    @cached_property
+    def core(self) -> tuple[int, ...]:
+        """The points the :attr:`peel` leaves, in increasing order.
+
+        A point alone on a level carries that level's whole sum, so it is 0
+        in every closed path, and by induction every null vector of ``M`` is
+        zero off the core."""
+        live = [True] * self.n_points
+        for j, _, _ in self.peel:
+            live[j] = False
         return tuple(j for j, kept in enumerate(live) if kept)
 
     @cached_property
@@ -231,9 +262,84 @@ class IncidenceStructure:
                         row[p + b] = row.get(p + b, 0) + 1
         return IntegerSolver(rows, p + self.n_points)
 
-    def fit(self, values: Sequence[Fraction]) -> tuple[list[list[Fraction]], Fraction]:
-        """The level vectors ``u`` of the minimum-norm least-squares fit of
-        ``values``, and the exact worst-case residual ``max |f - M^T u|``.
+    @cached_property
+    def _peel_projection(self) -> tuple[list, list, list[int], IntegerSolver, list]:
+        """What a fit on the :attr:`peel` reads, when the core is empty.
+
+        Levels are numbered flat, direction by direction; ``spans`` gives
+        each direction's range.  The steps are the peel reversed, each
+        ``(l_t, j_t, the other levels of j_t)``; a back-substitution over them
+        solves ``M^T u = f`` for any values preset on the ``z`` free levels,
+        the levels that are no ``l_t``.  Run with ``f = 0`` and free level
+        ``c`` set to 1, it gives column ``c`` of a basis ``Z`` of
+        ``null(M^T)``.  ``Z`` is kept by rows: the free levels' rows are unit
+        vectors, and each step level's row is ``((c, entry), ...)`` over its
+        nonzero entries.  The ``z × z`` Gram matrix ``Z^T Z`` is factored
+        once."""
+        spans, start = [], 0
+        for count in self.level_counts:
+            spans.append((start, start + count))
+            start += count
+        starts = [a for a, _ in spans]
+        steps = []
+        for j, i, g in reversed(self.peel):
+            levels = [a + ids[j] for a, ids in zip(starts, self.level_of)]
+            steps.append((levels.pop(i), j, tuple(levels)))
+        pinned = {level for level, _, _ in steps}
+        free = [level for level in range(start) if level not in pinned]
+        rows: dict[int, dict[int, int]] = {level: {c: 1} for c, level in enumerate(free)}
+        gram: list[dict[int, int]] = [{c: 1} for c in range(len(free))]
+        step_rows = []
+        for level, _, others in steps:
+            row: dict[int, int] = {}
+            for other in others:
+                for c, v in rows[other].items():
+                    row[c] = row.get(c, 0) - v
+            row = rows[level] = {c: v for c, v in row.items() if v}
+            for a, va in row.items():
+                target = gram[a]
+                for b, vb in row.items():
+                    target[b] = target.get(b, 0) + va * vb
+            step_rows.append((level, tuple(row.items())))
+        return steps, step_rows, free, IntegerSolver(gram, len(free)), spans
+
+    @cached_property
+    def _fits_on_peel(self) -> bool:
+        """Whether :meth:`fit` takes the peel: the core is empty and ``M^T``,
+        of nullity ``z = L - n``, has ``z < n``."""
+        n = self.n_points
+        return not self.core and sum(self.level_counts) - n < n
+
+    def _solve_on_peel(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
+        """Integer level numerators ``W`` over ``q`` with ``u = W / (q d)`` the
+        minimum-norm solution of ``M^T u = f = F / d``, on an empty core.
+
+        The back-substitution with the free levels at 0 gives ``u_0 = U / d``
+        from ``F`` by additions alone.  ``u = u_0 - Z (Z^T Z)^{-1} Z^T u_0`` is
+        orthogonal to ``null(M^T)``, so it lies in the range of ``M``; with
+        ``(Z^T Z) X / q = -Z^T U``, ``W = q U + Z X``, which is the
+        back-substitution of ``q F`` with the free levels preset to ``X``.
+        With no free level, ``M`` is square and ``u_0`` is the solution."""
+        steps, step_rows, free, gram, spans = self._peel_projection
+        u = _back_substitute_peel(steps, f_num, [0] * spans[-1][1])
+        if not free:
+            return [u[a:b] for a, b in spans], 1
+        rhs = [0] * len(free)
+        for level, row in step_rows:
+            v = u[level]
+            if v:
+                for c, e in row:
+                    rhs[c] -= e * v
+        x, q = gram.solve(rhs)
+        w = [0] * len(u)
+        for level, v in zip(free, x):
+            w[level] = v
+        w = _back_substitute_peel(steps, [q * v for v in f_num], w)
+        return [w[a:b] for a, b in spans], q
+
+    def _solve_on_closed_paths(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
+        """Integer level numerators ``W`` over ``q`` with ``u = W / (q d)`` the
+        minimum-norm least-squares solution of ``M^T u = f = F / d``.
 
         ``N`` holds the closed paths as columns, spanning the null space of
         ``M``, and ``S = M^T M``.  The range of ``S`` is the range of ``M^T``,
@@ -242,17 +348,31 @@ class IncidenceStructure:
         Its solutions share ``c`` and differ in ``y`` by null vectors of ``M``,
         so ``u = M y`` is the same for all of them: the minimum-norm
         least-squares solution of ``M^T u = f``, as it lies in the range of
-        ``M``.
+        ``M``.  The solver returns ``[c; y] = X / q``, and ``W = M X_y``."""
+        x, q = self.solver.solve(f_num)
+        return self.level_sums(x[len(self.closed_paths):]), q
+
+    def fit(self, values: Sequence[Fraction]) -> tuple[list[list[Fraction]], Fraction]:
+        """The level vectors ``u`` of the minimum-norm least-squares fit of
+        ``values``, and the exact worst-case residual ``max |f - M^T u|``.
+
+        The solution is unique, so the two routes give the same tables; the
+        smaller system wins.  When the core is empty, ``M`` has full column
+        rank ``n`` and ``M^T`` has nullity ``z = L - n`` over ``L`` levels; if
+        also ``z < n``, the fit back-substitutes along the :attr:`peel` and
+        projects out ``null(M^T)`` through a ``z × z`` factorization
+        (:meth:`_solve_on_peel`).  Otherwise it solves the ``n``-row system
+        ``[N | S]`` (:meth:`_solve_on_closed_paths`).
 
         The arithmetic is integer: ``f = F / d`` over the lcm ``d`` of its
-        denominators, the solver returns ``[c; y] = X / q``, and so
-        ``u = M X_y / (q d)`` and ``f - M^T u = (q F - M^T M X_y) / (q d)``.
-        One ``Fraction`` is built per level and one for the residual.
+        denominators, a route returns ``u = W / (q d)``, and
+        ``f - M^T u = (q F - M^T W) / (q d)``.  One ``Fraction`` is built per
+        level and one for the residual.
         """
         d = lcm(*(v.denominator for v in values))
         f_num = [v.numerator * (d // v.denominator) for v in values]
-        x, q = self.solver.solve(f_num)
-        sums = self.level_sums(x[len(self.closed_paths):])
+        solve = self._solve_on_peel if self._fits_on_peel else self._solve_on_closed_paths
+        sums, q = solve(f_num)
         worst = max(abs(q * a - b) for a, b in zip(f_num, self.gather(sums)))
         den = q * d
         return [[Fraction(s, den) for s in lv] for lv in sums], Fraction(worst, den)
@@ -274,6 +394,18 @@ class IncidenceStructure:
         for ids, u in zip(self.level_of, level_vecs):
             out = list(map(add, out, map(u.__getitem__, ids)))
         return out
+
+
+def _back_substitute_peel(
+    steps: Sequence[tuple[int, int, tuple[int, ...]]], f: Sequence[int], w: list[int]
+) -> list[int]:
+    """Solve ``M^T w = f`` along the reversed peel, in place, for ``w``
+    preset on the free levels: each step ``(l_t, j_t, others)`` sets
+    ``w[l_t]`` from point ``j_t``'s equation, whose other levels are set."""
+    get = w.__getitem__
+    for level, j, others in steps:
+        w[level] = f[j] - sum(map(get, others))
+    return w
 
 
 def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -257,6 +257,30 @@ def large_config(rng: random.Random, family: str, n: int) -> PointConfig:
     return PointConfig.build(points, [(1, 0), (0, 1)])
 
 
+def level_forest(rng: random.Random, sizes: list[int]) -> PointConfig:
+    """A k = 2 level forest under the two axis directions: one random tree of
+    each size in ``sizes`` (grown as the ``forest`` family of
+    :func:`large_config` grows its one tree), the trees on disjoint levels.
+    The level graph has ``len(sizes)`` components, so ``L = n + len(sizes)``."""
+    pairs: list[tuple[int, int]] = []
+    base = [0, 0]
+    for size in sizes:
+        tree = [(0, 0)]
+        counts = [1, 1]
+        while len(tree) < size:
+            side = rng.randrange(2)
+            pair = [0, 0]
+            pair[side], pair[1 - side] = rng.randrange(counts[side]), counts[1 - side]
+            counts[1 - side] += 1
+            tree.append(tuple(pair))
+        pairs += [(base[0] + i, base[1] + j) for i, j in tree]
+        base = [base[0] + counts[0], base[1] + counts[1]]
+    rng.shuffle(pairs)
+    values = [sorted(rng.sample(range(-999, 1000), count)) for count in base]
+    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
+    return PointConfig.build(points, [(1, 0), (0, 1)])
+
+
 def random_config(rng: random.Random, max_n=12, max_k=4, max_d=3, coord_range=5) -> PointConfig:
     """A random configuration with small integer coordinates in {0..4}."""
     d = rng.randint(1, max_d)

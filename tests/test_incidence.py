@@ -4,12 +4,14 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from helpers import (
     float_lstsq_residual_linf,
     large_config,
+    level_forest,
     level_rows,
     oracle_has_closed_path,
     random_config,
@@ -36,6 +38,7 @@ from ridgekit import (
 from ridgekit import exactlinalg, incidence
 from ridgekit.exactlinalg import IntegerSolver, nullspace_int
 from ridgekit.presets import config_preset
+from ridgekit.rationals import rationalize
 
 
 FIVE_PT = config_preset("paper-5pt")
@@ -221,6 +224,24 @@ class TestCore:
             if family is not None:
                 # staircases, forests and generic sets peel away completely
                 assert bool(core) == (family in ("closed-staircase", "grid"))
+
+    def test_peel_records_each_point_with_the_level_it_was_alone_on(self):
+        """Against the textbook level rows: each peeled point is the only
+        point not yet peeled on its recorded level, the peel covers exactly
+        the points off the core, and no level is recorded twice."""
+        for _, cfg in core_configs():
+            rows = level_rows(cfg)
+            offsets = [0]
+            for levels in textbook_levels(cfg):
+                offsets.append(offsets[-1] + len(levels))
+            inc = build_incidence(cfg)
+            left = set(range(cfg.n))
+            for j, i, g in inc.peel:
+                row = rows[offsets[i] + g]
+                assert [a for a in sorted(left) if row[a]] == [j]
+                left.remove(j)
+            assert sorted(left) == list(inc.core)
+            assert len({(i, g) for _, i, g in inc.peel}) == len(inc.peel)
 
     def test_verdict_builds_no_level_fraction(self):
         """The verdict and the bolt graph read integer keys only; the
@@ -581,6 +602,28 @@ def assert_matches_min_norm_oracle(cfg: PointConfig, vectors: list[list]) -> Non
         assert type(got) is Fraction
 
 
+def assert_both_routes_match_the_oracle(cfg: PointConfig, vectors: list[list]) -> None:
+    """On an empty core with ``z < n``, the peel route and the ``[N | S]``
+    route each give the textbook tables; the residual is taken from the
+    textbook level rows."""
+    inc = incidence.analyze(cfg)
+    assert not inc.core and sum(inc.level_counts) < 2 * cfg.n
+    rows = level_rows(cfg)
+    for values, (u, residual) in zip(vectors, textbook_min_norm_fit(cfg, vectors)):
+        f = [rationalize(v) for v in values]
+        d = lcm(*(v.denominator for v in f))
+        f_num = [v.numerator * (d // v.denominator) for v in f]
+        for solve in (inc._solve_on_peel, inc._solve_on_closed_paths):
+            sums, q = solve(f_num)
+            tables = [[Fraction(s, q * d) for s in lv] for lv in sums]
+            flat = [v for lv in tables for v in lv]
+            worst = max(
+                abs(fj - sum((row[j] * x for row, x in zip(rows, flat)), Fraction(0)))
+                for j, fj in enumerate(f)
+            )
+            assert tables == u and worst == residual
+
+
 class TestMinNormOracle:
     """The integer fit against the textbook normal-equations oracle."""
 
@@ -605,31 +648,88 @@ class TestMinNormOracle:
             vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
             assert_matches_min_norm_oracle(cfg, vectors)
 
+    @pytest.mark.parametrize("family", ["staircase", "forests", "generic"])
+    def test_large_configurations_on_both_routes(self, family):
+        """Staircases (z = 1) and level forests of several trees (z = the
+        number of trees) peel away with z < n, and both routes are checked;
+        generic k = 3 sets peel away with z = 2n and take ``[N | S]``."""
+        rng = random.Random(f"peel-oracle-{family}")
+        for n in (12, 24) if family == "generic" else (16, 33, 50):
+            trees = 2 + n % 5
+            if family == "forests":
+                cfg = level_forest(rng, [n // trees + (i < n % trees) for i in range(trees)])
+            else:
+                cfg = large_config(rng, family, n)
+            inc = incidence.analyze(cfg)
+            z = sum(inc.level_counts) - cfg.n
+            assert not inc.core
+            assert z == {"staircase": 1, "forests": trees, "generic": 2 * cfg.n}[family]
+            vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
+            assert_matches_min_norm_oracle(cfg, vectors)
+            if z < cfg.n:
+                assert_both_routes_match_the_oracle(cfg, vectors)
+
+    @pytest.mark.parametrize("name, z", [("paper-orbit", 1), ("parallel-segments", 2)])
+    def test_presets_on_both_routes(self, name, z):
+        cfg = config_preset(name)
+        inc = incidence.analyze(cfg)
+        assert not inc.core and sum(inc.level_counts) - cfg.n == z
+        rng = random.Random(name)
+        vectors = [random_values(rng, cfg.n) for _ in range(3)]
+        assert_matches_min_norm_oracle(cfg, vectors)
+        assert_both_routes_match_the_oracle(cfg, vectors)
+
+    def test_cold_peel_fit_factors_only_the_gram_matrix(self, monkeypatch):
+        """A cold fit of a level forest with z < n eliminates one matrix, z
+        columns wide, and builds no closed path and no ``[N | S]``."""
+        cfg = level_forest(random.Random(25), [20, 15, 9])
+        widths = []
+        eliminate = exactlinalg._eliminate
+
+        def counted(rows, ncols):
+            widths.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        incidence.analyze.cache_clear()
+        _, residual = interpolate_ridge(cfg, random_values(random.Random(25), cfg.n))
+        inc = incidence.analyze(cfg)
+        assert sum(inc.level_counts) - cfg.n == 3 and widths == [3]
+        assert residual == 0
+        assert not {"first_closed_path", "closed_paths", "solver"} & inc.__dict__.keys()
+        incidence.analyze.cache_clear()
 
     def test_fit_builds_one_fraction_per_level_and_one_residual(self, monkeypatch):
-        """Factoring ``[N | S]`` builds no ``Fraction``, and a fit builds one
-        per level and one for the residual (the closed paths' own
-        back-substitution is not counted)."""
-        cfg = square_grid(8, GRID_DIRS)
-        incidence.analyze.cache_clear()
-        inc = incidence.analyze(cfg)
-        inc.closed_paths
-        values = random_values(random.Random(8), cfg.n)
-        built = []
-        original = Fraction.__new__
+        """Factoring builds no ``Fraction``, and a fit builds one per level
+        and one for the residual: ``[N | S]`` on a grid (the closed paths' own
+        back-substitution is not counted), and the peel's Gram matrix on a
+        level forest with z < n."""
+        cases = [
+            (square_grid(8, GRID_DIRS), "solver"),
+            (level_forest(random.Random(8), [20, 12, 6]), "_peel_projection"),
+        ]
+        for cfg, factorization in cases:
+            incidence.analyze.cache_clear()
+            inc = incidence.analyze(cfg)
+            if factorization == "solver":
+                inc.closed_paths
+            values = random_values(random.Random(8), cfg.n)
+            built = []
+            original = Fraction.__new__
 
-        def counted(cls, *args, **kwargs):
-            built.append(args)
-            return original(cls, *args, **kwargs)
+            def counted(cls, *args, **kwargs):
+                built.append(args)
+                return original(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        inc.solver
-        assert built == []
-        tables, residual = inc.fit(values)
-        assert len(built) == sum(inc.level_counts) + 1
-        monkeypatch.undo()
-        ridge, expected = interpolate_ridge(cfg, values)
-        assert tables == [list(t.values) for t in ridge.tables] and residual == expected
+            monkeypatch.setattr(Fraction, "__new__", counted)
+            getattr(inc, factorization)
+            assert built == []
+            tables, residual = inc.fit(values)
+            assert len(built) == sum(inc.level_counts) + 1
+            monkeypatch.undo()
+            assert ("solver" in inc.__dict__) == (factorization == "solver")
+            ridge, expected = interpolate_ridge(cfg, values)
+            assert tables == [list(t.values) for t in ridge.tables] and residual == expected
 
 
 class TestLevelTable:

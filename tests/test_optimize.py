@@ -24,6 +24,7 @@ CASES = [
     (0, "bolts --preset grid-3x3"),
     (0, "orbits --preset grid-3x3"),
     (0, "ridgefit --preset grid-3x3 --f xy"),
+    (0, "ridgefit --preset parallel-segments --f xy"),
     (0, "probe --preset paper-orbit --N 200"),
     (0, "netfit --preset monotone-curve --f x"),
     (0, "kfit --preset parallel-segments --f xy"),
