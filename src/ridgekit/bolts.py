@@ -11,7 +11,10 @@ Every point's (level-1, level-2) pair is an edge of a bipartite graph on
 level nodes, and a closed bolt is exactly a simple cycle there, so detection
 is a linear-time cycle search rather than a combinatorial enumeration.  The
 graph is read from the cached level index of :mod:`ridgekit.incidence`, the
-same one the density verdict of those points and directions reads.
+same one the density verdict of those points and directions reads, and the
+orbits are the components of that index's level forest, the union-find the
+verdict grows.  The closed bolt keeps its own depth-first search: its cycle
+is pinned, and need not be the verdict's certificate.
 
 For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
@@ -204,25 +207,15 @@ def _bolt_from_cycle(graph, parent, lower, upper, closing_edge) -> Bolt:
 
 
 def orbits(graph: BoltGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components under level sharing (union of both families)."""
-    n = len(graph.points)
-    root = list(range(n))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for groups in graph.incidence.groups:
-        for members in groups:
-            base = find(members[0])
-            for j in members[1:]:
-                root[find(j)] = base
+    """Connected components under level sharing (union of both families),
+    each in increasing order, ordered by their first points.  Two points
+    share a component exactly when their levels do in the index's level
+    forest (:attr:`IncidenceStructure.forest`), which the verdict reads too."""
+    _, component = graph.incidence.forest
     comps: dict[int, list[int]] = {}
-    for j in range(n):
-        comps.setdefault(find(j), []).append(j)
-    return tuple(tuple(sorted(c)) for c in sorted(comps.values()))
+    for j, node in enumerate(component):
+        comps.setdefault(node, []).append(j)
+    return tuple(map(tuple, comps.values()))
 
 
 def bolt_measure(bolt: Bolt, n: int) -> DiscreteMeasure:

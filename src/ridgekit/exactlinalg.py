@@ -3,29 +3,32 @@
 :func:`_eliminate` is a sparse, forward-only, integer fraction-free
 elimination that pivots over columns right to left; rows may be dense
 sequences or ``{column: value}`` dicts, and only nonzero entries are touched.
-It records every row update as integers.  Its two consumers share one
-integer back-substitution over its pivot rows, :func:`_back_substitute`:
+It records every row update as integers, and runs only as far as it is
+asked: it hands back each free column as it reaches it.  Its two consumers
+share one integer back-substitution over its pivot rows,
+:func:`_back_substitute`:
 
 * :func:`nullspace_int`, for a null-space basis that depends only on the
   matrix, not on the elimination route, so certificates are reproducible;
-  its vectors are back-substituted one at a time, as they are asked for;
-* :class:`IntegerSolver`, which first replays the recorded updates on the
-  integer numerators of right-hand sides, with one integer denominator per
-  row that depends only on the matrix: factor once, solve many.  The ridge
+  it eliminates as vectors are asked for, up to each one's free column, and
+  back-substitutes each vector there;
+* :class:`IntegerSolver`, which runs the elimination to the end and then
+  replays the recorded updates on the integer numerators of right-hand
+  sides, with one integer denominator per row that depends only on the
+  matrix: factor once, solve many.  The ridge
   fit's ``[N | S]`` systems use it (the closed paths beside ``S = M^T M``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
 
 def _eliminate(
     rows: Sequence[Sequence[int] | dict[int, int]], ncols: int
-) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[int], list[tuple[int, ...]]]:
-    """Eliminate an integer matrix over columns right to left.
+) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[tuple[int, ...]], Iterator[int]]:
+    """Eliminate an integer matrix over columns right to left, as far as asked.
 
     A column's pivot is the lowest-index row not yet used as a pivot that is
     nonzero there; the column is then eliminated from the other unused rows
@@ -34,8 +37,12 @@ def _eliminate(
     column with no unused row left is free.  A pivot row is never updated
     again and is zero right of its pivot; the unused rows end zero.
 
-    Returns the rows, the ``(column, pivot row)`` pairs right to left, the
-    free columns and each update as ``(pivot row, target row, pv, rv, g)``.
+    The rows are copied here, by this call.  Returns the rows, the
+    ``(column, pivot row)`` pairs right to left, each update as
+    ``(pivot row, target row, pv, rv, g)``, and an iterator over the free
+    columns right to left that runs the elimination: it hands back each free
+    column as it reaches it, when the lists hold exactly what was done right
+    of that column, and it ends when every column is eliminated.
     """
     mat = [
         {j: int(v) for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
@@ -46,37 +53,39 @@ def _eliminate(
         for j in r:
             holders[j].add(i)
     pivots: list[tuple[int, int]] = []
-    free_cols: list[int] = []
     updates: list[tuple[int, ...]] = []
-    for col in range(ncols - 1, -1, -1):
-        if not holders[col]:
-            free_cols.append(col)
-            continue
-        p = min(holders[col])
-        prow = mat[p]
-        for j in prow:
-            holders[j].discard(p)
-        pivots.append((col, p))
-        pv = prow[col]
-        for i in list(holders[col]):
-            r = mat[i]
-            rv = r[col]
-            new = {j: v * pv for j, v in r.items()}
-            for j, v in prow.items():
-                w = new.get(j, 0) - v * rv
-                if w:
-                    if j not in new:
-                        holders[j].add(i)
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-                    holders[j].discard(i)
-            g = gcd(*new.values()) or 1
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            mat[i] = new
-            updates.append((p, i, pv, rv, g))
-    return mat, pivots, free_cols, updates
+
+    def free_columns() -> Iterator[int]:
+        for col in range(ncols - 1, -1, -1):
+            if not holders[col]:
+                yield col
+                continue
+            p = min(holders[col])
+            prow = mat[p]
+            for j in prow:
+                holders[j].discard(p)
+            pivots.append((col, p))
+            pv = prow[col]
+            for i in list(holders[col]):
+                r = mat[i]
+                rv = r[col]
+                new = {j: v * pv for j, v in r.items()}
+                for j, v in prow.items():
+                    w = new.get(j, 0) - v * rv
+                    if w:
+                        if j not in new:
+                            holders[j].add(i)
+                        new[j] = w
+                    elif j in new:
+                        del new[j]
+                        holders[j].discard(i)
+                g = gcd(*new.values()) or 1
+                if g > 1:
+                    new = {j: v // g for j, v in new.items()}
+                mat[i] = new
+                updates.append((p, i, pv, rv, g))
+
+    return mat, pivots, updates, free_columns()
 
 
 def nullspace_int(
@@ -84,13 +93,17 @@ def nullspace_int(
 ) -> Iterator[tuple[int, ...]]:
     """Null-space basis of an integer matrix, as coprime integer vectors.
 
-    The matrix is eliminated once, by this call; the returned iterator then
-    back-substitutes each vector only when it is asked for, so a caller that
-    needs the first vector alone pays for one back-substitution.
+    This call copies the rows; the returned iterator then eliminates as
+    vectors are asked for.  :func:`_eliminate` stops at each free column,
+    and its vector is back-substituted there, so a caller that needs the
+    first vector alone eliminates only the columns right of it and pays for
+    one back-substitution; the next vector resumes the same elimination.
 
     A free column of :func:`_eliminate` depends on the pivot columns to its
     right, and its basis vector is :func:`_back_substitute` over their pivot
-    rows, with a 1 preset on it and a zero right-hand side.
+    rows, with a 1 preset on it and a zero right-hand side.  Those pivot rows
+    are all found by the time the free column is reached, and are never
+    updated again, so stopping there changes no vector.
 
     The pivot columns are exactly the columns independent of those to their
     right, and each vector is the unique null vector with a 1 on its free
@@ -101,15 +114,14 @@ def nullspace_int(
     is the free column's running denominator, and each entry set is coprime
     to the factor that scales those set before it, back to the initial 1.
     """
-    mat, pivots, free_cols, _ = _eliminate(rows, ncols)
-    prows = [(col, p, mat[p], 1) for col, p in reversed(pivots)]
-    pivot_cols = [col for col, *_ in prows]
+    mat, pivots, _, free_cols = _eliminate(rows, ncols)
+    zero = [0] * len(mat)
 
     def vectors() -> Iterator[tuple[int, ...]]:
         for free_col in free_cols:
             x = [0] * ncols
             x[free_col] = 1
-            x, _ = _back_substitute(prows[bisect_right(pivot_cols, free_col) :], [0] * len(mat), x)
+            x, _ = _back_substitute([(col, p, mat[p], 1) for col, p in reversed(pivots)], zero, x)
             yield tuple(x)
 
     return vectors()
@@ -159,7 +171,9 @@ class IntegerSolver:
 
     def __init__(self, rows: Sequence[Sequence[int] | dict[int, int]], ncols: int):
         self.nrows, self.ncols = len(rows), ncols
-        mat, pivots, _, updates = _eliminate(rows, ncols)
+        mat, pivots, updates, free_cols = _eliminate(rows, ncols)
+        for _ in free_cols:  # run the elimination to the end
+            pass
         den = [1] * self.nrows
         self._ops: list[tuple[int, int, int, int]] = []  # (pivot row, target row, α, β)
         for p, t, pv, rv, g in updates:

@@ -25,12 +25,23 @@ point with the level it was alone on; on those rows ``M`` is unit triangular.
 
 :func:`analyze` caches one index per configuration, which the verdict, the
 ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
-keeps what is derived from it on first use, all from the one elimination
-routine of :mod:`ridgekit.exactlinalg`: the core's one elimination for the
-null space, and from it the first closed path, which is all the verdict
-reads; and one factorization per index for the ridge fits, on one of two
-routes chosen from the index alone, the smaller system winning.  With ``L``
-levels, ``n`` points and ``z = L - n``:
+keeps what is derived from it on first use.  The verdict reads only the
+first closed path, the circuit on the rightmost column that depends on the
+columns to its right, and does only the work that one vector needs:
+
+* for two directions, points are the edges of the bipartite level graph,
+  and the circuit is the first cycle that a union-find over level nodes
+  closes when the points are added from the last one down
+  (:attr:`IncidenceStructure.forest`); neither the peel nor an elimination
+  runs, and the same forest gives the orbits of :mod:`ridgekit.bolts`;
+* otherwise the core's elimination, the one routine of
+  :mod:`ridgekit.exactlinalg`, stops at its first free column.
+
+The whole null space, which only a ridge fit reads, comes from the core's one
+elimination, resumed where a verdict stopped it.  The ridge fits take one
+factorization per index, on one of two routes chosen from the index alone,
+the smaller system winning.  With ``L`` levels, ``n`` points
+and ``z = L - n``:
 
 * the core is empty and ``z < n``: ``M`` has full column rank, the fit
   back-substitutes along the peel and projects out the null space of
@@ -211,12 +222,82 @@ class IncidenceStructure:
         return tuple(j for j, kept in enumerate(live) if kept)
 
     @cached_property
+    def forest(self) -> tuple[int | None, tuple[int, ...]]:
+        """For two directions: the level graph grown into a spanning forest,
+        point by point from ``n - 1`` down to 0.  Returns the first point that
+        closes a cycle (None when the graph is a forest) and each point's
+        component, named by a level node.
+
+        Node ``g`` is level ``g`` along the first direction, node ``n1 + g``
+        level ``g`` along the second (``n1`` levels lie along the first), and
+        each point is the edge joining its two levels, added to a union-find
+        over the nodes.  Every point after the closing one joined two trees,
+        so those points are the forest's edges up to it, and they join the
+        closing point's two levels by exactly one path.  The columns of ``M``
+        are the edges of this graph, so the closing point is the first free
+        column of the right-to-left elimination; it lies on a cycle, hence in
+        the core, and adding the core's points alone would close it too."""
+        first, second = self.level_of
+        n1 = len(self.keys[0])
+        root = list(range(n1 + len(self.keys[1])))
+
+        def find(a: int) -> int:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+
+        closing = None
+        for j in range(len(first) - 1, -1, -1):
+            a, b = find(first[j]), find(n1 + second[j])
+            if a != b:
+                root[a] = b
+            elif closing is None:
+                closing = j
+        return closing, tuple(find(g) for g in first)
+
+    def _forest_cycle(self, closing: int) -> dict[int, int]:
+        """The cycle that point ``closing`` closes in :attr:`forest`: the
+        point, then the forest path between its two levels, found breadth
+        first over the points after it.  The level graph is bipartite, so the
+        path has odd length and weights alternating ±1 along the cycle cancel
+        on every level; the smallest point gets +1, which is
+        :func:`nullspace_int`'s normal form."""
+        first, second = self.level_of
+        n1 = len(self.keys[0])
+        edges: list[list[int]] = [[] for _ in range(n1 + len(self.keys[1]))]
+        for e in range(closing + 1, len(first)):
+            edges[first[e]].append(e)
+            edges[n1 + second[e]].append(e)
+        start, goal = first[closing], n1 + second[closing]
+        via = {start: -1}  # node -> the edge it was reached by
+        queue = [start]
+        for node in queue:
+            for e in edges[node]:
+                other = first[e] + n1 + second[e] - node
+                if other not in via:
+                    via[other] = e
+                    queue.append(other)
+            if goal in via:
+                break
+        cycle = [closing]
+        node = goal
+        while node != start:
+            e = via[node]
+            cycle.append(e)
+            node = first[e] + n1 + second[e] - node
+        parity = {j: c % 2 for c, j in enumerate(cycle)}
+        lead = parity[min(cycle)]
+        return {j: 1 if parity[j] == lead else -1 for j in sorted(cycle)}
+
+    @cached_property
     def _null_vectors(self) -> Iterator[dict[int, int]]:
         """The null-space basis of ``M`` from :func:`nullspace_int`, each
         vector as ``{point: weight}`` over its nonzero entries, computed as
-        it is read: the elimination runs here, on first use, and each vector
-        is back-substituted when it is taken.  Only
-        :attr:`first_closed_path` and :attr:`closed_paths` take them.
+        it is read: taking a vector eliminates up to its free column and
+        back-substitutes it, and the next one resumes there.  Only
+        :attr:`first_closed_path`, for other than two directions, and
+        :attr:`closed_paths` take them.
 
         It is fed the core's columns only, relabelled in order, with one
         sparse 0/1 row per (direction, level) holding core points, each of
@@ -236,12 +317,28 @@ class IncidenceStructure:
     @cached_property
     def first_closed_path(self) -> dict[int, int] | None:
         """The first null-space basis vector, the one the verdict reads, or
-        None when ``M`` has full column rank."""
-        return next(self._null_vectors, None)
+        None when ``M`` has full column rank.
+
+        It is the circuit on the rightmost column that depends on the
+        columns to its right.  For two directions that is the cycle closed
+        in :attr:`forest`, and neither the peel nor an elimination runs;
+        otherwise it is the first of :attr:`_null_vectors`, whose
+        elimination stops at that column."""
+        if len(self.keys) != 2:
+            return next(self._null_vectors, None)
+        closing, _ = self.forest
+        return None if closing is None else self._forest_cycle(closing)
 
     @cached_property
     def closed_paths(self) -> list[dict[int, int]]:
-        """The whole null-space basis: the first closed path, then the rest."""
+        """The whole null-space basis, from the one elimination of
+        :attr:`_null_vectors`.  For other than two directions it is the
+        first closed path, then the rest, the elimination resuming where the
+        first stopped it.  For two directions the forest is not read: a fit
+        needs no verdict, and the elimination's first vector is the forest's
+        cycle."""
+        if len(self.keys) == 2:
+            return list(self._null_vectors)
         first = self.first_closed_path
         return [] if first is None else [first, *self._null_vectors]
 

@@ -281,6 +281,55 @@ def level_forest(rng: random.Random, sizes: list[int]) -> PointConfig:
     return PointConfig.build(points, [(1, 0), (0, 1)])
 
 
+def level_multigraph(rng: random.Random, shape: str) -> PointConfig:
+    """A seeded k = 2 configuration whose level graph may have cycles.
+
+    ``"plane"``: 2-d points on random rational rows and columns under the
+    axis directions.  ``"shared"``: the same in 3-d with a third coordinate
+    from {0, 1, 2}, so several points may share both levels (parallel edges,
+    whose 2-cycles are the shortest closed paths).  ``"parallel"``: small
+    2-d points under the parallel directions (1, -1) and (-2, 2), whose
+    levels pair up in reverse order, so points sharing one level share both.
+    """
+    if shape == "parallel":
+        points = {(Fraction(rng.randint(0, 6)), Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))))
+                  for _ in range(rng.randint(1, 24))}
+        dirs = [(1, -1), (-2, 2)]
+    else:
+        rows = sorted({Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 20))})
+        cols = sorted({Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 20))})
+        extra = [()] if shape == "plane" else [(Fraction(z),) for z in range(3)]
+        nodes = len(rows) + len(cols)
+        points = {(rng.choice(rows), rng.choice(cols), *rng.choice(extra))
+                  for _ in range(rng.randint(nodes // 2, nodes + 2))}
+        dirs = [(1, 0), (0, 1)] if shape == "plane" else [(1, 0, 0), (0, 1, 0)]
+    ordered = sorted(points)
+    rng.shuffle(ordered)
+    return PointConfig.build(ordered, dirs)
+
+
+def textbook_orbits(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the points under level sharing: a
+    breadth-first search over the point pairs that share a textbook level
+    along some direction.  Each component is sorted, and the components are
+    ordered by their first points."""
+    proj = [[textbook_dot(a, p) for a in cfg.dirs] for p in cfg.points]
+    seen = [False] * cfg.n
+    out = []
+    for start in range(cfg.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for j in component:
+            for t in range(cfg.n):
+                if not seen[t] and any(u == v for u, v in zip(proj[j], proj[t])):
+                    seen[t] = True
+                    component.append(t)
+        out.append(tuple(sorted(component)))
+    return tuple(out)
+
+
 def random_config(rng: random.Random, max_n=12, max_k=4, max_d=3, coord_range=5) -> PointConfig:
     """A random configuration with small integer coordinates in {0..4}."""
     d = rng.randint(1, max_d)

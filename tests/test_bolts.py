@@ -29,7 +29,15 @@ from ridgekit import (
     verify_bolt,
     weak_star_probe,
 )
-from helpers import large_config, random_config, textbook_bolt, textbook_probe
+from helpers import (
+    large_config,
+    level_forest,
+    level_multigraph,
+    random_config,
+    textbook_bolt,
+    textbook_orbits,
+    textbook_probe,
+)
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -392,6 +400,22 @@ class TestOrbits:
             list(cfg.points) + far, Direction.of(1, 0), Direction.of(0, 1)
         )
         assert len(orbits(graph)) == 2
+
+    def test_matches_the_textbook_search(self):
+        """On seeded level forests of several trees and on level graphs with
+        cycles, ``orbits`` equals a breadth-first search over shared levels."""
+        rng = random.Random("orbits-textbook")
+        configs = [level_forest(rng, [rng.randint(1, 12) for _ in range(rng.randint(1, 5))])
+                   for _ in range(40)]
+        configs += [level_multigraph(rng, "plane") for _ in range(60)]
+        configs += [large_config(rng, family, n)
+                    for family in ("closed-staircase", "forest", "staircase") for n in (12, 60)]
+        parts = Counter()
+        for cfg in configs:
+            want = textbook_orbits(cfg)
+            assert orbits(build_bolt_graph(cfg.points, *cfg.dirs)) == want
+            parts[min(len(want), 3)] += 1
+        assert parts[1] >= 10 and parts[2] >= 10 and parts[3] >= 10
 
     def test_same_bolt_same_orbit(self):
         gen = paper_orbit_generator()

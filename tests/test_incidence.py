@@ -12,6 +12,7 @@ from helpers import (
     float_lstsq_residual_linf,
     large_config,
     level_forest,
+    level_multigraph,
     level_rows,
     oracle_has_closed_path,
     random_config,
@@ -286,12 +287,63 @@ class TestSharedAnalysis:
         assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
 
     def test_bolt_graph_reads_the_verdicts_index(self, counted_calls):
+        """A k = 2 verdict, the bolt graph and ``orbits`` read one index and
+        its level forest, and eliminate nothing."""
         cfg = large_config(random.Random(18), "forest", 60)
         verdict = density_verdict(cfg)
         graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
         assert (find_closed_bolt(graph) is None) == verdict.dense
         assert orbits(graph)
-        assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
+        assert counted_calls["nullspace_int"] == 0
+        assert counted_calls == {"build_incidence": 1}
+
+    def test_two_direction_verdict_neither_peels_nor_eliminates(self, monkeypatch):
+        """A k = 2 verdict on a closed staircase reads the level forest: no
+        ``_eliminate`` step runs, and the peel is never built."""
+        calls = []
+        eliminate = exactlinalg._eliminate
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        incidence.analyze.cache_clear()
+        cfg = large_config(random.Random(23), "closed-staircase", 60)
+        verdict = density_verdict(cfg)
+        assert not verdict.dense and verdict.certificate.verify(cfg.dirs)
+        inc = incidence.analyze(cfg)
+        assert calls == []
+        assert not {"peel", "core", "_null_vectors"} & inc.__dict__.keys()
+        assert inc.closed_paths == [inc.first_closed_path] and len(calls) == 1
+        incidence.analyze.cache_clear()
+
+    @pytest.mark.parametrize("diagonal", [(1, 1), (1, -1)])
+    def test_grid_verdict_stops_at_its_free_column(self, monkeypatch, diagonal):
+        """A k = 3 16 x 16 grid verdict eliminates only the core columns
+        right of its first free column: the pivots it reaches, with that
+        column, fall short of the core and of the rank.  The whole basis
+        then resumes the same elimination."""
+        runs = []
+        eliminate = exactlinalg._eliminate
+
+        def recorded(rows, ncols):
+            run = eliminate(rows, ncols)
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", recorded)
+        incidence.analyze.cache_clear()
+        cfg = square_grid(16, ((1, 0), (0, 1), diagonal))
+        assert not density_verdict(cfg).dense
+        inc = incidence.analyze(cfg)
+        [(_, pivots, _, _)] = runs
+        reached = len(pivots)
+        assert reached + 1 < len(inc.core)
+        paths = inc.closed_paths
+        assert len(runs) == 1
+        assert reached < len(pivots) == len(inc.core) - len(paths)
+        incidence.analyze.cache_clear()
 
     def test_cache_follows_equality_not_identity(self, counted_calls):
         cfg = large_config(random.Random(19), "grid", 25)
@@ -405,17 +457,46 @@ class TestCertificateOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_grids(self, k):
-        """a x b grids up to 10 x 10 under the first k of (1, 0), (0, 1),
+        """a x b grids up to 16 x 16 under the first k of (1, 0), (0, 1),
         (1, 1), (1, -1), with their points in a seeded order."""
         dirs = (GRID_DIRS + ((1, -1),))[:k]
         rng = random.Random(f"certificate-grid-{k}")
         found = 0
-        for a, b in ((2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (10, 10)):
+        for a, b in ((2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (10, 10), (12, 16), (16, 16)):
             cfg = shuffled(rng, PointConfig.build([(i, j) for i in range(a) for j in range(b)], dirs))
             want = textbook_certificate(cfg)
             assert certificate_atoms(cfg) == want
             found += want is not None
         assert found >= 3
+
+    def test_two_direction_level_graphs(self):
+        """The level forest's cycle against the oracle: closed staircases,
+        and seeded k = 2 level graphs with cycles, with points sharing both
+        levels (3-d points, whose 2-cycles are two-point certificates), and
+        under parallel directions."""
+        rng = random.Random("certificate-level-graphs")
+        configs = [shuffled(rng, large_config(rng, "closed-staircase", n)) for n in (4, 12, 41, 80)]
+        configs += [level_multigraph(rng, shape) for shape in ("plane", "shared", "parallel")
+                    for _ in range(100)]
+        sizes = Counter()
+        for cfg in configs:
+            want = textbook_certificate(cfg)
+            assert certificate_atoms(cfg) == want
+            sizes[None if want is None else len(want)] += 1
+        assert sizes[2] >= 20 and sum(sizes[m] for m in sizes if m and m > 4) >= 20
+        assert sizes[None] >= 20
+
+    def test_one_direction(self):
+        """k = 1, where the elimination's first vector is two points on one
+        level."""
+        rng = random.Random("certificate-one-direction")
+        found = 0
+        for _ in range(200):
+            cfg = random_config(rng, max_k=1)
+            want = textbook_certificate(cfg)
+            assert certificate_atoms(cfg) == want
+            found += want is not None
+        assert found >= 50
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_mixed_large_denominators(self, k):

@@ -23,6 +23,7 @@ CASES = [
     (2, "paths --preset grid-3x3"),
     (0, "bolts --preset grid-3x3"),
     (0, "orbits --preset grid-3x3"),
+    (0, "orbits --preset parallel-segments"),
     (0, "ridgefit --preset grid-3x3 --f xy"),
     (0, "ridgefit --preset parallel-segments --f xy"),
     (0, "probe --preset paper-orbit --N 200"),
