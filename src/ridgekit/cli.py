@@ -89,12 +89,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_bytes(text.encode("utf-8"))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """A CSV file of the header and the rows, each row already one line."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path.write_bytes(("\n".join([",".join(header), *lines]) + "\n").encode("utf-8"))
 
 
 def _rational_at(value, path: str) -> Fraction:
@@ -291,7 +289,11 @@ def _run_probe(job: JobConfig, out: Path) -> int:
     if threshold < 0:
         raise ValueError(f"--threshold must not be negative, got {raw_threshold!r}")
     report = weak_star_probe(gen, tests, n_max, threshold)
-    _write_csv(out / "decay.csv", ["n", "test_name", "abs_integral"], report.rows)
+    _write_csv(
+        out / "decay.csv",
+        ["n", "test_name", "abs_integral"],
+        [f"{n},{name},{v!r}" for n, name, v in report.rows],
+    )
     payload = _source_fields(job) | {
         "verdict": report.verdict,
         "ridge_bounds_ok": report.ridge_bounds_ok,
@@ -417,7 +419,7 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
         tn = first + i * stride
         t = Fraction(tn, den)
         try:
-            rows.append((tn / den, float(sigma_eval(spec, t))))
+            rows.append(f"{tn / den!r},{float(sigma_eval(spec, t))!r}")
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"--from/--to: sigma cannot be evaluated at t = {t}: {exc}") from None
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)

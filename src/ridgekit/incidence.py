@@ -30,25 +30,32 @@ first closed path, the circuit on the rightmost column that depends on the
 columns to its right, and does only the work that one vector needs:
 
 * for two directions, points are the edges of the bipartite level graph,
-  and the circuit is the first cycle that a union-find over level nodes
-  closes when the points are added from the last one down
-  (:attr:`IncidenceStructure.forest`); neither the peel nor an elimination
-  runs, and the same forest gives the orbits of :mod:`ridgekit.bolts`;
+  and the circuits are the cycles that a union-find over level nodes closes
+  when the points are added from the last one down
+  (:attr:`IncidenceStructure.forest`); the verdict builds the first one,
+  neither the peel nor an elimination runs, and the same forest gives the
+  orbits of :mod:`ridgekit.bolts`;
 * otherwise the core's elimination, the one routine of
-  :mod:`ridgekit.exactlinalg`, stops at its first free column.
+  :mod:`ridgekit.exactlinalg`, stops at its first free column; an empty
+  core is not eliminated at all.
 
-The whole null space, which only a ridge fit reads, comes from the core's one
-elimination, resumed where a verdict stopped it.  The ridge fits take one
-factorization per index, on one of two routes chosen from the index alone,
-the smaller system winning.  With ``L`` levels, ``n`` points
-and ``z = L - n``:
+The whole null space, which only a ridge fit reads, is for two directions
+the cycle of every closing point of the forest, and otherwise the core's one
+elimination, resumed where a verdict stopped it.  The ridge fits take one of
+three routes, chosen from the index alone, and factor at most once per
+index.  With ``L`` levels, ``n`` points and ``z = L - n``:
 
-* the core is empty and ``z < n``: ``M`` has full column rank, the fit
-  back-substitutes along the peel and projects out the null space of
-  ``M^T``, and the ``z × z`` Gram matrix of a basis of that null space is
+* two directions whose closed paths are pairwise disjoint (none, or the one
+  cycle of a closed staircase): the fit projects ``f`` off each closed path,
+  back-substitutes along the forest and removes each component's
+  alternating mean, the forest's basis of the null space of ``M^T``, and
+  factors nothing;
+* otherwise, the core is empty and ``z < n``: ``M`` has full column rank,
+  the fit back-substitutes along the peel and projects out the null space
+  of ``M^T``, and the ``z × z`` Gram matrix of a basis of that null space is
   factored;
-* otherwise the other closed paths are back-substituted too, and
-  ``[N | S]`` with ``S = M^T M`` is factored, ``n`` rows.
+* otherwise ``[N | S]`` with ``S = M^T M`` is factored, ``n`` rows, with the
+  closed paths as ``N``.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterator, Sequence
 
@@ -222,21 +229,21 @@ class IncidenceStructure:
         return tuple(j for j, kept in enumerate(live) if kept)
 
     @cached_property
-    def forest(self) -> tuple[int | None, tuple[int, ...]]:
+    def forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """For two directions: the level graph grown into a spanning forest,
-        point by point from ``n - 1`` down to 0.  Returns the first point that
-        closes a cycle (None when the graph is a forest) and each point's
-        component, named by a level node.
+        point by point from ``n - 1`` down to 0.  Returns every point that
+        closes a cycle, in that order (none when the graph is a forest), and
+        each point's component, named by a level node.
 
         Node ``g`` is level ``g`` along the first direction, node ``n1 + g``
         level ``g`` along the second (``n1`` levels lie along the first), and
         each point is the edge joining its two levels, added to a union-find
-        over the nodes.  Every point after the closing one joined two trees,
-        so those points are the forest's edges up to it, and they join the
-        closing point's two levels by exactly one path.  The columns of ``M``
-        are the edges of this graph, so the closing point is the first free
-        column of the right-to-left elimination; it lies on a cycle, hence in
-        the core, and adding the core's points alone would close it too."""
+        over the nodes.  The columns of ``M`` are the edges of this graph, so
+        the closing points are exactly the free columns of the right-to-left
+        elimination, and the other points, the forest's edges, its pivot
+        columns.  Each closing point's two levels are joined by the forest
+        edges after it, so its cycle runs through those and no later closing
+        point (:meth:`_forest_cycle`)."""
         first, second = self.level_of
         n1 = len(self.keys[0])
         root = list(range(n1 + len(self.keys[1])))
@@ -247,48 +254,78 @@ class IncidenceStructure:
                 a = root[a]
             return a
 
-        closing = None
+        closing = []
         for j in range(len(first) - 1, -1, -1):
             a, b = find(first[j]), find(n1 + second[j])
             if a != b:
                 root[a] = b
-            elif closing is None:
-                closing = j
-        return closing, tuple(find(g) for g in first)
+            else:
+                closing.append(j)
+        return tuple(closing), tuple(find(g) for g in first)
+
+    @cached_property
+    def _rooted_forest(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The spanning forest of :attr:`forest`, rooted breadth first at the
+        lowest node of each component: each node's parent edge (the point
+        joining it to its parent, -1 at a root) and depth, and each
+        component's nodes in breadth-first order, root first."""
+        first, second = self.level_of
+        n1 = len(self.keys[0])
+        nodes = n1 + len(self.keys[1])
+        edges: list[list[int]] = [[] for _ in range(nodes)]
+        closing = set(self.forest[0])
+        for e, (a, b) in enumerate(zip(first, second)):
+            if e not in closing:
+                edges[a].append(e)
+                edges[n1 + b].append(e)
+        via, depth = [-1] * nodes, [-1] * nodes
+        components = []
+        for start in range(nodes):
+            if depth[start] >= 0:
+                continue
+            depth[start] = 0
+            queue = [start]
+            for node in queue:
+                for e in edges[node]:
+                    other = first[e] + n1 + second[e] - node
+                    if depth[other] < 0:
+                        depth[other] = depth[node] + 1
+                        via[other] = e
+                        queue.append(other)
+            components.append(queue)
+        return via, depth, components
 
     def _forest_cycle(self, closing: int) -> dict[int, int]:
         """The cycle that point ``closing`` closes in :attr:`forest`: the
-        point, then the forest path between its two levels, found breadth
-        first over the points after it.  The level graph is bipartite, so the
-        path has odd length and weights alternating ±1 along the cycle cancel
-        on every level; the smallest point gets +1, which is
-        :func:`nullspace_int`'s normal form."""
+        point, then the forest path between its two levels, each end walked
+        up to their common ancestor in :attr:`_rooted_forest`.  A forest
+        joins two nodes by one path only, and the forest edges after
+        ``closing`` already join these two, so the cycle lies on ``closing``
+        and points after it, none of them free: it is :func:`nullspace_int`'s
+        basis vector for that free column.  The level graph is bipartite, so
+        the path has odd length, and weights alternating ±1 along the cycle
+        cancel on every level; ``closing``, the smallest point, gets +1, which
+        is that basis's normal form."""
         first, second = self.level_of
         n1 = len(self.keys[0])
-        edges: list[list[int]] = [[] for _ in range(n1 + len(self.keys[1]))]
-        for e in range(closing + 1, len(first)):
-            edges[first[e]].append(e)
-            edges[n1 + second[e]].append(e)
-        start, goal = first[closing], n1 + second[closing]
-        via = {start: -1}  # node -> the edge it was reached by
-        queue = [start]
-        for node in queue:
-            for e in edges[node]:
-                other = first[e] + n1 + second[e] - node
-                if other not in via:
-                    via[other] = e
-                    queue.append(other)
-            if goal in via:
-                break
-        cycle = [closing]
-        node = goal
-        while node != start:
-            e = via[node]
-            cycle.append(e)
-            node = first[e] + n1 + second[e] - node
-        parity = {j: c % 2 for c, j in enumerate(cycle)}
-        lead = parity[min(cycle)]
-        return {j: 1 if parity[j] == lead else -1 for j in sorted(cycle)}
+        via, depth, _ = self._rooted_forest
+        a, b = first[closing], n1 + second[closing]
+        up_a: list[int] = []
+        up_b: list[int] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                e = via[a]
+                up_a.append(e)
+                a = first[e] + n1 + second[e] - a
+            else:
+                e = via[b]
+                up_b.append(e)
+                b = first[e] + n1 + second[e] - b
+        weights = {closing: 1}
+        for path in (up_a, up_b):
+            for t, e in enumerate(path):
+                weights[e] = -1 if t % 2 == 0 else 1
+        return dict(sorted(weights.items()))
 
     @cached_property
     def _null_vectors(self) -> Iterator[dict[int, int]]:
@@ -296,15 +333,18 @@ class IncidenceStructure:
         vector as ``{point: weight}`` over its nonzero entries, computed as
         it is read: taking a vector eliminates up to its free column and
         back-substitutes it, and the next one resumes there.  Only
-        :attr:`first_closed_path`, for other than two directions, and
-        :attr:`closed_paths` take them.
+        :attr:`first_closed_path` and :attr:`closed_paths`, for other than
+        two directions, take them.
 
         It is fed the core's columns only, relabelled in order, with one
         sparse 0/1 row per (direction, level) holding core points, each of
         which holds at least two.  The basis depends only on the null space
         and the column order, and every null vector is zero off the core,
-        so these are ``M``'s own basis vectors, with every entry on the core."""
+        so these are ``M``'s own basis vectors, with every entry on the core.
+        An empty core has none, and builds no rows."""
         core = self.core
+        if not core:
+            return iter(())
         rows: list[dict[int, int]] = []
         for keys, ids in zip(self.keys, self.level_of):
             members: list[dict[int, int]] = [{} for _ in keys]
@@ -320,27 +360,28 @@ class IncidenceStructure:
         None when ``M`` has full column rank.
 
         It is the circuit on the rightmost column that depends on the
-        columns to its right.  For two directions that is the cycle closed
-        in :attr:`forest`, and neither the peel nor an elimination runs;
-        otherwise it is the first of :attr:`_null_vectors`, whose
-        elimination stops at that column."""
+        columns to its right.  For two directions that is the cycle of the
+        first closing point of :attr:`forest`, and neither the peel nor an
+        elimination runs; otherwise it is the first of :attr:`_null_vectors`,
+        whose elimination stops at that column."""
         if len(self.keys) != 2:
             return next(self._null_vectors, None)
         closing, _ = self.forest
-        return None if closing is None else self._forest_cycle(closing)
+        return self._forest_cycle(closing[0]) if closing else None
 
     @cached_property
     def closed_paths(self) -> list[dict[int, int]]:
-        """The whole null-space basis, from the one elimination of
-        :attr:`_null_vectors`.  For other than two directions it is the
-        first closed path, then the rest, the elimination resuming where the
-        first stopped it.  For two directions the forest is not read: a fit
-        needs no verdict, and the elimination's first vector is the forest's
-        cycle."""
-        if len(self.keys) == 2:
-            return list(self._null_vectors)
+        """The whole null-space basis, the first closed path first.  For two
+        directions the rest are the cycles of the other closing points of
+        :attr:`forest`, and nothing is eliminated; otherwise they come from
+        the one elimination of :attr:`_null_vectors`, resuming where the
+        first stopped it."""
         first = self.first_closed_path
-        return [] if first is None else [first, *self._null_vectors]
+        if first is None:
+            return []
+        if len(self.keys) == 2:
+            return [first, *map(self._forest_cycle, self.forest[0][1:])]
+        return [first, *self._null_vectors]
 
     @cached_property
     def solver(self) -> IntegerSolver:
@@ -358,6 +399,65 @@ class IncidenceStructure:
                     for b in members:
                         row[p + b] = row.get(p + b, 0) + 1
         return IntegerSolver(rows, p + self.n_points)
+
+    @cached_property
+    def _fits_on_forest(self) -> bool:
+        """Whether :meth:`fit` reads the level forest: two directions whose
+        closed paths are pairwise disjoint (none, or one cycle, as in a closed
+        staircase)."""
+        if len(self.keys) != 2:
+            return False
+        paths = self.closed_paths
+        return sum(map(len, paths)) == len(set().union(*paths))
+
+    @cached_property
+    def _forest_steps(self) -> tuple[list[tuple[int, int, int]], list[tuple], list[tuple]]:
+        """What a fit on the level forest reads: each node of
+        :attr:`_rooted_forest` but the roots, in breadth-first order, as
+        ``(node, parent edge, parent)``; the closed paths; and each
+        component's vector of ``null(M^T)``, +1 on its levels along the first
+        direction and -1 on those along the second, every point's two levels
+        cancelling.  The ±1 vectors are kept as ``(+1 support, -1 support)``."""
+        first, second = self.level_of
+        n1 = len(self.keys[0])
+        via, _, components = self._rooted_forest
+        steps = []
+        alternating = []
+        for nodes in components:
+            for node in nodes[1:]:
+                e = via[node]
+                steps.append((node, e, first[e] + n1 + second[e] - node))
+            alternating.append(
+                (tuple(v for v in nodes if v < n1), tuple(v for v in nodes if v >= n1))
+            )
+        paths = [
+            (tuple(j for j, w in vec.items() if w > 0), tuple(j for j, w in vec.items() if w < 0))
+            for vec in self.closed_paths
+        ]
+        return steps, paths, alternating
+
+    def _solve_on_forest(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
+        """Integer level numerators ``W`` over ``q`` with ``u = W / (q d)`` the
+        minimum-norm least-squares solution of ``M^T u = f = F / d``, for two
+        directions whose closed paths are pairwise disjoint.  Nothing is
+        factored.
+
+        Disjoint closed paths ``N_i`` are orthogonal and span ``null(M)``, so
+        ``f' = f - Σ (N_i·f / N_i·N_i) N_i`` is the projection of ``f`` on the
+        range of ``M^T``, and ``M^T u = f'`` is consistent.  It is solved
+        along :attr:`_rooted_forest`, each root level at 0 and every other
+        level from its parent edge's equation.  The components' alternating
+        vectors have disjoint supports and span ``null(M^T)``, so removing
+        each one's share leaves ``u`` in the range of ``M``: the minimum-norm
+        solution."""
+        steps, paths, alternating = self._forest_steps
+        f, q = _project_out(f_num, paths)
+        u = [0] * sum(self.level_counts)
+        for node, e, parent in steps:
+            u[node] = f[e] - u[parent]
+        w, r = _project_out(u, alternating)
+        n1 = len(self.keys[0])
+        return [w[:n1], w[n1:]], q * r
 
     @cached_property
     def _peel_projection(self) -> tuple[list, list, list[int], IntegerSolver, list]:
@@ -453,13 +553,18 @@ class IncidenceStructure:
         """The level vectors ``u`` of the minimum-norm least-squares fit of
         ``values``, and the exact worst-case residual ``max |f - M^T u|``.
 
-        The solution is unique, so the two routes give the same tables; the
-        smaller system wins.  When the core is empty, ``M`` has full column
-        rank ``n`` and ``M^T`` has nullity ``z = L - n`` over ``L`` levels; if
-        also ``z < n``, the fit back-substitutes along the :attr:`peel` and
-        projects out ``null(M^T)`` through a ``z × z`` factorization
-        (:meth:`_solve_on_peel`).  Otherwise it solves the ``n``-row system
-        ``[N | S]`` (:meth:`_solve_on_closed_paths`).
+        The solution is unique, so every route gives the same tables:
+
+        * two directions whose closed paths are pairwise disjoint: the closed
+          paths are projected out and the level forest is back-substituted,
+          and nothing is factored (:meth:`_solve_on_forest`);
+        * otherwise, when the core is empty, ``M`` has full column rank ``n``
+          and ``M^T`` has nullity ``z = L - n`` over ``L`` levels; if also
+          ``z < n``, the fit back-substitutes along the :attr:`peel` and
+          projects out ``null(M^T)`` through a ``z × z`` factorization
+          (:meth:`_solve_on_peel`);
+        * otherwise it solves the ``n``-row system ``[N | S]``
+          (:meth:`_solve_on_closed_paths`).
 
         The arithmetic is integer: ``f = F / d`` over the lcm ``d`` of its
         denominators, a route returns ``u = W / (q d)``, and
@@ -468,7 +573,12 @@ class IncidenceStructure:
         """
         d = lcm(*(v.denominator for v in values))
         f_num = [v.numerator * (d // v.denominator) for v in values]
-        solve = self._solve_on_peel if self._fits_on_peel else self._solve_on_closed_paths
+        if self._fits_on_forest:
+            solve = self._solve_on_forest
+        elif self._fits_on_peel:
+            solve = self._solve_on_peel
+        else:
+            solve = self._solve_on_closed_paths
         sums, q = solve(f_num)
         worst = max(abs(q * a - b) for a, b in zip(f_num, self.gather(sums)))
         den = q * d
@@ -503,6 +613,31 @@ def _back_substitute_peel(
     for level, j, others in steps:
         w[level] = f[j] - sum(map(get, others))
     return w
+
+
+def _project_out(
+    x: Sequence[int], vectors: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> tuple[list[int], int]:
+    """Integer numerators ``X`` over ``q`` with ``X / q = x - Σ (v·x / v·v) v``
+    for ±1 vectors ``v`` of pairwise disjoint supports, each given as its
+    ``(+1 support, -1 support)``: ``x`` less its projection on their span."""
+    get = x.__getitem__
+    terms, q = [], 1
+    for plus, minus in vectors:
+        s = sum(map(get, plus)) - sum(map(get, minus))
+        if s:
+            m = len(plus) + len(minus)
+            g = gcd(s, m)
+            terms.append((plus, minus, s // g, m // g))
+            q = lcm(q, m // g)
+    out = [q * a for a in x] if q > 1 else list(x)
+    for plus, minus, s, m in terms:
+        c = s * (q // m)
+        for j in plus:
+            out[j] -= c
+        for j in minus:
+            out[j] += c
+    return out, q
 
 
 def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -257,6 +257,29 @@ def large_config(rng: random.Random, family: str, n: int) -> PointConfig:
     return PointConfig.build(points, [(1, 0), (0, 1)])
 
 
+def _level_tree(rng: random.Random, size: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """A random tree of ``size`` level pairs, grown as the ``forest`` family
+    of :func:`large_config` grows its one tree, and its level counts."""
+    tree = [(0, 0)]
+    counts = [1, 1]
+    while len(tree) < size:
+        side = rng.randrange(2)
+        pair = [0, 0]
+        pair[side], pair[1 - side] = rng.randrange(counts[side]), counts[1 - side]
+        counts[1 - side] += 1
+        tree.append(tuple(pair))
+    return tree, counts
+
+
+def _on_levels(rng: random.Random, pairs: list[tuple[int, int]], counts: list[int]) -> PointConfig:
+    """Level-index pairs in a seeded order, placed on random rational levels
+    under the two axis directions."""
+    rng.shuffle(pairs)
+    values = [sorted(rng.sample(range(-999, 1000), count)) for count in counts]
+    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
+    return PointConfig.build(points, [(1, 0), (0, 1)])
+
+
 def level_forest(rng: random.Random, sizes: list[int]) -> PointConfig:
     """A k = 2 level forest under the two axis directions: one random tree of
     each size in ``sizes`` (grown as the ``forest`` family of
@@ -265,20 +288,31 @@ def level_forest(rng: random.Random, sizes: list[int]) -> PointConfig:
     pairs: list[tuple[int, int]] = []
     base = [0, 0]
     for size in sizes:
-        tree = [(0, 0)]
-        counts = [1, 1]
-        while len(tree) < size:
-            side = rng.randrange(2)
-            pair = [0, 0]
-            pair[side], pair[1 - side] = rng.randrange(counts[side]), counts[1 - side]
-            counts[1 - side] += 1
-            tree.append(tuple(pair))
+        tree, counts = _level_tree(rng, size)
         pairs += [(base[0] + i, base[1] + j) for i, j in tree]
         base = [base[0] + counts[0], base[1] + counts[1]]
-    rng.shuffle(pairs)
-    values = [sorted(rng.sample(range(-999, 1000), count)) for count in base]
-    points = [(Fraction(values[0][i], 7), Fraction(values[1][j], 5)) for i, j in pairs]
-    return PointConfig.build(points, [(1, 0), (0, 1)])
+    return _on_levels(rng, pairs, base)
+
+
+def level_cactus(rng: random.Random, sizes: list[int]) -> PointConfig:
+    """A connected k = 2 level graph whose cycles share no point: one random
+    tree of each size in ``sizes`` on its own levels, closed into one cycle by
+    one more point where two of its levels are not yet joined, and joined to
+    the previous tree by one point between their levels, which closes
+    nothing."""
+    pairs: list[tuple[int, int]] = []
+    base = [0, 0]
+    for size in sizes:
+        tree, counts = _level_tree(rng, size)
+        taken = set(tree)
+        free = [(i, j) for i in range(counts[0]) for j in range(counts[1]) if (i, j) not in taken]
+        if free:
+            tree.append(rng.choice(free))
+        if pairs:
+            tree.append((rng.randrange(-base[0], 0), rng.randrange(counts[1])))
+        pairs += [(base[0] + i, base[1] + j) for i, j in tree]
+        base = [base[0] + counts[0], base[1] + counts[1]]
+    return _on_levels(rng, pairs, base)
 
 
 def level_multigraph(rng: random.Random, shape: str) -> PointConfig:

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     float_lstsq_residual_linf,
     large_config,
+    level_cactus,
     level_forest,
     level_multigraph,
     level_rows,
@@ -279,12 +280,22 @@ class TestSharedAnalysis:
     """One index and one elimination per configuration serve every caller."""
 
     def test_verdict_and_fits_share_one_elimination(self, counted_calls):
+        """A k = 2 verdict and 20 fits share one index and its level forest,
+        and eliminate nothing."""
         rng = random.Random(17)
         cfg = large_config(rng, "closed-staircase", 40)
         assert not density_verdict(cfg).dense
         for _ in range(20):
             interpolate_ridge(cfg, random_values(rng, cfg.n))
-        assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
+        assert counted_calls == {"build_incidence": 1}
+
+    def test_dense_verdict_on_an_empty_core_eliminates_nothing(self, counted_calls):
+        """A generic k = 3 set peels away completely, and its verdict calls
+        no ``nullspace_int``: an empty core builds no rows."""
+        cfg = large_config(random.Random(24), "generic", 60)
+        assert density_verdict(cfg).dense
+        assert not incidence.analyze(cfg).core
+        assert counted_calls == {"build_incidence": 1}
 
     def test_bolt_graph_reads_the_verdicts_index(self, counted_calls):
         """A k = 2 verdict, the bolt graph and ``orbits`` read one index and
@@ -315,7 +326,56 @@ class TestSharedAnalysis:
         inc = incidence.analyze(cfg)
         assert calls == []
         assert not {"peel", "core", "_null_vectors"} & inc.__dict__.keys()
-        assert inc.closed_paths == [inc.first_closed_path] and len(calls) == 1
+        assert inc.closed_paths == [inc.first_closed_path] and calls == []
+        incidence.analyze.cache_clear()
+
+    def test_two_direction_verdict_builds_one_cycle(self, monkeypatch):
+        """A k = 2 verdict on a 10 x 10 grid, with 81 closing points, builds
+        the first cycle alone; a fit then builds the other 80 and takes
+        ``[N | S]``, as the cycles overlap."""
+        built = []
+        forest_cycle = incidence.IncidenceStructure._forest_cycle
+
+        def counted(self, closing):
+            built.append(closing)
+            return forest_cycle(self, closing)
+
+        monkeypatch.setattr(incidence.IncidenceStructure, "_forest_cycle", counted)
+        incidence.analyze.cache_clear()
+        cfg = square_grid(10, GRID_DIRS[:2])
+        assert not density_verdict(cfg).dense
+        inc = incidence.analyze(cfg)
+        assert len(built) == 1 and len(inc.forest[0]) == 81
+        interpolate_ridge(cfg, random_values(random.Random(26), cfg.n))
+        assert sorted(built, reverse=True) == list(inc.forest[0])
+        assert not inc._fits_on_forest and "solver" in inc.__dict__
+        incidence.analyze.cache_clear()
+
+    @pytest.mark.parametrize("shape", ["closed-staircase", "cactus"])
+    def test_two_direction_fits_on_disjoint_paths_eliminate_nothing(self, monkeypatch, shape):
+        """20 fits, the first cold, of a k = 2 configuration whose closed
+        paths are pairwise disjoint make no ``_eliminate`` call, and build
+        neither the peel nor ``[N | S]``."""
+        calls = []
+        eliminate = exactlinalg._eliminate
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        incidence.analyze.cache_clear()
+        rng = random.Random(shape)
+        if shape == "cactus":
+            cfg = level_cactus(rng, [9, 14, 6, 11])
+        else:
+            cfg = large_config(rng, shape, 58)
+        for _ in range(20):
+            interpolate_ridge(cfg, random_values(rng, cfg.n))
+        inc = incidence.analyze(cfg)
+        assert len(inc.closed_paths) == (4 if shape == "cactus" else 1)
+        assert calls == []
+        assert not {"peel", "core", "_null_vectors", "solver"} & inc.__dict__.keys()
         incidence.analyze.cache_clear()
 
     @pytest.mark.parametrize("diagonal", [(1, 1), (1, -1)])
@@ -683,18 +743,16 @@ def assert_matches_min_norm_oracle(cfg: PointConfig, vectors: list[list]) -> Non
         assert type(got) is Fraction
 
 
-def assert_both_routes_match_the_oracle(cfg: PointConfig, vectors: list[list]) -> None:
-    """On an empty core with ``z < n``, the peel route and the ``[N | S]``
-    route each give the textbook tables; the residual is taken from the
-    textbook level rows."""
+def assert_routes_match_the_oracle(cfg: PointConfig, vectors: list[list], routes) -> None:
+    """Each of the named private routes gives the textbook tables; the
+    residual is taken from the textbook level rows."""
     inc = incidence.analyze(cfg)
-    assert not inc.core and sum(inc.level_counts) < 2 * cfg.n
     rows = level_rows(cfg)
     for values, (u, residual) in zip(vectors, textbook_min_norm_fit(cfg, vectors)):
         f = [rationalize(v) for v in values]
         d = lcm(*(v.denominator for v in f))
         f_num = [v.numerator * (d // v.denominator) for v in f]
-        for solve in (inc._solve_on_peel, inc._solve_on_closed_paths):
+        for solve in (getattr(inc, f"_solve_on_{route}") for route in routes):
             sums, q = solve(f_num)
             tables = [[Fraction(s, q * d) for s in lv] for lv in sums]
             flat = [v for lv in tables for v in lv]
@@ -703,6 +761,16 @@ def assert_both_routes_match_the_oracle(cfg: PointConfig, vectors: list[list]) -
                 for j, fj in enumerate(f)
             )
             assert tables == u and worst == residual
+
+
+def assert_both_routes_match_the_oracle(cfg: PointConfig, vectors: list[list]) -> None:
+    """On an empty core with ``z < n``, the peel route and the ``[N | S]``
+    route each give the textbook tables, and so does the level forest's for
+    two directions."""
+    inc = incidence.analyze(cfg)
+    assert not inc.core and sum(inc.level_counts) < 2 * cfg.n
+    routes = ["peel", "closed_paths"] + ["forest"] * (cfg.k == 2)
+    assert_routes_match_the_oracle(cfg, vectors, routes)
 
 
 class TestMinNormOracle:
@@ -761,9 +829,11 @@ class TestMinNormOracle:
         assert_both_routes_match_the_oracle(cfg, vectors)
 
     def test_cold_peel_fit_factors_only_the_gram_matrix(self, monkeypatch):
-        """A cold fit of a level forest with z < n eliminates one matrix, z
-        columns wide, and builds no closed path and no ``[N | S]``."""
-        cfg = level_forest(random.Random(25), [20, 15, 9])
+        """A cold k = 3 fit with an empty core and z < n (a level forest of
+        three trees, lifted to 3-d with a third direction on which every
+        point shares one level) eliminates one matrix, z columns wide, and
+        builds no closed path and no ``[N | S]``."""
+        cfg = lifted(level_forest(random.Random(25), [20, 15, 9]))
         widths = []
         eliminate = exactlinalg._eliminate
 
@@ -775,7 +845,7 @@ class TestMinNormOracle:
         incidence.analyze.cache_clear()
         _, residual = interpolate_ridge(cfg, random_values(random.Random(25), cfg.n))
         inc = incidence.analyze(cfg)
-        assert sum(inc.level_counts) - cfg.n == 3 and widths == [3]
+        assert sum(inc.level_counts) - cfg.n == 4 and widths == [4]
         assert residual == 0
         assert not {"first_closed_path", "closed_paths", "solver"} & inc.__dict__.keys()
         incidence.analyze.cache_clear()
@@ -783,16 +853,18 @@ class TestMinNormOracle:
     def test_fit_builds_one_fraction_per_level_and_one_residual(self, monkeypatch):
         """Factoring builds no ``Fraction``, and a fit builds one per level
         and one for the residual: ``[N | S]`` on a grid (the closed paths' own
-        back-substitution is not counted), and the peel's Gram matrix on a
-        level forest with z < n."""
+        back-substitution is not counted), the peel's Gram matrix on a lifted
+        level forest with z < n, and the level forest's steps on a closed
+        staircase."""
         cases = [
             (square_grid(8, GRID_DIRS), "solver"),
-            (level_forest(random.Random(8), [20, 12, 6]), "_peel_projection"),
+            (lifted(level_forest(random.Random(8), [20, 12, 6])), "_peel_projection"),
+            (large_config(random.Random(8), "closed-staircase", 40), "_forest_steps"),
         ]
         for cfg, factorization in cases:
             incidence.analyze.cache_clear()
             inc = incidence.analyze(cfg)
-            if factorization == "solver":
+            if factorization != "_peel_projection":
                 inc.closed_paths
             values = random_values(random.Random(8), cfg.n)
             built = []
@@ -811,6 +883,81 @@ class TestMinNormOracle:
             assert ("solver" in inc.__dict__) == (factorization == "solver")
             ridge, expected = interpolate_ridge(cfg, values)
             assert tables == [list(t.values) for t in ridge.tables] and residual == expected
+
+
+def lifted(cfg: PointConfig) -> PointConfig:
+    """A k = 2 configuration of 2-d points lifted to 3-d, with a third
+    direction on which every point shares one level: the peel is the same,
+    and ``z`` grows by one."""
+    return PointConfig.build(
+        [(*p.coords, 0) for p in cfg.points], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    )
+
+
+def pairwise_disjoint(vectors) -> bool:
+    supports = [{j for j, w in enumerate(vec) if w} for vec in vectors]
+    return sum(map(len, supports)) == len(set().union(*supports))
+
+
+class TestForestRoute:
+    """Two-direction fits on the level forest against the textbook oracle,
+    and the forest's closed paths against the elimination's basis."""
+
+    def assert_route_and_basis(self, cfg: PointConfig) -> bool:
+        """The closed paths equal ``nullspace_int`` on the textbook rows; the
+        fit reads the forest exactly when they are pairwise disjoint, and
+        then makes the textbook tables on every route.  Returns whether it
+        reads the forest."""
+        rows = level_rows(cfg)
+        basis = list(nullspace_int(rows, cfg.n))
+        incidence.analyze.cache_clear()
+        inc = incidence.analyze(cfg)
+        assert [tuple(vec.get(j, 0) for j in range(cfg.n)) for vec in inc.closed_paths] == basis
+        on_forest = pairwise_disjoint(basis)
+        assert inc._fits_on_forest == on_forest
+        rng = random.Random(cfg.n)
+        vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
+        assert_matches_min_norm_oracle(cfg, vectors)
+        routes = ["forest", "closed_paths"] if on_forest else ["closed_paths"]
+        assert_routes_match_the_oracle(cfg, vectors[:1], routes)
+        return on_forest
+
+    def test_closed_staircases_and_disjoint_cycles(self):
+        rng = random.Random("forest-route-cycles")
+        configs = [large_config(rng, "closed-staircase", n) for n in (4, 5, 17, 58)]
+        configs += [level_cactus(rng, [rng.randint(3, 12) for _ in range(rng.randint(1, 5))])
+                    for _ in range(12)]
+        cycles = Counter()
+        for cfg in configs:
+            assert self.assert_route_and_basis(cfg)
+            cycles[len(incidence.analyze(cfg).closed_paths)] += 1
+        assert cycles[1] >= 4 and sum(cycles[m] for m in cycles if m >= 3) >= 4
+
+    def test_level_forests_with_many_components(self):
+        """Trees on disjoint levels, down to single points, where no two
+        points share a level and z = n."""
+        rng = random.Random("forest-route-forests")
+        configs = [level_forest(rng, [rng.randint(1, 9) for _ in range(rng.randint(1, 12))])
+                   for _ in range(12)]
+        configs += [level_forest(rng, [1] * n) for n in (1, 2, 13)]
+        for cfg in configs:
+            assert self.assert_route_and_basis(cfg)
+            assert not incidence.analyze(cfg).closed_paths
+        assert sum(incidence.analyze(configs[-1]).level_counts) == 2 * configs[-1].n
+
+    def test_level_multigraphs(self):
+        """Plane, shared and parallel seeds: closed paths that overlap, or
+        three points on one level pair, fall back to ``[N | S]``."""
+        rng = random.Random("forest-route-multigraphs")
+        routes = Counter()
+        for shape in ("plane", "shared", "parallel"):
+            for _ in range(40):
+                cfg = level_multigraph(rng, shape)
+                has_paths = bool(incidence.analyze(cfg).closed_paths)
+                routes[shape, has_paths, self.assert_route_and_basis(cfg)] += 1
+        for shape in ("plane", "shared", "parallel"):
+            assert routes[shape, True, False] >= 5
+        assert routes["plane", True, True] + routes["shared", True, True] >= 5
 
 
 class TestLevelTable:

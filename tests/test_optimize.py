@@ -16,7 +16,17 @@ from pathlib import Path
 import ridgekit
 from ridgekit.cli import main
 
-# (expected exit code, argv without --out)
+# A closed staircase under two directions: six points whose level graph is
+# one cycle, so the fit projects out one closed path on the level forest.
+CLOSED_STAIRCASE = {
+    "dimension": 2,
+    "points": [["0", "0"], ["1/3", "0"], ["1/3", "5/2"], ["-2", "5/2"], ["-2", "-7"], ["0", "-7"]],
+    "directions": [["1", "0"], ["0", "1"]],
+    "values": ["1", "-1/2", "3", "0", "7/3", "-5"],
+}
+
+# (expected exit code, argv without --out); {closed_staircase} is the path of
+# CLOSED_STAIRCASE written as JSON
 CASES = [
     (2, "paths --preset paper-5pt"),
     (0, "paths --preset monotone-curve"),
@@ -26,6 +36,7 @@ CASES = [
     (0, "orbits --preset parallel-segments"),
     (0, "ridgefit --preset grid-3x3 --f xy"),
     (0, "ridgefit --preset parallel-segments --f xy"),
+    (0, "ridgefit {closed_staircase}"),
     (0, "probe --preset paper-orbit --N 200"),
     (0, "netfit --preset monotone-curve --f x"),
     (0, "kfit --preset parallel-segments --f xy"),
@@ -74,7 +85,9 @@ def run_optimized(base: Path, cases: list[list[str]]) -> list[list]:
 
 
 def test_every_case_matches_under_python_O(tmp_path, capsys):
-    cases = [args.split() for _, args in CASES]
+    closed_staircase = tmp_path / "closed-staircase.json"
+    closed_staircase.write_text(json.dumps(CLOSED_STAIRCASE), encoding="utf-8")
+    cases = [args.format(closed_staircase=closed_staircase).split() for _, args in CASES]
     plain = []
     for i, argv in enumerate(cases):
         code = main(argv + ["--out", str(tmp_path / "plain" / str(i))])
