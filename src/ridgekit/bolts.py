@@ -13,8 +13,10 @@ is a linear-time cycle search rather than a combinatorial enumeration.  The
 graph is read from the cached level index of :mod:`ridgekit.incidence`, the
 same one the density verdict of those points and directions reads, and the
 orbits are the components of that index's level forest, the union-find the
-verdict grows.  The closed bolt keeps its own depth-first search: its cycle
-is pinned, and need not be the verdict's certificate.
+verdict grows.  That forest also says whether a closed bolt exists: when it
+has no closing point, no search runs.  Otherwise the closed bolt comes from
+its own depth-first search: its cycle is pinned, and need not be the
+verdict's certificate.
 
 For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
@@ -161,8 +163,15 @@ def find_closed_bolt(graph: BoltGraph) -> Bolt | None:
     ``n1 + g`` level ``g`` along ``a2`` (``n1`` levels lie along ``a1``), and
     a node's edges are the points of its level group, in increasing order.
     Roots are tried in the order in which points first touch them.
+
+    A closed bolt is a cycle of the level graph, and :func:`build_bolt_graph`
+    rejects parallel edges, so there is none when the index's level forest
+    (:attr:`IncidenceStructure.forest`) has no closing point: then ``None``
+    is returned without the search.
     """
     inc = graph.incidence
+    if not inc.forest[0]:
+        return None
     n1 = inc.level_counts[0]
     members = inc.groups[0] + inc.groups[1]
     ends = [g1 + n1 + g2 for g1, g2 in zip(*inc.level_of)]  # edge j's two nodes sum to ends[j]

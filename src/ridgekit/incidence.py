@@ -35,6 +35,9 @@ columns to its right, and does only the work that one vector needs:
   (:attr:`IncidenceStructure.forest`); the verdict builds the first one,
   neither the peel nor an elimination runs, and the same forest gives the
   orbits of :mod:`ridgekit.bolts`;
+* otherwise, when one direction has ``n`` levels, it separates every
+  point: its rows of ``M`` are a permutation matrix, so ``M`` has full
+  column rank and the core is empty without the peel;
 * otherwise the core's elimination, the one routine of
   :mod:`ridgekit.exactlinalg`, stops at its first free column; an empty
   core is not eliminated at all.
@@ -222,7 +225,12 @@ class IncidenceStructure:
 
         A point alone on a level carries that level's whole sum, so it is 0
         in every closed path, and by induction every null vector of ``M`` is
-        zero off the core."""
+        zero off the core.  When one direction has ``n`` levels, every point
+        is alone on its level there, the peel removes every point and the
+        core is empty: it is returned without building the peel (its rows of
+        ``M`` are a permutation matrix, so ``M`` has full column rank)."""
+        if self.n_points in self.level_counts:
+            return ()
         live = [True] * self.n_points
         for j, _, _ in self.peel:
             live[j] = False
@@ -649,11 +657,13 @@ def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:
     """
     ids = [0] * len(keys)
     distinct: list[int] = []
+    last, g = None, -1
     for j in sorted(range(len(keys)), key=keys.__getitem__):
         key = keys[j]
-        if not distinct or distinct[-1] != key:
+        if key != last:
             distinct.append(key)
-        ids[j] = len(distinct) - 1
+            last, g = key, g + 1
+        ids[j] = g
     return distinct, ids
 
 

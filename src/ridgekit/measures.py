@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add
+from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
 from .rationals import RationalLike, rationalize
@@ -106,11 +106,23 @@ class Direction:
         return big_e, tuple(c.numerator * (big_e // c.denominator) for c in self.coords)
 
     def integer_keys(self, columns: Sequence[Sequence[int]]) -> list[int]:
-        """``(E a) . (D x)`` per point of the columns of :func:`integer_columns`."""
-        keys = [0] * len(columns[0])
+        """``(E a) . (D x)`` per point of the columns of :func:`integer_columns`,
+        as a new list that shares nothing with the columns.
+
+        The sum starts from the first column of nonzero weight; a column of
+        weight 1 is added as it is and one of weight -1 negated, with no
+        multiply."""
+        keys = None
         for w, col in zip(self.integer_multiple[1], columns):
-            if w:
-                keys = list(map(add, keys, map(w.__mul__, col)))
+            if w == 1:
+                term = col
+            elif w == -1:
+                term = map(neg, col)
+            elif w:
+                term = map(w.__mul__, col)
+            else:
+                continue
+            keys = list(term) if keys is None else list(map(add, keys, term))
         return keys
 
     def scale(self, factor: RationalLike) -> "Direction":
@@ -123,12 +135,13 @@ class Direction:
 def integer_columns(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The points over one denominator: the lcm ``D`` of all their coordinate
     denominators, and per coordinate the column of ``D x``.  ``D > 0``, so
-    the points' integer coordinate tuples sort as their ``Fraction`` ones do."""
-    big_d = lcm(*(c.denominator for p in points for c in p.coords))
-    return big_d, tuple(
-        tuple(c.numerator * (big_d // c.denominator) for c in coord)
-        for coord in zip(*(p.coords for p in points))
-    )
+    the points' integer coordinate tuples sort as their ``Fraction`` ones do.
+
+    Each coordinate is read once, as its ``as_integer_ratio()``, and ``D`` is
+    the lcm of the distinct denominators."""
+    ratios = [[c.as_integer_ratio() for c in coord] for coord in zip(*(p.coords for p in points))]
+    big_d = lcm(*{den for col in ratios for _, den in col})
+    return big_d, tuple(tuple(num * (big_d // den) for num, den in col) for col in ratios)
 
 
 @dataclass(frozen=True)

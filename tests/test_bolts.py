@@ -33,11 +33,13 @@ from helpers import (
     large_config,
     level_forest,
     level_multigraph,
+    oracle_has_closed_path,
     random_config,
     textbook_bolt,
     textbook_orbits,
     textbook_probe,
 )
+from ridgekit.incidence import IncidenceStructure
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -258,6 +260,38 @@ class TestFindClosedBolt:
                 assert is_annihilating(mu, cfg.dirs)
             agree += 1
         assert agree >= 40
+
+    def test_no_search_on_a_level_forest(self):
+        """Staircases, level forests and ``level_multigraph`` seeds: a closed
+        bolt is found exactly when the textbook rows have a closed path.  On
+        an acyclic level graph the answer comes from the level forest, no
+        level group is built, and the depth-first search, forced on a copy
+        of the index, finds no cycle either."""
+        rng = random.Random("closed-bolt-forests")
+        configs = [large_config(rng, family, n) for family in ("staircase", "closed-staircase")
+                   for n in (4, 13, 60)]
+        configs += [level_forest(rng, [rng.randint(1, 9) for _ in range(rng.randint(1, 6))])
+                    for _ in range(20)]
+        configs += [level_multigraph(rng, shape) for shape in ("plane", "shared", "parallel")
+                    for _ in range(60)]
+        found = Counter()
+        for cfg in configs:
+            try:
+                graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+            except ValueError:
+                continue  # parallel directions, or points sharing both levels
+            inc = graph.incidence
+            bolt = find_closed_bolt(graph)
+            assert (bolt is None) == (not oracle_has_closed_path(cfg))
+            assert ("groups" in inc.__dict__) == (bolt is not None)
+            if bolt is None:
+                forced = IncidenceStructure(inc.keys, inc.scales, inc.level_of)
+                forced.__dict__["forest"] = ((0,), inc.forest[1])
+                assert find_closed_bolt(replace(graph, incidence=forced)) is None
+            else:
+                assert verify_bolt(bolt, cfg.dirs[0], cfg.dirs[1])
+            found[bolt is None] += 1
+        assert found[True] >= 40 and found[False] >= 20
 
     def test_traversal_is_pinned(self):
         """sha256 of every found cycle's ``(indices, first_link)``, or None

@@ -259,6 +259,79 @@ class TestCore:
         assert [t.levels for t in ridge.tables] == list(inc.__dict__["levels"])
 
 
+SEPARATING = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+
+def separating_config(rng: random.Random, k: int, case: str) -> PointConfig:
+    """A seeded configuration of 2 to ``s^2`` points of an ``s x s`` grid, ``s <= 5``, placed by
+    ``(c i + s0, c j + s1)`` with rationals ``c, s0, s1`` in a seeded order,
+    under ``k`` directions, each scaled by a random rational.  Directions from
+    :data:`SEPARATING` never separate every point in ``case`` ``"none"``; in
+    ``"last"`` the last direction is ``(1, s)`` or ``(s, -1)``, which separates
+    the grid, and the others are drawn from :data:`SEPARATING`; in ``"every"``
+    every direction separates.  Draws that miss the case are redrawn, checked
+    on the textbook levels."""
+    while True:
+        s = rng.randint(2, 5)
+        cells = rng.sample([(i, j) for i in range(s) for j in range(s)], rng.randint(2, s * s))
+        c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 7))
+        s0, s1 = (Fraction(rng.randint(-50, 50), rng.randint(1, 11)) for _ in range(2))
+        points = [(c * i + s0, c * j + s1) for i, j in cells]
+        apart = [(1, s), (s, -1), (-s, 1), (s, 1)]
+        if case == "none":
+            dirs = rng.sample(SEPARATING, k)
+        elif case == "last":
+            dirs = rng.sample(SEPARATING, k - 1) + [rng.choice(apart[:2])]
+        else:
+            dirs = rng.sample(apart, k)
+        dirs = [tuple(Fraction(rng.randint(1, 5) * x, rng.randint(1, 4)) for x in a) for a in dirs]
+        cfg = PointConfig.build(points, dirs)
+        separates = [len(levels) == cfg.n for levels in textbook_levels(cfg)]
+        want = {"none": [False] * k, "last": [False] * (k - 1) + [True], "every": [True] * k}
+        if separates == want[case]:
+            return cfg
+
+
+class TestSeparatingDirection:
+    """A direction with ``n`` levels separates every point: its rows of ``M``
+    are a permutation matrix, and the core is empty without the peel."""
+
+    @pytest.mark.parametrize(
+        "k, case",
+        [(1, "none"), (1, "every")] + [(k, c) for k in (3, 4) for c in ("none", "last", "every")],
+    )
+    def test_core_verdict_and_fits(self, k, case):
+        """``core`` equals the core that the forced peel leaves, and is built
+        without the peel exactly when a direction separates; the verdict and
+        the fits are the textbook ones, and a fit builds the peel only when
+        it takes the peel route.  (With one direction, "last" is "every".)"""
+        rng = random.Random(f"separating-{k}-{case}")
+        data_rng = random.Random(f"separating-data-{k}-{case}")
+        verdicts: Counter = Counter()
+        for _ in range(20):
+            cfg = separating_config(rng, k, case)
+            inc = build_incidence(cfg)
+            core = inc.core
+            assert ("peel" in inc.__dict__) == (case == "none")
+            peeled = {j for j, _, _ in inc.peel}
+            assert core == tuple(j for j in range(cfg.n) if j not in peeled)
+            want = textbook_certificate(cfg)
+            assert certificate_atoms(cfg) == want
+            verdicts[want is None] += 1
+            if case != "none":
+                assert core == () and want is None
+            incidence.analyze.cache_clear()
+            inc = incidence.analyze(cfg)
+            vectors = [random_values(data_rng, cfg.n), [data_rng.uniform(-3, 3) for _ in range(cfg.n)]]
+            assert_matches_min_norm_oracle(cfg, vectors)
+            if case != "none":
+                assert ("peel" in inc.__dict__) == inc._fits_on_peel
+            if inc._fits_on_peel:
+                assert_routes_match_the_oracle(cfg, vectors[:1], ["peel", "closed_paths"])
+        assert verdicts[False] >= 1 if case == "none" else verdicts[False] == 0
+        incidence.analyze.cache_clear()
+
+
 @pytest.fixture
 def counted_calls(monkeypatch):
     """Counts of the calls that index and eliminate, on an empty ``analyze`` cache."""
@@ -290,11 +363,14 @@ class TestSharedAnalysis:
         assert counted_calls == {"build_incidence": 1}
 
     def test_dense_verdict_on_an_empty_core_eliminates_nothing(self, counted_calls):
-        """A generic k = 3 set peels away completely, and its verdict calls
-        no ``nullspace_int``: an empty core builds no rows."""
+        """A generic k = 3 set has a direction that separates every point, so
+        its core is empty without the peel, and its verdict calls no
+        ``nullspace_int``: an empty core builds no rows."""
         cfg = large_config(random.Random(24), "generic", 60)
         assert density_verdict(cfg).dense
-        assert not incidence.analyze(cfg).core
+        inc = incidence.analyze(cfg)
+        assert not inc.core
+        assert "peel" not in inc.__dict__
         assert counted_calls == {"build_incidence": 1}
 
     def test_bolt_graph_reads_the_verdicts_index(self, counted_calls):

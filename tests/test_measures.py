@@ -170,11 +170,15 @@ class TestDot:
 class TestIntegerKeys:
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_and_ordered_as_the_textbook_dot(self, seed):
-        """Over mixed denominators, and with the coordinates ``2^-k`` and
-        ``2^-(k+61)``, whose hashes collide, each key is ``D E`` times the
-        textbook dot, so keys are equal and ordered exactly as levels are."""
+        """Over mixed denominators, with the coordinates ``2^-k`` and
+        ``2^-(k+61)``, whose hashes collide, and with points built from
+        ``int`` coordinates, d = 1..4, each key is ``D E`` times the textbook
+        dot, so keys are equal and ordered exactly as levels are.  Besides
+        random directions, each seed has directions whose integer multiples
+        hold the entries 0, ±1, ±2 and large ones, and every key list is a
+        new list that no column shares."""
         rng = random.Random(seed)
-        dim = rng.randint(1, 4)
+        dim = seed % 4 + 1
         k = rng.randint(1, 40)
         twins = [Fraction(1, 2**k), Fraction(1, 2 ** (k + 61))]
 
@@ -186,20 +190,43 @@ class TestIntegerKeys:
         coords = {(t,) + (Fraction(0),) * (dim - 1) for t in twins}
         while len(coords) < 40:
             coords.add(tuple(coord() for _ in range(dim)))
-        points = [Point(x) for x in coords]
+        ints = {tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(12)} - coords
+        points = [Point(x) for x in coords] + [Point(x) for x in ints]
         rng.shuffle(points)
         big_d, columns = integer_columns(points)
         assert len(columns) == dim and all(len(col) == len(points) for col in columns)
-        for _ in range(6):
-            a = Direction((coord() or Fraction(1),) + tuple(coord() for _ in range(dim - 1)))
+        assert all(type(v) is int for col in columns for v in col)
+        dirs = [Direction((coord() or Fraction(1),) + tuple(coord() for _ in range(dim - 1)))
+                for _ in range(6)]
+        entries = (0, 1, -1, 2, -2, 2**70 + 1, -(3**41))
+        for first in entries[1:]:
+            multiple = (first,) + tuple(rng.choice(entries) for _ in range(dim - 1))
+            e = rng.choice([1, 7**30])
+            dirs.append(Direction(tuple(Fraction(w, e) for w in multiple)))
+            assert dirs[-1].integer_multiple == (e, multiple)
+        for a in dirs:
             big_e, multiple = a.integer_multiple
             assert all(type(w) is int for w in multiple) and big_e > 0
-            keys = a.integer_keys(columns)
+            lists = [list(col) for col in columns]
+            keys = a.integer_keys(lists)
             dots = [textbook_dot(a, p) for p in points]
-            assert all(type(key) is int for key in keys)
+            assert type(keys) is list and all(type(key) is int for key in keys)
             assert keys == [dot * big_d * big_e for dot in dots]
             for ki, di in zip(keys, dots):
                 assert [(ki < kj, ki == kj) for kj in keys] == [(di < dj, di == dj) for dj in dots]
+            keys[0] += 1
+            keys.append(0)
+            assert lists == [list(col) for col in columns]
+
+    def test_int_coordinates_need_no_denominator(self):
+        """Points built directly from ``int`` coordinates are their own
+        integer form; mixed with ``Fraction`` ones they share one ``D``."""
+        ints = [Point((3, -2)), Point((0, 5)), Point((-7, 1))]
+        assert integer_columns(ints) == (1, ((3, 0, -7), (-2, 5, 1)))
+        mixed = ints + [Point((Fraction(1, 4), Fraction(-5, 6)))]
+        assert integer_columns(mixed) == (12, ((36, 0, -84, 3), (-24, 60, 12, -10)))
+        a = Direction((1, -1))
+        assert a.integer_keys(integer_columns(mixed)[1]) == [60, -60, -96, 13]
 
 
 class TestProperties:

@@ -25,8 +25,27 @@ CLOSED_STAIRCASE = {
     "values": ["1", "-1/2", "3", "0", "7/3", "-5"],
 }
 
-# (expected exit code, argv without --out); {closed_staircase} is the path of
-# CLOSED_STAIRCASE written as JSON
+# A generic set under three directions: every level holds one point, so the
+# first direction separates the points and decides density without the peel.
+GENERIC = {
+    "dimension": 2,
+    "points": [["0", "0"], ["1/2", "3"], ["2", "-1/3"], ["-3", "5/4"],
+               ["7/5", "2"], ["4", "9/2"], ["-1", "-7/3"], ["5/3", "-4"]],
+    "directions": [["1", "0"], ["0", "1"], ["1", "1"]],
+}
+
+# A staircase under two directions: its level graph is a path, so the level
+# forest answers that there is no closed bolt without a search.
+STAIRCASE = {
+    "dimension": 2,
+    "points": [["0", "0"], ["1/3", "0"], ["1/3", "5/2"], ["-2", "5/2"], ["-2", "-7"]],
+    "directions": [["1", "0"], ["0", "1"]],
+}
+
+FILES = {"closed_staircase": CLOSED_STAIRCASE, "generic": GENERIC, "staircase": STAIRCASE}
+
+# (expected exit code, argv without --out); {name} is the path of FILES[name]
+# written as JSON
 CASES = [
     (2, "paths --preset paper-5pt"),
     (0, "paths --preset monotone-curve"),
@@ -37,6 +56,8 @@ CASES = [
     (0, "ridgefit --preset grid-3x3 --f xy"),
     (0, "ridgefit --preset parallel-segments --f xy"),
     (0, "ridgefit {closed_staircase}"),
+    (0, "paths {generic}"),
+    (0, "bolts {staircase}"),
     (0, "probe --preset paper-orbit --N 200"),
     (0, "netfit --preset monotone-curve --f x"),
     (0, "kfit --preset parallel-segments --f xy"),
@@ -85,9 +106,11 @@ def run_optimized(base: Path, cases: list[list[str]]) -> list[list]:
 
 
 def test_every_case_matches_under_python_O(tmp_path, capsys):
-    closed_staircase = tmp_path / "closed-staircase.json"
-    closed_staircase.write_text(json.dumps(CLOSED_STAIRCASE), encoding="utf-8")
-    cases = [args.format(closed_staircase=closed_staircase).split() for _, args in CASES]
+    paths = {}
+    for name, config in FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config), encoding="utf-8")
+    cases = [args.format(**paths).split() for _, args in CASES]
     plain = []
     for i, argv in enumerate(cases):
         code = main(argv + ["--out", str(tmp_path / "plain" / str(i))])
