@@ -137,20 +137,42 @@ def build_bolt_graph(
     Rejects empty or repeated point sets (as :class:`PointConfig` does),
     parallel directions, and point pairs sharing both levels (such a pair
     belongs to both families, which breaks alternation).
+
+    Points ``i < j`` that share both levels join the same two level nodes,
+    so ``i``, added to the index's level forest after ``j``
+    (:attr:`IncidenceStructure.forest`), closes a cycle.  Only the closing
+    points' ``a1`` level groups are therefore checked for two points on one
+    ``a2`` level, and a level forest builds no groups at all; a pair found
+    there is named by :func:`_first_shared_pair`.
     """
     cfg = PointConfig(tuple(points), (a1, a2))
     if _parallel(a1, a2):
         raise ValueError("directions must not be parallel")
     inc = analyze(cfg)
-    seen: dict[tuple[int, int], int] = {}
-    for j, key in enumerate(zip(*inc.level_of)):
-        if key in seen:
-            raise ValueError(
-                f"points {seen[key]} and {j} share both projection levels; "
-                "alternating traversal is ambiguous"
-            )
-        seen[key] = j
+    closing, _ = inc.forest
+    if closing:
+        first, second = inc.level_of
+        groups = inc.groups[0]
+        for g in {first[c] for c in closing}:
+            members = groups[g]
+            if len({second[j] for j in members}) < len(members):
+                i, j = _first_shared_pair(inc.level_of)
+                raise ValueError(
+                    f"points {i} and {j} share both projection levels; "
+                    "alternating traversal is ambiguous"
+                )
     return BoltGraph(cfg.points, a1, a2, inc)
+
+
+def _first_shared_pair(level_of: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The pair ``(i, j)``, ``i < j``, of points sharing both levels with the
+    smallest ``j``, and the smallest ``i`` for that ``j``."""
+    seen: dict[tuple[int, int], int] = {}
+    for j, key in enumerate(zip(*level_of)):
+        if key in seen:
+            return seen[key], j
+        seen[key] = j
+    raise AssertionError("no two points share both levels")
 
 
 def find_closed_bolt(graph: BoltGraph) -> Bolt | None:

@@ -13,10 +13,13 @@ points as a sum of per-direction level profiles.  Hence the verdict: the
 configuration is *dense* (every data vector is an exact ridge sum) iff no
 closed path exists.
 
-:func:`build_incidence` is the only code that maps points to levels, by the
+The level index (:class:`IncidenceStructure`, built by
+:func:`build_incidence`) is the only code that maps points to levels, by the
 integer keys of :mod:`ridgekit.measures` on the configuration's columns
 (:attr:`PointConfig.integer_columns`); ridge tables alone build ``Fraction``
-levels.  A point alone on a level carries that level's whole sum, so
+levels.  It groups each direction the first time that direction is read, so
+a verdict that a separating direction settles groups no other.  A point
+alone on a level carries that level's whole sum, so
 it is 0 in every closed path: peeling such points until none is left leaves
 the *core*, and only the core's columns are eliminated.  For two directions
 this is the leaf-peeling of the bipartite level graph, and the core is
@@ -37,7 +40,8 @@ columns to its right, and does only the work that one vector needs:
   orbits of :mod:`ridgekit.bolts`;
 * otherwise, when one direction has ``n`` levels, it separates every
   point: its rows of ``M`` are a permutation matrix, so ``M`` has full
-  column rank and the core is empty without the peel;
+  column rank and the core is empty without the peel, and the directions
+  after the first such one are never grouped;
 * otherwise the core's elimination, the one routine of
   :mod:`ridgekit.exactlinalg`, stops at its first free column; an empty
   core is not eliminated at all.
@@ -96,12 +100,15 @@ class PointConfig:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.points, self.dirs))
+        return hash((len(self.points), self.points[0], self.points[-1], self.dirs))
 
     def __hash__(self) -> int:
-        """Hashed once per instance: :func:`analyze` looks a configuration up
-        on every call, and each hash walks every direction's ``Fraction``
-        coordinates (the points keep their own hashes)."""
+        """Hashed once per instance, on the number of points, the first and
+        the last point and the directions: :func:`analyze` looks a
+        configuration up on every call, and each hash walks every direction's
+        ``Fraction`` coordinates (the points keep their own hashes).  Equality
+        still compares every point, so configurations that share this hash
+        keep their own cache entries."""
         return self._hash
 
     @cached_property
@@ -135,24 +142,61 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """The level index: ``keys[i]`` holds the distinct integer level keys
-    along direction ``i`` in increasing order, level ``g`` lying at
-    ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position there
-    of point ``j``'s level.  The rows of ``M`` run over (direction, level)
-    pairs in that order.
+    """The level index of a configuration, kept as its integer columns
+    (:attr:`PointConfig.integer_columns`) and its directions, and grouped
+    one direction at a time: direction ``i`` is keyed
+    (:meth:`Direction.integer_keys`) and sorted (:func:`sorted_key_ids`) the
+    first time :meth:`_direction` reads it.  Only :attr:`core` reads the
+    directions one by one.  ``keys``, ``level_of`` and ``level_counts`` are
+    whole-index reads, which group every direction not yet grouped, and
+    ``scales`` needs no grouping: ``keys[i]`` holds the distinct integer
+    level keys along direction ``i`` in increasing order, level ``g`` lying
+    at ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position
+    there of point ``j``'s level.  The rows of ``M`` run over (direction,
+    level) pairs in that order.
     """
 
-    keys: tuple[tuple[int, ...], ...]
-    scales: tuple[int, ...]
-    level_of: tuple[tuple[int, ...], ...]
+    integer_columns: tuple[int, tuple[tuple[int, ...], ...]]
+    dirs: tuple[Direction, ...]
 
-    @property
-    def n_points(self) -> int:
-        return len(self.level_of[0])
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_points", len(self.integer_columns[1][0]))
+        object.__setattr__(self, "_grouped", [None] * len(self.dirs))
 
-    @property
+    def _direction(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Direction ``i``'s distinct level keys and each point's level id,
+        grouped on its first read."""
+        grouped = self._grouped[i]
+        if grouped is None:
+            distinct, ids = sorted_key_ids(self.dirs[i].integer_keys(self.integer_columns[1]))
+            grouped = self._grouped[i] = (tuple(distinct), tuple(ids))
+        return grouped
+
+    def _whole_index(self) -> tuple[tuple, tuple, tuple]:
+        """Group every direction not yet grouped, and keep ``keys``,
+        ``level_of`` and ``level_counts`` together, so that whichever is read
+        first sets the other two."""
+        keys, level_of = zip(*map(self._direction, range(len(self.dirs))))
+        level_counts = tuple(map(len, keys))
+        self.__dict__.update(keys=keys, level_of=level_of, level_counts=level_counts)
+        return keys, level_of, level_counts
+
+    @cached_property
+    def keys(self) -> tuple[tuple[int, ...], ...]:
+        return self._whole_index()[0]
+
+    @cached_property
+    def level_of(self) -> tuple[tuple[int, ...], ...]:
+        return self._whole_index()[1]
+
+    @cached_property
     def level_counts(self) -> tuple[int, ...]:
-        return tuple(len(keys) for keys in self.keys)
+        return self._whole_index()[2]
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        big_d = self.integer_columns[0]
+        return tuple(big_d * a.integer_multiple[0] for a in self.dirs)
 
     @cached_property
     def levels(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -228,10 +272,13 @@ class IncidenceStructure:
         zero off the core.  When one direction has ``n`` levels, every point
         is alone on its level there, the peel removes every point and the
         core is empty: it is returned without building the peel (its rows of
-        ``M`` are a permutation matrix, so ``M`` has full column rank)."""
-        if self.n_points in self.level_counts:
+        ``M`` are a permutation matrix, so ``M`` has full column rank).  The
+        directions are asked in order and grouped as they are asked, so the
+        first one with ``n`` levels leaves the rest ungrouped."""
+        n = self.n_points
+        if any(len(self._direction(i)[0]) == n for i in range(len(self.dirs))):
             return ()
-        live = [True] * self.n_points
+        live = [True] * n
         for j, _, _ in self.peel:
             live[j] = False
         return tuple(j for j, kept in enumerate(live) if kept)
@@ -372,7 +419,7 @@ class IncidenceStructure:
         first closing point of :attr:`forest`, and neither the peel nor an
         elimination runs; otherwise it is the first of :attr:`_null_vectors`,
         whose elimination stops at that column."""
-        if len(self.keys) != 2:
+        if len(self.dirs) != 2:
             return next(self._null_vectors, None)
         closing, _ = self.forest
         return self._forest_cycle(closing[0]) if closing else None
@@ -387,7 +434,7 @@ class IncidenceStructure:
         first = self.first_closed_path
         if first is None:
             return []
-        if len(self.keys) == 2:
+        if len(self.dirs) == 2:
             return [first, *map(self._forest_cycle, self.forest[0][1:])]
         return [first, *self._null_vectors]
 
@@ -413,7 +460,7 @@ class IncidenceStructure:
         """Whether :meth:`fit` reads the level forest: two directions whose
         closed paths are pairwise disjoint (none, or one cycle, as in a closed
         staircase)."""
-        if len(self.keys) != 2:
+        if len(self.dirs) != 2:
             return False
         paths = self.closed_paths
         return sum(map(len, paths)) == len(set().union(*paths))
@@ -668,23 +715,15 @@ def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
-    """Index every point by its exact projection level along every direction.
+    """The level index of ``cfg`` on its integer columns, scaled here once
+    per configuration; each direction is grouped when it is first read.
 
     The integer keys ``(E a) . (D x)`` of :meth:`Direction.integer_keys` are
     ordered like ``a . x``.  Level ids come from :func:`sorted_key_ids`; the
     index keeps the distinct keys and the scale ``D E``, and builds no
     ``Fraction``.
     """
-    big_d, columns = cfg.integer_columns
-    distinct_keys: list[tuple[int, ...]] = []
-    scales: list[int] = []
-    level_of: list[tuple[int, ...]] = []
-    for a in cfg.dirs:
-        distinct, ids = sorted_key_ids(a.integer_keys(columns))
-        distinct_keys.append(tuple(distinct))
-        scales.append(big_d * a.integer_multiple[0])
-        level_of.append(tuple(ids))
-    return IncidenceStructure(tuple(distinct_keys), tuple(scales), tuple(level_of))
+    return IncidenceStructure(cfg.integer_columns, cfg.dirs)
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,17 @@ def textbook_orbits(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def textbook_shared_pair(cfg: PointConfig) -> tuple[int, int] | None:
+    """The first pair ``(i, j)``, ``i < j``, of points whose textbook levels
+    are equal along every direction, in the order ``j`` then ``i``, or None."""
+    proj = [[textbook_dot(a, p) for a in cfg.dirs] for p in cfg.points]
+    for j in range(cfg.n):
+        for i in range(j):
+            if proj[i] == proj[j]:
+                return i, j
+    return None
+
+
 def random_config(rng: random.Random, max_n=12, max_k=4, max_d=3, coord_range=5) -> PointConfig:
     """A random configuration with small integer coordinates in {0..4}."""
     d = rng.randint(1, max_d)

@@ -38,8 +38,9 @@ from helpers import (
     textbook_bolt,
     textbook_orbits,
     textbook_probe,
+    textbook_shared_pair,
 )
-from ridgekit.incidence import IncidenceStructure
+from ridgekit.incidence import IncidenceStructure, analyze
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -221,6 +222,56 @@ class TestBoltGraph:
         with pytest.raises(ValueError):
             build_bolt_graph(pts, Direction.of(1, 0, 0), Direction.of(0, 1, 0))
 
+    @pytest.mark.parametrize("case", ["copy-after", "copy-before", "three", "beside-a-cycle"])
+    def test_shared_levels_name_the_textbook_pair(self, case):
+        """Seeded 3-d point lists with points that share both levels: a copy
+        of one point, moved off the plane, after or before it; two such
+        copies, three points on one level pair; and a copy beside an
+        unrelated closed staircase, whose closing point comes first in the
+        level forest.  Each raises the message of the textbook scan."""
+        rng = random.Random(f"shared-both-{case}")
+        for _ in range(15):
+            family = rng.choice(("staircase", "forest"))
+            base = [(x, y, Fraction(0)) for x, y in
+                    (p.coords for p in large_config(rng, family, rng.randint(2, 30)).points)]
+            copied = rng.randrange(len(base))
+            x, y, _ = base[copied]
+            for height in range(1, 3 if case == "three" else 2):
+                at = rng.randint(copied + 1, len(base))
+                if case == "copy-before":
+                    at = rng.randint(0, copied)
+                    copied += 1
+                base.insert(at, (x, y, height + Fraction(rng.randrange(100), 100)))
+            if case == "beside-a-cycle":
+                # on levels of its own: the points of large_config lie within 143 of 0
+                cycle = large_config(rng, "closed-staircase", rng.randint(4, 30)).points
+                base += [(x + 1000, y + 1000, Fraction(0)) for x, y in (p.coords for p in cycle)]
+            dirs = [(Fraction(rng.randint(1, 9), rng.randint(1, 9)), 0, 0),
+                    (0, Fraction(rng.randint(-9, -1), rng.randint(1, 9)), 0)]
+            cfg = PointConfig.build(base, dirs)
+            i, j = textbook_shared_pair(cfg)
+            with pytest.raises(ValueError) as exc:
+                build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+            assert str(exc.value) == (
+                f"points {i} and {j} share both projection levels; alternating traversal is ambiguous"
+            )
+            if case == "beside-a-cycle":
+                inc = analyze(cfg)
+                assert inc.forest[0][0] >= len(base) - len(cycle) > i
+
+    @pytest.mark.parametrize("family", ["staircase", "forest"])
+    def test_no_level_groups_on_a_level_forest(self, family):
+        """On a level forest the bolt graph, the closed-bolt answer and the
+        orbits build no level groups: no point closes a cycle, so no pair of
+        points can share both levels."""
+        rng = random.Random(f"bolt-graph-{family}")
+        for n in (2, 17, 90):
+            cfg = large_config(rng, family, n)
+            graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+            assert find_closed_bolt(graph) is None
+            assert orbits(graph) == textbook_orbits(cfg)
+            assert "groups" not in graph.incidence.__dict__
+
 
 class TestFindClosedBolt:
     def test_grid_cycle(self):
@@ -285,7 +336,7 @@ class TestFindClosedBolt:
             assert (bolt is None) == (not oracle_has_closed_path(cfg))
             assert ("groups" in inc.__dict__) == (bolt is not None)
             if bolt is None:
-                forced = IncidenceStructure(inc.keys, inc.scales, inc.level_of)
+                forced = IncidenceStructure(cfg.integer_columns, cfg.dirs)
                 forced.__dict__["forest"] = ((0,), inc.forest[1])
                 assert find_closed_bolt(replace(graph, incidence=forced)) is None
             else:

@@ -292,6 +292,26 @@ def separating_config(rng: random.Random, k: int, case: str) -> PointConfig:
             return cfg
 
 
+@pytest.fixture
+def grouped_directions(monkeypatch):
+    """Every direction grouped into levels, in order, as the direction whose
+    ``integer_keys`` were taken."""
+    calls = []
+    integer_keys = Direction.integer_keys
+
+    def recorded(self, columns):
+        calls.append(self)
+        return integer_keys(self, columns)
+
+    monkeypatch.setattr(Direction, "integer_keys", recorded)
+    return calls
+
+
+def direction_positions(cfg: PointConfig, directions) -> list[int]:
+    """The position in ``cfg.dirs`` of each of ``directions``, by identity."""
+    return [next(i for i, a in enumerate(cfg.dirs) if a is d) for d in directions]
+
+
 class TestSeparatingDirection:
     """A direction with ``n`` levels separates every point: its rows of ``M``
     are a permutation matrix, and the core is empty without the peel."""
@@ -300,18 +320,27 @@ class TestSeparatingDirection:
         "k, case",
         [(1, "none"), (1, "every")] + [(k, c) for k in (3, 4) for c in ("none", "last", "every")],
     )
-    def test_core_verdict_and_fits(self, k, case):
+    def test_core_verdict_and_fits(self, k, case, grouped_directions):
         """``core`` equals the core that the forced peel leaves, and is built
         without the peel exactly when a direction separates; the verdict and
         the fits are the textbook ones, and a fit builds the peel only when
-        it takes the peel route.  (With one direction, "last" is "every".)"""
+        it takes the peel route.  (With one direction, "last" is "every".)
+
+        Directions are grouped as they are read: ``core`` and the verdict
+        group the first direction alone when it separates, and every
+        direction, in order, otherwise; a later fit groups each remaining
+        direction once."""
         rng = random.Random(f"separating-{k}-{case}")
         data_rng = random.Random(f"separating-data-{k}-{case}")
         verdicts: Counter = Counter()
+        asked = [0] if case == "every" else list(range(k))
         for _ in range(20):
             cfg = separating_config(rng, k, case)
+            grouped_directions.clear()
             inc = build_incidence(cfg)
+            assert grouped_directions == []
             core = inc.core
+            assert direction_positions(cfg, grouped_directions) == asked
             assert ("peel" in inc.__dict__) == (case == "none")
             peeled = {j for j, _, _ in inc.peel}
             assert core == tuple(j for j in range(cfg.n) if j not in peeled)
@@ -321,9 +350,13 @@ class TestSeparatingDirection:
             if case != "none":
                 assert core == () and want is None
             incidence.analyze.cache_clear()
+            grouped_directions.clear()
             inc = incidence.analyze(cfg)
+            assert density_verdict(cfg).dense == (want is None)
+            assert direction_positions(cfg, grouped_directions) == asked
             vectors = [random_values(data_rng, cfg.n), [data_rng.uniform(-3, 3) for _ in range(cfg.n)]]
             assert_matches_min_norm_oracle(cfg, vectors)
+            assert direction_positions(cfg, grouped_directions) == list(range(k))
             if case != "none":
                 assert ("peel" in inc.__dict__) == inc._fits_on_peel
             if inc._fits_on_peel:
@@ -487,6 +520,26 @@ class TestSharedAnalysis:
         assert copy is not cfg
         assert density_verdict(cfg) == density_verdict(copy)
         assert counted_calls == {"build_incidence": 1, "nullspace_int": 1}
+
+    def test_configurations_sharing_a_hash_keep_their_own_index(self, counted_calls):
+        """A configuration hashes its number of points, its first and last
+        points and its directions.  Two that agree on those but not on a
+        middle point share that hash, and ``analyze`` still gives each its own
+        index, by equality: a closed staircase, and the same with one middle
+        point moved off the cycle."""
+        closed = large_config(random.Random(25), "closed-staircase", 40)
+        points = list(closed.points)
+        x, y = points[20].coords
+        points[20] = Point((x + 1000, y + 1000))
+        moved = PointConfig(tuple(points), closed.dirs)
+        assert hash(moved) == hash(closed) and moved != closed
+        first, second = incidence.analyze(closed), incidence.analyze(moved)
+        assert first is not second
+        assert incidence.analyze(closed) is first and incidence.analyze(moved) is second
+        for cfg in (closed, moved):
+            assert certificate_atoms(cfg) == textbook_certificate(cfg)
+        assert textbook_certificate(closed) is not None and textbook_certificate(moved) is None
+        assert counted_calls == {"build_incidence": 2}
 
     def test_cached_lookup_does_not_rehash_coordinates(self, monkeypatch):
         cfg = large_config(random.Random(20), "generic", 40)
