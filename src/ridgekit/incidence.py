@@ -49,18 +49,16 @@ columns to its right, and does only the work that one vector needs:
 The whole null space, which only a ridge fit reads, is for two directions
 the cycle of every closing point of the forest, and otherwise the core's one
 elimination, resumed where a verdict stopped it.  The ridge fits take one of
-three routes, chosen from the index alone, and factor at most once per
-index.  With ``L`` levels, ``n`` points and ``z = L - n``:
+three routes, chosen by the number of directions and, for two, by whether
+the closed paths are pairwise disjoint, and factor at most once per index:
 
+* one direction: each point lies on one level, and the fit is each level's
+  mean; nothing is eliminated or factored;
 * two directions whose closed paths are pairwise disjoint (none, or the one
   cycle of a closed staircase): the fit projects ``f`` off each closed path,
   back-substitutes along the forest and removes each component's
   alternating mean, the forest's basis of the null space of ``M^T``, and
   factors nothing;
-* otherwise, the core is empty and ``z < n``: ``M`` has full column rank,
-  the fit back-substitutes along the peel and projects out the null space
-  of ``M^T``, and the ``z × z`` Gram matrix of a basis of that null space is
-  factored;
 * otherwise ``[N | S]`` with ``S = M^T M`` is factored, ``n`` rows, with the
   closed paths as ``N``.
 """
@@ -514,80 +512,17 @@ class IncidenceStructure:
         n1 = len(self.keys[0])
         return [w[:n1], w[n1:]], q * r
 
-    @cached_property
-    def _peel_projection(self) -> tuple[list, list, list[int], IntegerSolver, list]:
-        """What a fit on the :attr:`peel` reads, when the core is empty.
-
-        Levels are numbered flat, direction by direction; ``spans`` gives
-        each direction's range.  The steps are the peel reversed, each
-        ``(l_t, j_t, the other levels of j_t)``; a back-substitution over them
-        solves ``M^T u = f`` for any values preset on the ``z`` free levels,
-        the levels that are no ``l_t``.  Run with ``f = 0`` and free level
-        ``c`` set to 1, it gives column ``c`` of a basis ``Z`` of
-        ``null(M^T)``.  ``Z`` is kept by rows: the free levels' rows are unit
-        vectors, and each step level's row is ``((c, entry), ...)`` over its
-        nonzero entries.  The ``z × z`` Gram matrix ``Z^T Z`` is factored
-        once."""
-        spans, start = [], 0
-        for count in self.level_counts:
-            spans.append((start, start + count))
-            start += count
-        starts = [a for a, _ in spans]
-        steps = []
-        for j, i, g in reversed(self.peel):
-            levels = [a + ids[j] for a, ids in zip(starts, self.level_of)]
-            steps.append((levels.pop(i), j, tuple(levels)))
-        pinned = {level for level, _, _ in steps}
-        free = [level for level in range(start) if level not in pinned]
-        rows: dict[int, dict[int, int]] = {level: {c: 1} for c, level in enumerate(free)}
-        gram: list[dict[int, int]] = [{c: 1} for c in range(len(free))]
-        step_rows = []
-        for level, _, others in steps:
-            row: dict[int, int] = {}
-            for other in others:
-                for c, v in rows[other].items():
-                    row[c] = row.get(c, 0) - v
-            row = rows[level] = {c: v for c, v in row.items() if v}
-            for a, va in row.items():
-                target = gram[a]
-                for b, vb in row.items():
-                    target[b] = target.get(b, 0) + va * vb
-            step_rows.append((level, tuple(row.items())))
-        return steps, step_rows, free, IntegerSolver(gram, len(free)), spans
-
-    @cached_property
-    def _fits_on_peel(self) -> bool:
-        """Whether :meth:`fit` takes the peel: the core is empty and ``M^T``,
-        of nullity ``z = L - n``, has ``z < n``."""
-        n = self.n_points
-        return not self.core and sum(self.level_counts) - n < n
-
-    def _solve_on_peel(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
+    def _solve_on_levels(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
         """Integer level numerators ``W`` over ``q`` with ``u = W / (q d)`` the
-        minimum-norm solution of ``M^T u = f = F / d``, on an empty core.
-
-        The back-substitution with the free levels at 0 gives ``u_0 = U / d``
-        from ``F`` by additions alone.  ``u = u_0 - Z (Z^T Z)^{-1} Z^T u_0`` is
-        orthogonal to ``null(M^T)``, so it lies in the range of ``M``; with
-        ``(Z^T Z) X / q = -Z^T U``, ``W = q U + Z X``, which is the
-        back-substitution of ``q F`` with the free levels preset to ``X``.
-        With no free level, ``M`` is square and ``u_0`` is the solution."""
-        steps, step_rows, free, gram, spans = self._peel_projection
-        u = _back_substitute_peel(steps, f_num, [0] * spans[-1][1])
-        if not free:
-            return [u[a:b] for a, b in spans], 1
-        rhs = [0] * len(free)
-        for level, row in step_rows:
-            v = u[level]
-            if v:
-                for c, e in row:
-                    rhs[c] -= e * v
-        x, q = gram.solve(rhs)
-        w = [0] * len(u)
-        for level, v in zip(free, x):
-            w[level] = v
-        w = _back_substitute_peel(steps, [q * v for v in f_num], w)
-        return [w[a:b] for a, b in spans], q
+        minimum-norm least-squares solution of ``M^T u = f = F / d``, for one
+        direction.  Each point lies on one level, so ``u`` is each level's
+        mean of ``f``: with ``S_g`` the sum of ``F`` on level ``g`` and
+        ``c_g`` its point count, ``W_g = S_g (q / c_g)`` over ``q = lcm(c_g)``.
+        Nothing is eliminated or factored."""
+        counts = list(map(len, self.groups[0]))
+        q = lcm(*counts)
+        [sums] = self.level_sums(f_num)
+        return [[s * (q // c) for s, c in zip(sums, counts)]], q
 
     def _solve_on_closed_paths(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
         """Integer level numerators ``W`` over ``q`` with ``u = W / (q d)`` the
@@ -608,16 +543,15 @@ class IncidenceStructure:
         """The level vectors ``u`` of the minimum-norm least-squares fit of
         ``values``, and the exact worst-case residual ``max |f - M^T u|``.
 
-        The solution is unique, so every route gives the same tables:
+        The solution is unique, so every route gives the same tables.  The
+        route is chosen by the number of directions and, for two, by
+        :attr:`_fits_on_forest`:
 
+        * one direction: each level's mean, and nothing is eliminated or
+          factored (:meth:`_solve_on_levels`);
         * two directions whose closed paths are pairwise disjoint: the closed
           paths are projected out and the level forest is back-substituted,
           and nothing is factored (:meth:`_solve_on_forest`);
-        * otherwise, when the core is empty, ``M`` has full column rank ``n``
-          and ``M^T`` has nullity ``z = L - n`` over ``L`` levels; if also
-          ``z < n``, the fit back-substitutes along the :attr:`peel` and
-          projects out ``null(M^T)`` through a ``z × z`` factorization
-          (:meth:`_solve_on_peel`);
         * otherwise it solves the ``n``-row system ``[N | S]``
           (:meth:`_solve_on_closed_paths`).
 
@@ -628,10 +562,10 @@ class IncidenceStructure:
         """
         d = lcm(*(v.denominator for v in values))
         f_num = [v.numerator * (d // v.denominator) for v in values]
-        if self._fits_on_forest:
+        if len(self.dirs) == 1:
+            solve = self._solve_on_levels
+        elif self._fits_on_forest:
             solve = self._solve_on_forest
-        elif self._fits_on_peel:
-            solve = self._solve_on_peel
         else:
             solve = self._solve_on_closed_paths
         sums, q = solve(f_num)
@@ -656,18 +590,6 @@ class IncidenceStructure:
         for ids, u in zip(self.level_of, level_vecs):
             out = list(map(add, out, map(u.__getitem__, ids)))
         return out
-
-
-def _back_substitute_peel(
-    steps: Sequence[tuple[int, int, tuple[int, ...]]], f: Sequence[int], w: list[int]
-) -> list[int]:
-    """Solve ``M^T w = f`` along the reversed peel, in place, for ``w``
-    preset on the free levels: each step ``(l_t, j_t, others)`` sets
-    ``w[l_t]`` from point ``j_t``'s equation, whose other levels are set."""
-    get = w.__getitem__
-    for level, j, others in steps:
-        w[level] = f[j] - sum(map(get, others))
-    return w
 
 
 def _project_out(

@@ -21,6 +21,7 @@ from helpers import (
     right_to_left_oracle,
     rref_nullspace,
     textbook_certificate,
+    textbook_dot,
     textbook_levels,
     textbook_min_norm_fit,
 )
@@ -323,8 +324,8 @@ class TestSeparatingDirection:
     def test_core_verdict_and_fits(self, k, case, grouped_directions):
         """``core`` equals the core that the forced peel leaves, and is built
         without the peel exactly when a direction separates; the verdict and
-        the fits are the textbook ones, and a fit builds the peel only when
-        it takes the peel route.  (With one direction, "last" is "every".)
+        the fits are the textbook ones, and no fit builds the peel when a
+        direction separates.  (With one direction, "last" is "every".)
 
         Directions are grouped as they are read: ``core`` and the verdict
         group the first direction alone when it separates, and every
@@ -358,9 +359,7 @@ class TestSeparatingDirection:
             assert_matches_min_norm_oracle(cfg, vectors)
             assert direction_positions(cfg, grouped_directions) == list(range(k))
             if case != "none":
-                assert ("peel" in inc.__dict__) == inc._fits_on_peel
-            if inc._fits_on_peel:
-                assert_routes_match_the_oracle(cfg, vectors[:1], ["peel", "closed_paths"])
+                assert "peel" not in inc.__dict__
         assert verdicts[False] >= 1 if case == "none" else verdicts[False] == 0
         incidence.analyze.cache_clear()
 
@@ -893,12 +892,9 @@ def assert_routes_match_the_oracle(cfg: PointConfig, vectors: list[list], routes
 
 
 def assert_both_routes_match_the_oracle(cfg: PointConfig, vectors: list[list]) -> None:
-    """On an empty core with ``z < n``, the peel route and the ``[N | S]``
-    route each give the textbook tables, and so does the level forest's for
-    two directions."""
-    inc = incidence.analyze(cfg)
-    assert not inc.core and sum(inc.level_counts) < 2 * cfg.n
-    routes = ["peel", "closed_paths"] + ["forest"] * (cfg.k == 2)
+    """For two directions, the level forest's route and the ``[N | S]`` route
+    each give the textbook tables; otherwise ``[N | S]`` does."""
+    routes = ["forest", "closed_paths"] if cfg.k == 2 else ["closed_paths"]
     assert_routes_match_the_oracle(cfg, vectors, routes)
 
 
@@ -929,8 +925,9 @@ class TestMinNormOracle:
     @pytest.mark.parametrize("family", ["staircase", "forests", "generic"])
     def test_large_configurations_on_both_routes(self, family):
         """Staircases (z = 1) and level forests of several trees (z = the
-        number of trees) peel away with z < n, and both routes are checked;
-        generic k = 3 sets peel away with z = 2n and take ``[N | S]``."""
+        number of trees) peel away, and the forest and ``[N | S]`` routes
+        are checked; generic k = 3 sets peel away with z = 2n and take
+        ``[N | S]``."""
         rng = random.Random(f"peel-oracle-{family}")
         for n in (12, 24) if family == "generic" else (16, 33, 50):
             trees = 2 + n % 5
@@ -944,8 +941,7 @@ class TestMinNormOracle:
             assert z == {"staircase": 1, "forests": trees, "generic": 2 * cfg.n}[family]
             vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
             assert_matches_min_norm_oracle(cfg, vectors)
-            if z < cfg.n:
-                assert_both_routes_match_the_oracle(cfg, vectors)
+            assert_both_routes_match_the_oracle(cfg, vectors)
 
     @pytest.mark.parametrize("name, z", [("paper-orbit", 1), ("parallel-segments", 2)])
     def test_presets_on_both_routes(self, name, z):
@@ -957,43 +953,87 @@ class TestMinNormOracle:
         assert_matches_min_norm_oracle(cfg, vectors)
         assert_both_routes_match_the_oracle(cfg, vectors)
 
-    def test_cold_peel_fit_factors_only_the_gram_matrix(self, monkeypatch):
-        """A cold k = 3 fit with an empty core and z < n (a level forest of
-        three trees, lifted to 3-d with a third direction on which every
-        point shares one level) eliminates one matrix, z columns wide, and
-        builds no closed path and no ``[N | S]``."""
-        cfg = lifted(level_forest(random.Random(25), [20, 15, 9]))
-        widths = []
+    @pytest.mark.parametrize("kind", ["separated", "repeated", "one-level", "mixed"])
+    def test_one_direction_takes_level_means(self, kind):
+        """k = 1 configurations in d = 1..3 (in one dimension a level holds
+        one point, so none repeats), with small rationals and with
+        float-derived data: each fit, the level means' route and the
+        ``[N | S]`` route give the textbook tables and residual."""
+        rng = random.Random(f"level-means-{kind}")
+        for d in (2, 3) if kind == "repeated" else (1, 2, 3):
+            for _ in range(8):
+                cfg = one_direction(rng, kind, d)
+                counts = Counter(textbook_dot(cfg.dirs[0], p) for p in cfg.points).values()
+                if kind == "separated" or d == 1:
+                    assert set(counts) == {1}
+                elif kind == "one-level":
+                    assert len(counts) == 1
+                else:
+                    assert max(counts) >= 2
+                vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
+                assert_matches_min_norm_oracle(cfg, vectors)
+                assert_routes_match_the_oracle(cfg, vectors, ["levels", "closed_paths"])
+
+    @pytest.mark.parametrize(
+        "family, factors",
+        [
+            ("k1-separated", False),
+            ("k1-repeated", False),
+            ("k2-staircase", False),
+            ("k2-closed-staircase", False),
+            ("k2-grid", True),
+            ("k3-generic", True),
+            ("k3-lifted-forest", True),
+            ("k3-grid", True),
+        ],
+    )
+    def test_route_follows_the_index(self, monkeypatch, family, factors):
+        """One cold fit factors ``[N | S]`` exactly when the configuration
+        has neither one direction nor two with pairwise disjoint closed
+        paths; the level means and the level forest make no ``_eliminate``
+        call."""
+        rng = random.Random(family)
+        cfg = {
+            "k1-separated": lambda: one_direction(rng, "separated", 2),
+            "k1-repeated": lambda: one_direction(rng, "repeated", 3),
+            "k2-staircase": lambda: large_config(rng, "staircase", 30),
+            "k2-closed-staircase": lambda: large_config(rng, "closed-staircase", 30),
+            "k2-grid": lambda: square_grid(6, GRID_DIRS[:2]),
+            "k3-generic": lambda: large_config(rng, "generic", 30),
+            "k3-lifted-forest": lambda: lifted(level_forest(rng, [20, 15, 9])),
+            "k3-grid": lambda: square_grid(6, GRID_DIRS),
+        }[family]()
+        calls = []
         eliminate = exactlinalg._eliminate
 
         def counted(rows, ncols):
-            widths.append(ncols)
+            calls.append(ncols)
             return eliminate(rows, ncols)
 
         monkeypatch.setattr(exactlinalg, "_eliminate", counted)
         incidence.analyze.cache_clear()
-        _, residual = interpolate_ridge(cfg, random_values(random.Random(25), cfg.n))
+        interpolate_ridge(cfg, random_values(rng, cfg.n))
         inc = incidence.analyze(cfg)
-        assert sum(inc.level_counts) - cfg.n == 4 and widths == [4]
-        assert residual == 0
-        assert not {"first_closed_path", "closed_paths", "solver"} & inc.__dict__.keys()
+        assert ("solver" in inc.__dict__) == factors
+        assert bool(calls) == factors
         incidence.analyze.cache_clear()
 
     def test_fit_builds_one_fraction_per_level_and_one_residual(self, monkeypatch):
         """Factoring builds no ``Fraction``, and a fit builds one per level
-        and one for the residual: ``[N | S]`` on a grid (the closed paths' own
-        back-substitution is not counted), the peel's Gram matrix on a lifted
-        level forest with z < n, and the level forest's steps on a closed
-        staircase."""
+        and one for the residual: ``[N | S]`` on a grid and on a lifted level
+        forest (the closed paths' own back-substitution is not counted), the
+        level forest's steps on a closed staircase, and the level groups of
+        one direction with repeated levels."""
         cases = [
             (square_grid(8, GRID_DIRS), "solver"),
-            (lifted(level_forest(random.Random(8), [20, 12, 6])), "_peel_projection"),
+            (lifted(level_forest(random.Random(8), [20, 12, 6])), "solver"),
             (large_config(random.Random(8), "closed-staircase", 40), "_forest_steps"),
+            (one_direction(random.Random(8), "repeated", 3), "groups"),
         ]
         for cfg, factorization in cases:
             incidence.analyze.cache_clear()
             inc = incidence.analyze(cfg)
-            if factorization != "_peel_projection":
+            if cfg.k > 1:
                 inc.closed_paths
             values = random_values(random.Random(8), cfg.n)
             built = []
@@ -1021,6 +1061,45 @@ def lifted(cfg: PointConfig) -> PointConfig:
     return PointConfig.build(
         [(*p.coords, 0) for p in cfg.points], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     )
+
+
+def one_direction(rng: random.Random, kind: str, d: int) -> PointConfig:
+    """A seeded k = 1 configuration in ``d`` dimensions, built level by
+    level: ``"separated"`` puts every point on its own level, ``"repeated"``
+    1 to 4 points on each level and at least 2 on one, ``"one-level"`` every
+    point on one level, and ``"mixed"`` 1 to 7 points on each level, so that
+    the counts have a large lcm, with coordinates, levels and direction of
+    large mixed denominators.  In one dimension each level holds one point.
+    Each point's last coordinate is solved from its level."""
+    big = 10**6 if kind == "mixed" else 9
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-5 * big, 5 * big), rng.randint(1, big))
+
+    if kind == "separated":
+        counts = [1] * rng.randint(1, 12)
+    elif kind == "repeated":
+        counts = [rng.randint(2, 4)] + [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+    elif kind == "one-level":
+        counts = [rng.randint(2, 12)]
+    else:
+        counts = rng.sample(range(1, 8), rng.randint(2, 5))
+    if d == 1:
+        counts = [1] * len(counts)
+    a = [rational() for _ in range(d - 1)] + [rational() or Fraction(1)]
+    levels: set[Fraction] = set()
+    while len(levels) < len(counts):
+        levels.add(rational())
+    points = []
+    for level, count in zip(sorted(levels), counts):
+        heads: set[tuple[Fraction, ...]] = set()
+        while len(heads) < count:
+            heads.add(tuple(rational() for _ in range(d - 1)))
+        for head in sorted(heads):
+            last = (level - sum(x * y for x, y in zip(a, head))) / a[-1]
+            points.append((*head, last))
+    rng.shuffle(points)
+    return PointConfig.build(points, [a])
 
 
 def pairwise_disjoint(vectors) -> bool:

@@ -42,7 +42,33 @@ STAIRCASE = {
     "directions": [["1", "0"], ["0", "1"]],
 }
 
-FILES = {"closed_staircase": CLOSED_STAIRCASE, "generic": GENERIC, "staircase": STAIRCASE}
+# One direction with repeated levels: 4, 3 and 2 points share the levels 0,
+# 2 and 1, and one point is alone on -1, so the fit takes each level's mean.
+ONE_DIRECTION = {
+    "dimension": 2,
+    "points": [["0", "0"], ["1", "-1"], ["1/2", "-1/2"], ["-1/3", "1/3"], ["2", "0"],
+               ["3", "-1"], ["5/2", "-1/2"], ["7/4", "-3/4"], ["-2", "3"], ["0", "-1"]],
+    "directions": [["1", "1"]],
+    "values": ["1", "-1/2", "3", "0", "7/3", "-5", "2/7", "11", "-3/4", "1/9"],
+}
+
+# Two level trees lifted to 3-d, with a third direction on which every point
+# shares one level: an empty core under three directions, fitted by [N | S].
+LIFTED_FOREST = {
+    "dimension": 3,
+    "points": [["0", "0", "0"], ["1/2", "0", "0"], ["1/2", "3", "0"], ["-1", "3", "0"],
+               ["1/2", "-2/3", "0"], ["5", "7", "0"], ["5", "9/4", "0"], ["6", "9/4", "0"]],
+    "directions": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "values": ["2", "-1", "1/3", "4", "0", "-7/2", "5", "1/6"],
+}
+
+FILES = {
+    "closed_staircase": CLOSED_STAIRCASE,
+    "generic": GENERIC,
+    "staircase": STAIRCASE,
+    "one_direction": ONE_DIRECTION,
+    "lifted_forest": LIFTED_FOREST,
+}
 
 # (expected exit code, argv without --out); {name} is the path of FILES[name]
 # written as JSON
@@ -56,6 +82,8 @@ CASES = [
     (0, "ridgefit --preset grid-3x3 --f xy"),
     (0, "ridgefit --preset parallel-segments --f xy"),
     (0, "ridgefit {closed_staircase}"),
+    (0, "ridgefit {one_direction}"),
+    (0, "ridgefit {lifted_forest}"),
     (0, "paths {generic}"),
     (0, "bolts {staircase}"),
     (0, "probe --preset paper-orbit --N 200"),
