@@ -18,13 +18,7 @@ The level index (:class:`IncidenceStructure`, built by
 integer keys of :mod:`ridgekit.measures` on the configuration's columns
 (:attr:`PointConfig.integer_columns`); ridge tables alone build ``Fraction``
 levels.  It groups each direction the first time that direction is read, so
-a verdict that a separating direction settles groups no other.  A point
-alone on a level carries that level's whole sum, so
-it is 0 in every closed path: peeling such points until none is left leaves
-the *core*, and only the core's columns are eliminated.  For two directions
-this is the leaf-peeling of the bipartite level graph, and the core is
-empty exactly when that graph is a forest.  The peel is kept in order, each
-point with the level it was alone on; on those rows ``M`` is unit triangular.
+a verdict that a separating direction settles groups no other.
 
 :func:`analyze` caches one index per configuration, which the verdict, the
 ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
@@ -36,21 +30,22 @@ columns to its right, and does only the work that one vector needs:
   and the circuits are the cycles that a union-find over level nodes closes
   when the points are added from the last one down
   (:attr:`IncidenceStructure.forest`); the verdict builds the first one,
-  neither the peel nor an elimination runs, and the same forest gives the
-  orbits of :mod:`ridgekit.bolts`;
+  nothing is eliminated, and the same forest gives the orbits of
+  :mod:`ridgekit.bolts`;
 * otherwise, when one direction has ``n`` levels, it separates every
   point: its rows of ``M`` are a permutation matrix, so ``M`` has full
-  column rank and the core is empty without the peel, and the directions
-  after the first such one are never grouped;
-* otherwise the core's elimination, the one routine of
-  :mod:`ridgekit.exactlinalg`, stops at its first free column; an empty
-  core is not eliminated at all.
+  column rank and nothing is eliminated, and the directions after the first
+  such one are never grouped;
+* otherwise the elimination of ``M``, the one routine of
+  :mod:`ridgekit.exactlinalg`, over all ``n`` columns with one row per
+  level group, stops at its first free column.
 
 The whole null space, which only a ridge fit reads, is for two directions
-the cycle of every closing point of the forest, and otherwise the core's one
-elimination, resumed where a verdict stopped it.  The ridge fits take one of
-three routes, chosen by the number of directions and, for two, by whether
-the closed paths are pairwise disjoint, and factor at most once per index:
+the cycle of every closing point of the forest, and otherwise the one
+elimination of ``M``, resumed where a verdict stopped it.  The ridge fits
+take one of three routes, chosen by the number of directions and, for two,
+by whether the closed paths are pairwise disjoint, and factor at most once
+per index:
 
 * one direction: each point lies on one level, and the fit is each level's
   mean; nothing is eliminated or factored;
@@ -144,13 +139,13 @@ class IncidenceStructure:
     (:attr:`PointConfig.integer_columns`) and its directions, and grouped
     one direction at a time: direction ``i`` is keyed
     (:meth:`Direction.integer_keys`) and sorted (:func:`sorted_key_ids`) the
-    first time :meth:`_direction` reads it.  Only :attr:`core` reads the
-    directions one by one.  ``keys``, ``level_of`` and ``level_counts`` are
-    whole-index reads, which group every direction not yet grouped, and
-    ``scales`` needs no grouping: ``keys[i]`` holds the distinct integer
-    level keys along direction ``i`` in increasing order, level ``g`` lying
-    at ``keys[i][g] / scales[i]``, and ``level_of[i][j]`` is the position
-    there of point ``j``'s level.  The rows of ``M`` run over (direction,
+    first time :meth:`_direction` reads it.  Only :attr:`_null_vectors`
+    reads the directions one by one.  ``keys``, ``level_of`` and
+    ``level_counts`` are whole-index reads, which group every direction not
+    yet grouped, and ``scales`` needs no grouping: ``keys[i]`` holds the
+    distinct integer level keys along direction ``i`` in increasing order,
+    level ``g`` lying at ``keys[i][g] / scales[i]``, and ``level_of[i][j]``
+    is the position there of point ``j``'s level.  The rows of ``M`` run over (direction,
     level) pairs in that order.
     """
 
@@ -208,7 +203,8 @@ class IncidenceStructure:
     @cached_property
     def groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per direction, per level: the points on that level, in increasing
-        order; built once per index."""
+        order; built once per index, and the level members that every
+        elimination and the level means read."""
         out = []
         for keys, ids in zip(self.keys, self.level_of):
             members: list[list[int]] = [[] for _ in keys]
@@ -216,70 +212,6 @@ class IncidenceStructure:
                 members[g].append(j)
             out.append(tuple(tuple(m) for m in members))
         return tuple(out)
-
-    @cached_property
-    def peel(self) -> tuple[tuple[int, int, int], ...]:
-        """The points removed by repeatedly removing a point that is alone on
-        one of its levels among the points left, in removal order, each as
-        ``(point, direction, level)`` with the level it was alone on.
-
-        Each level keeps its count of remaining points and the sum of their
-        ids, which names its last point; the stack holds each point found
-        alone with that level, and skips a point already removed through
-        another level.  Call the removed points ``j_1 … j_t`` and their levels
-        ``l_1 … l_t``: every point of ``l_s`` other than ``j_s`` was removed
-        before it, so each other level of ``j_s`` is either no ``l_r`` or an
-        ``l_r`` with ``r > s``, and the rows ``l_1 … l_t`` of ``M`` are unit
-        triangular on the columns ``j_1 … j_t``."""
-        tables = []
-        for i, (keys, ids) in enumerate(zip(self.keys, self.level_of)):
-            count, total = [0] * len(keys), [0] * len(keys)
-            for j, g in enumerate(ids):
-                count[g] += 1
-                total[g] += j
-            tables.append((i, count, total, ids))
-        alone = [
-            (t, i, g)
-            for i, count, total, _ in tables
-            for g, (c, t) in enumerate(zip(count, total))
-            if c == 1
-        ]
-        live = [True] * self.n_points
-        order = []
-        while alone:
-            step = alone.pop()
-            j = step[0]
-            if not live[j]:
-                continue
-            live[j] = False
-            order.append(step)
-            for i, count, total, ids in tables:
-                g = ids[j]
-                count[g] -= 1
-                total[g] -= j
-                if count[g] == 1:
-                    alone.append((total[g], i, g))
-        return tuple(order)
-
-    @cached_property
-    def core(self) -> tuple[int, ...]:
-        """The points the :attr:`peel` leaves, in increasing order.
-
-        A point alone on a level carries that level's whole sum, so it is 0
-        in every closed path, and by induction every null vector of ``M`` is
-        zero off the core.  When one direction has ``n`` levels, every point
-        is alone on its level there, the peel removes every point and the
-        core is empty: it is returned without building the peel (its rows of
-        ``M`` are a permutation matrix, so ``M`` has full column rank).  The
-        directions are asked in order and grouped as they are asked, so the
-        first one with ``n`` levels leaves the rest ungrouped."""
-        n = self.n_points
-        if any(len(self._direction(i)[0]) == n for i in range(len(self.dirs))):
-            return ()
-        live = [True] * n
-        for j, _, _ in self.peel:
-            live[j] = False
-        return tuple(j for j, kept in enumerate(live) if kept)
 
     @cached_property
     def forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -389,23 +321,17 @@ class IncidenceStructure:
         :attr:`first_closed_path` and :attr:`closed_paths`, for other than
         two directions, take them.
 
-        It is fed the core's columns only, relabelled in order, with one
-        sparse 0/1 row per (direction, level) holding core points, each of
-        which holds at least two.  The basis depends only on the null space
-        and the column order, and every null vector is zero off the core,
-        so these are ``M``'s own basis vectors, with every entry on the core.
-        An empty core has none, and builds no rows."""
-        core = self.core
-        if not core:
+        It is fed all ``n`` columns, with one sparse 0/1 row per (direction,
+        level) from :attr:`groups`.  The directions are asked in order and
+        grouped as they are asked: at the first one with ``n`` levels, whose
+        rows of ``M`` are a permutation matrix, ``M`` has full column rank,
+        so there is no vector, no row is built and the later directions stay
+        ungrouped."""
+        n = self.n_points
+        if any(len(self._direction(i)[0]) == n for i in range(len(self.dirs))):
             return iter(())
-        rows: list[dict[int, int]] = []
-        for keys, ids in zip(self.keys, self.level_of):
-            members: list[dict[int, int]] = [{} for _ in keys]
-            for c, j in enumerate(core):
-                members[ids[j]][c] = 1
-            rows.extend(m for m in members if m)
-        vectors = nullspace_int(rows, len(core))
-        return ({core[c]: w for c, w in enumerate(vec) if w} for vec in vectors)
+        rows = [dict.fromkeys(members, 1) for dir_groups in self.groups for members in dir_groups]
+        return ({j: w for j, w in enumerate(vec) if w} for vec in nullspace_int(rows, n))
 
     @cached_property
     def first_closed_path(self) -> dict[int, int] | None:
@@ -414,9 +340,9 @@ class IncidenceStructure:
 
         It is the circuit on the rightmost column that depends on the
         columns to its right.  For two directions that is the cycle of the
-        first closing point of :attr:`forest`, and neither the peel nor an
-        elimination runs; otherwise it is the first of :attr:`_null_vectors`,
-        whose elimination stops at that column."""
+        first closing point of :attr:`forest`, and nothing is eliminated;
+        otherwise it is the first of :attr:`_null_vectors`, whose
+        elimination stops at that column."""
         if len(self.dirs) != 2:
             return next(self._null_vectors, None)
         closing, _ = self.forest

@@ -189,9 +189,12 @@ class TestIntegerKeys:
 
 
 def core_configs():
-    """The configurations of acceptance criterion C03 (seed 20260810) and
-    every large family at n = 12, 60 and 200, with the family's name (None
-    for C03)."""
+    """The configurations of acceptance criterion C03 (seed 20260810), every
+    large family at n = 12, 60 and 200, k = 3 lifted level forests and lifted
+    staircases, and k = 4 draws in which no direction separates the points,
+    with the family's name (None for C03 and for the k = 4 draws, whose
+    verdicts vary).  In a lifted configuration no direction separates the
+    points, so its verdict eliminates all of ``M``."""
     rng = random.Random(20260810)
     for _ in range(500):
         yield None, random_config(rng)
@@ -199,11 +202,16 @@ def core_configs():
     for family in ("staircase", "closed-staircase", "forest", "grid", "generic"):
         for n in (12, 60, 200):
             yield family, large_config(rng, family, n)
+    for n in (12, 60, 150):
+        yield "lifted-forest", lifted(level_forest(rng, [n // 4 + (i < n % 4) for i in range(4)]))
+        yield "lifted-staircase", lifted(large_config(rng, "staircase", n))
+    for _ in range(30):
+        yield None, separating_config(rng, 4, "none")
 
 
 class TestCore:
-    """Peeling before the elimination: the basis on the core, widened with
-    zeros, is the basis of the whole incidence matrix."""
+    """The null-space basis of the whole incidence matrix against the
+    textbook elimination."""
 
     def test_basis_equals_the_unpeeled_elimination_and_the_oracle(self):
         for _, cfg in core_configs():
@@ -214,37 +222,13 @@ class TestCore:
             assert basis == list(nullspace_int(rows, cfg.n))
             assert basis == right_to_left_oracle(rows, cfg.n)
 
-    def test_zero_off_the_core_and_no_core_point_alone(self):
+    def test_closed_paths_exactly_in_closed_staircases_and_grids(self):
+        """Staircases, forests, generic sets and their lifts have full
+        column rank; closed staircases and grids do not."""
         for family, cfg in core_configs():
-            inc = build_incidence(cfg)
-            core = set(inc.core)
-            assert list(inc.core) == sorted(core)
-            for vec in inc.closed_paths:
-                assert core.issuperset(vec) and all(vec.values())
-            for dir_groups in inc.groups:
-                for members in dir_groups:
-                    assert len(core.intersection(members)) != 1
             if family is not None:
-                # staircases, forests and generic sets peel away completely
-                assert bool(core) == (family in ("closed-staircase", "grid"))
-
-    def test_peel_records_each_point_with_the_level_it_was_alone_on(self):
-        """Against the textbook level rows: each peeled point is the only
-        point not yet peeled on its recorded level, the peel covers exactly
-        the points off the core, and no level is recorded twice."""
-        for _, cfg in core_configs():
-            rows = level_rows(cfg)
-            offsets = [0]
-            for levels in textbook_levels(cfg):
-                offsets.append(offsets[-1] + len(levels))
-            inc = build_incidence(cfg)
-            left = set(range(cfg.n))
-            for j, i, g in inc.peel:
-                row = rows[offsets[i] + g]
-                assert [a for a in sorted(left) if row[a]] == [j]
-                left.remove(j)
-            assert sorted(left) == list(inc.core)
-            assert len({(i, g) for _, i, g in inc.peel}) == len(inc.peel)
+                inc = build_incidence(cfg)
+                assert bool(inc.closed_paths) == (family in ("closed-staircase", "grid"))
 
     def test_verdict_builds_no_level_fraction(self):
         """The verdict and the bolt graph read integer keys only; the
@@ -315,51 +299,51 @@ def direction_positions(cfg: PointConfig, directions) -> list[int]:
 
 class TestSeparatingDirection:
     """A direction with ``n`` levels separates every point: its rows of ``M``
-    are a permutation matrix, and the core is empty without the peel."""
+    are a permutation matrix, and the verdict eliminates nothing."""
 
     @pytest.mark.parametrize(
         "k, case",
         [(1, "none"), (1, "every")] + [(k, c) for k in (3, 4) for c in ("none", "last", "every")],
     )
-    def test_core_verdict_and_fits(self, k, case, grouped_directions):
-        """``core`` equals the core that the forced peel leaves, and is built
-        without the peel exactly when a direction separates; the verdict and
-        the fits are the textbook ones, and no fit builds the peel when a
-        direction separates.  (With one direction, "last" is "every".)
+    def test_verdict_and_fits(self, k, case, grouped_directions, monkeypatch):
+        """The verdict calls ``nullspace_int``, over all ``n`` columns,
+        exactly when no direction separates, and builds no ``groups`` when
+        one does; the verdict and the fits are the textbook ones.  (With one
+        direction, "last" is "every".)
 
-        Directions are grouped as they are read: ``core`` and the verdict
-        group the first direction alone when it separates, and every
-        direction, in order, otherwise; a later fit groups each remaining
-        direction once."""
+        Directions are grouped as they are read: the verdict groups the
+        first direction alone when it separates, and every direction, in
+        order, otherwise; a later fit groups each remaining direction once."""
+        eliminated = []
+        original = incidence.nullspace_int
+
+        def counted(rows, ncols):
+            eliminated.append(ncols)
+            return original(rows, ncols)
+
+        monkeypatch.setattr(incidence, "nullspace_int", counted)
         rng = random.Random(f"separating-{k}-{case}")
         data_rng = random.Random(f"separating-data-{k}-{case}")
         verdicts: Counter = Counter()
         asked = [0] if case == "every" else list(range(k))
         for _ in range(20):
             cfg = separating_config(rng, k, case)
-            grouped_directions.clear()
-            inc = build_incidence(cfg)
-            assert grouped_directions == []
-            core = inc.core
-            assert direction_positions(cfg, grouped_directions) == asked
-            assert ("peel" in inc.__dict__) == (case == "none")
-            peeled = {j for j, _, _ in inc.peel}
-            assert core == tuple(j for j in range(cfg.n) if j not in peeled)
             want = textbook_certificate(cfg)
-            assert certificate_atoms(cfg) == want
             verdicts[want is None] += 1
             if case != "none":
-                assert core == () and want is None
+                assert want is None
             incidence.analyze.cache_clear()
             grouped_directions.clear()
+            eliminated.clear()
+            assert certificate_atoms(cfg) == want
             inc = incidence.analyze(cfg)
-            assert density_verdict(cfg).dense == (want is None)
             assert direction_positions(cfg, grouped_directions) == asked
+            assert eliminated == ([cfg.n] if case == "none" else [])
+            assert ("groups" in inc.__dict__) == (case == "none")
+            assert density_verdict(cfg).dense == (want is None)
             vectors = [random_values(data_rng, cfg.n), [data_rng.uniform(-3, 3) for _ in range(cfg.n)]]
             assert_matches_min_norm_oracle(cfg, vectors)
             assert direction_positions(cfg, grouped_directions) == list(range(k))
-            if case != "none":
-                assert "peel" not in inc.__dict__
         assert verdicts[False] >= 1 if case == "none" else verdicts[False] == 0
         incidence.analyze.cache_clear()
 
@@ -394,16 +378,37 @@ class TestSharedAnalysis:
             interpolate_ridge(cfg, random_values(rng, cfg.n))
         assert counted_calls == {"build_incidence": 1}
 
-    def test_dense_verdict_on_an_empty_core_eliminates_nothing(self, counted_calls):
+    def test_dense_verdict_on_a_separating_direction_eliminates_nothing(self, counted_calls):
         """A generic k = 3 set has a direction that separates every point, so
-        its core is empty without the peel, and its verdict calls no
-        ``nullspace_int``: an empty core builds no rows."""
+        its verdict calls no ``nullspace_int`` and builds no level groups."""
         cfg = large_config(random.Random(24), "generic", 60)
         assert density_verdict(cfg).dense
         inc = incidence.analyze(cfg)
-        assert not inc.core
-        assert "peel" not in inc.__dict__
+        assert "groups" not in inc.__dict__
         assert counted_calls == {"build_incidence": 1}
+
+    def test_lifted_forest_verdict_eliminates_every_column(self, monkeypatch):
+        """No direction separates a lifted level forest, so its dense verdict
+        makes one ``_eliminate`` call over all ``n`` columns, which pivots on
+        every column and finds no vector."""
+        runs = []
+        eliminate = exactlinalg._eliminate
+
+        def recorded(rows, ncols):
+            run = eliminate(rows, ncols)
+            runs.append((ncols, run))
+            return run
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", recorded)
+        incidence.analyze.cache_clear()
+        cfg = lifted(level_forest(random.Random(27), [20, 15, 9]))
+        assert density_verdict(cfg).dense
+        inc = incidence.analyze(cfg)
+        [(ncols, (_, pivots, _, free_columns))] = runs
+        assert ncols == cfg.n and len(pivots) == cfg.n
+        assert next(free_columns, None) is None
+        assert inc.closed_paths == [] and len(runs) == 1
+        incidence.analyze.cache_clear()
 
     def test_bolt_graph_reads_the_verdicts_index(self, counted_calls):
         """A k = 2 verdict, the bolt graph and ``orbits`` read one index and
@@ -416,9 +421,9 @@ class TestSharedAnalysis:
         assert counted_calls["nullspace_int"] == 0
         assert counted_calls == {"build_incidence": 1}
 
-    def test_two_direction_verdict_neither_peels_nor_eliminates(self, monkeypatch):
+    def test_two_direction_verdict_neither_groups_nor_eliminates(self, monkeypatch):
         """A k = 2 verdict on a closed staircase reads the level forest: no
-        ``_eliminate`` step runs, and the peel is never built."""
+        ``_eliminate`` step runs, and no level groups are built."""
         calls = []
         eliminate = exactlinalg._eliminate
 
@@ -433,7 +438,7 @@ class TestSharedAnalysis:
         assert not verdict.dense and verdict.certificate.verify(cfg.dirs)
         inc = incidence.analyze(cfg)
         assert calls == []
-        assert not {"peel", "core", "_null_vectors"} & inc.__dict__.keys()
+        assert not {"groups", "_null_vectors"} & inc.__dict__.keys()
         assert inc.closed_paths == [inc.first_closed_path] and calls == []
         incidence.analyze.cache_clear()
 
@@ -462,8 +467,8 @@ class TestSharedAnalysis:
     @pytest.mark.parametrize("shape", ["closed-staircase", "cactus"])
     def test_two_direction_fits_on_disjoint_paths_eliminate_nothing(self, monkeypatch, shape):
         """20 fits, the first cold, of a k = 2 configuration whose closed
-        paths are pairwise disjoint make no ``_eliminate`` call, and build
-        neither the peel nor ``[N | S]``."""
+        paths are pairwise disjoint make no ``_eliminate`` call, and do not
+        build ``[N | S]``."""
         calls = []
         eliminate = exactlinalg._eliminate
 
@@ -483,15 +488,15 @@ class TestSharedAnalysis:
         inc = incidence.analyze(cfg)
         assert len(inc.closed_paths) == (4 if shape == "cactus" else 1)
         assert calls == []
-        assert not {"peel", "core", "_null_vectors", "solver"} & inc.__dict__.keys()
+        assert not {"_null_vectors", "solver"} & inc.__dict__.keys()
         incidence.analyze.cache_clear()
 
     @pytest.mark.parametrize("diagonal", [(1, 1), (1, -1)])
     def test_grid_verdict_stops_at_its_free_column(self, monkeypatch, diagonal):
-        """A k = 3 16 x 16 grid verdict eliminates only the core columns
-        right of its first free column: the pivots it reaches, with that
-        column, fall short of the core and of the rank.  The whole basis
-        then resumes the same elimination."""
+        """A k = 3 16 x 16 grid verdict eliminates only the columns right of
+        its first free column: the pivots it reaches, with that column, fall
+        short of the ``n`` columns and of the rank.  The whole basis then
+        resumes the same elimination."""
         runs = []
         eliminate = exactlinalg._eliminate
 
@@ -507,10 +512,10 @@ class TestSharedAnalysis:
         inc = incidence.analyze(cfg)
         [(_, pivots, _, _)] = runs
         reached = len(pivots)
-        assert reached + 1 < len(inc.core)
+        assert reached + 1 < cfg.n
         paths = inc.closed_paths
         assert len(runs) == 1
-        assert reached < len(pivots) == len(inc.core) - len(paths)
+        assert reached < len(pivots) == cfg.n - len(paths)
         incidence.analyze.cache_clear()
 
     def test_cache_follows_equality_not_identity(self, counted_calls):
@@ -925,9 +930,9 @@ class TestMinNormOracle:
     @pytest.mark.parametrize("family", ["staircase", "forests", "generic"])
     def test_large_configurations_on_both_routes(self, family):
         """Staircases (z = 1) and level forests of several trees (z = the
-        number of trees) peel away, and the forest and ``[N | S]`` routes
-        are checked; generic k = 3 sets peel away with z = 2n and take
-        ``[N | S]``."""
+        number of trees) have no closed path, and the forest and ``[N | S]``
+        routes are checked; generic k = 3 sets have none, with z = 2n, and
+        take ``[N | S]``."""
         rng = random.Random(f"peel-oracle-{family}")
         for n in (12, 24) if family == "generic" else (16, 33, 50):
             trees = 2 + n % 5
@@ -937,7 +942,7 @@ class TestMinNormOracle:
                 cfg = large_config(rng, family, n)
             inc = incidence.analyze(cfg)
             z = sum(inc.level_counts) - cfg.n
-            assert not inc.core
+            assert not inc.closed_paths
             assert z == {"staircase": 1, "forests": trees, "generic": 2 * cfg.n}[family]
             vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
             assert_matches_min_norm_oracle(cfg, vectors)
@@ -947,7 +952,7 @@ class TestMinNormOracle:
     def test_presets_on_both_routes(self, name, z):
         cfg = config_preset(name)
         inc = incidence.analyze(cfg)
-        assert not inc.core and sum(inc.level_counts) - cfg.n == z
+        assert not inc.closed_paths and sum(inc.level_counts) - cfg.n == z
         rng = random.Random(name)
         vectors = [random_values(rng, cfg.n) for _ in range(3)]
         assert_matches_min_norm_oracle(cfg, vectors)
@@ -1056,8 +1061,8 @@ class TestMinNormOracle:
 
 def lifted(cfg: PointConfig) -> PointConfig:
     """A k = 2 configuration of 2-d points lifted to 3-d, with a third
-    direction on which every point shares one level: the peel is the same,
-    and ``z`` grows by one."""
+    direction on which every point shares one level: no direction separates
+    the points, the closed paths are the same, and ``z`` grows by one."""
     return PointConfig.build(
         [(*p.coords, 0) for p in cfg.points], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     )

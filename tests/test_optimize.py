@@ -26,7 +26,8 @@ CLOSED_STAIRCASE = {
 }
 
 # A generic set under three directions: every level holds one point, so the
-# first direction separates the points and decides density without the peel.
+# first direction separates the points and decides density without an
+# elimination.
 GENERIC = {
     "dimension": 2,
     "points": [["0", "0"], ["1/2", "3"], ["2", "-1/3"], ["-3", "5/4"],
@@ -53,7 +54,8 @@ ONE_DIRECTION = {
 }
 
 # Two level trees lifted to 3-d, with a third direction on which every point
-# shares one level: an empty core under three directions, fitted by [N | S].
+# shares one level: no direction separates the points, so the verdict
+# eliminates all of M and finds no closed path, and the fit factors [N | S].
 LIFTED_FOREST = {
     "dimension": 3,
     "points": [["0", "0", "0"], ["1/2", "0", "0"], ["1/2", "3", "0"], ["-1", "3", "0"],
@@ -85,6 +87,7 @@ CASES = [
     (0, "ridgefit {one_direction}"),
     (0, "ridgefit {lifted_forest}"),
     (0, "paths {generic}"),
+    (0, "paths {lifted_forest}"),
     (0, "bolts {staircase}"),
     (0, "probe --preset paper-orbit --N 200"),
     (0, "netfit --preset monotone-curve --f x"),
