@@ -209,9 +209,34 @@ def core_configs():
         yield None, separating_config(rng, 4, "none")
 
 
+def textbook_core(cfg: PointConfig) -> tuple[int, ...]:
+    """The points left after repeatedly removing a point that is alone, among
+    the points not yet removed, on a textbook row of ``M``.  Each removed
+    point's coordinate is forced to zero in every null vector of ``M``, so
+    every null vector is zero off these points."""
+    members = [{j for j, v in enumerate(row) if v} for row in level_rows(cfg)]
+    rows_of: list[list[int]] = [[] for _ in range(cfg.n)]
+    for r, m in enumerate(members):
+        for j in m:
+            rows_of[j].append(r)
+    left = set(range(cfg.n))
+    alone = [r for r, m in enumerate(members) if len(m) == 1]
+    while alone:
+        r = alone.pop()
+        if len(members[r]) != 1:
+            continue
+        (j,) = members[r]
+        left.remove(j)
+        for s in rows_of[j]:
+            members[s].discard(j)
+            if len(members[s]) == 1:
+                alone.append(s)
+    return tuple(sorted(left))
+
+
 class TestCore:
     """The null-space basis of the whole incidence matrix against the
-    textbook elimination."""
+    textbook elimination, and its support against the textbook core."""
 
     def test_basis_equals_the_unpeeled_elimination_and_the_oracle(self):
         for _, cfg in core_configs():
@@ -222,13 +247,22 @@ class TestCore:
             assert basis == list(nullspace_int(rows, cfg.n))
             assert basis == right_to_left_oracle(rows, cfg.n)
 
-    def test_closed_paths_exactly_in_closed_staircases_and_grids(self):
-        """Staircases, forests, generic sets and their lifts have full
+    def test_zero_off_the_core_and_no_core_point_alone(self):
+        """Every closed path is zero off the textbook core and nonzero on its
+        keys, and no level group holds exactly one core point.  Staircases,
+        forests, generic sets and their lifts have an empty core and full
         column rank; closed staircases and grids do not."""
         for family, cfg in core_configs():
+            inc = build_incidence(cfg)
+            core = set(textbook_core(cfg))
+            for vec in inc.closed_paths:
+                assert core.issuperset(vec) and all(vec.values())
+            for dir_groups in inc.groups:
+                for members in dir_groups:
+                    assert len(core.intersection(members)) != 1
             if family is not None:
-                inc = build_incidence(cfg)
-                assert bool(inc.closed_paths) == (family in ("closed-staircase", "grid"))
+                assert bool(core) == (family in ("closed-staircase", "grid"))
+                assert bool(inc.closed_paths) == bool(core)
 
     def test_verdict_builds_no_level_fraction(self):
         """The verdict and the bolt graph read integer keys only; the
@@ -299,16 +333,18 @@ def direction_positions(cfg: PointConfig, directions) -> list[int]:
 
 class TestSeparatingDirection:
     """A direction with ``n`` levels separates every point: its rows of ``M``
-    are a permutation matrix, and the verdict eliminates nothing."""
+    are a permutation matrix, the textbook core is empty, and the verdict
+    eliminates nothing."""
 
     @pytest.mark.parametrize(
         "k, case",
         [(1, "none"), (1, "every")] + [(k, c) for k in (3, 4) for c in ("none", "last", "every")],
     )
-    def test_verdict_and_fits(self, k, case, grouped_directions, monkeypatch):
+    def test_core_verdict_and_fits(self, k, case, grouped_directions, monkeypatch):
         """The verdict calls ``nullspace_int``, over all ``n`` columns,
         exactly when no direction separates, and builds no ``groups`` when
-        one does; the verdict and the fits are the textbook ones.  (With one
+        one does, where the textbook core is empty; the verdict and the fits
+        are the textbook ones.  (With one
         direction, "last" is "every".)
 
         Directions are grouped as they are read: the verdict groups the
@@ -331,7 +367,7 @@ class TestSeparatingDirection:
             want = textbook_certificate(cfg)
             verdicts[want is None] += 1
             if case != "none":
-                assert want is None
+                assert textbook_core(cfg) == () and want is None
             incidence.analyze.cache_clear()
             grouped_directions.clear()
             eliminated.clear()
@@ -378,10 +414,12 @@ class TestSharedAnalysis:
             interpolate_ridge(cfg, random_values(rng, cfg.n))
         assert counted_calls == {"build_incidence": 1}
 
-    def test_dense_verdict_on_a_separating_direction_eliminates_nothing(self, counted_calls):
+    def test_dense_verdict_on_an_empty_core_eliminates_nothing(self, counted_calls):
         """A generic k = 3 set has a direction that separates every point, so
-        its verdict calls no ``nullspace_int`` and builds no level groups."""
+        its textbook core is empty, and its verdict calls no ``nullspace_int``
+        and builds no level groups."""
         cfg = large_config(random.Random(24), "generic", 60)
+        assert textbook_core(cfg) == ()
         assert density_verdict(cfg).dense
         inc = incidence.analyze(cfg)
         assert "groups" not in inc.__dict__
@@ -421,9 +459,10 @@ class TestSharedAnalysis:
         assert counted_calls["nullspace_int"] == 0
         assert counted_calls == {"build_incidence": 1}
 
-    def test_two_direction_verdict_neither_groups_nor_eliminates(self, monkeypatch):
+    def test_two_direction_verdict_neither_peels_nor_eliminates(self, monkeypatch):
         """A k = 2 verdict on a closed staircase reads the level forest: no
-        ``_eliminate`` step runs, and no level groups are built."""
+        ``_eliminate`` step runs, and the level groups that an elimination
+        reads are never built."""
         calls = []
         eliminate = exactlinalg._eliminate
 
