@@ -209,34 +209,9 @@ def core_configs():
         yield None, separating_config(rng, 4, "none")
 
 
-def textbook_core(cfg: PointConfig) -> tuple[int, ...]:
-    """The points left after repeatedly removing a point that is alone, among
-    the points not yet removed, on a textbook row of ``M``.  Each removed
-    point's coordinate is forced to zero in every null vector of ``M``, so
-    every null vector is zero off these points."""
-    members = [{j for j, v in enumerate(row) if v} for row in level_rows(cfg)]
-    rows_of: list[list[int]] = [[] for _ in range(cfg.n)]
-    for r, m in enumerate(members):
-        for j in m:
-            rows_of[j].append(r)
-    left = set(range(cfg.n))
-    alone = [r for r, m in enumerate(members) if len(m) == 1]
-    while alone:
-        r = alone.pop()
-        if len(members[r]) != 1:
-            continue
-        (j,) = members[r]
-        left.remove(j)
-        for s in rows_of[j]:
-            members[s].discard(j)
-            if len(members[s]) == 1:
-                alone.append(s)
-    return tuple(sorted(left))
-
-
 class TestCore:
     """The null-space basis of the whole incidence matrix against the
-    textbook elimination, and its support against the textbook core."""
+    textbook elimination."""
 
     def test_basis_equals_the_unpeeled_elimination_and_the_oracle(self):
         for _, cfg in core_configs():
@@ -248,21 +223,16 @@ class TestCore:
             assert basis == right_to_left_oracle(rows, cfg.n)
 
     def test_zero_off_the_core_and_no_core_point_alone(self):
-        """Every closed path is zero off the textbook core and nonzero on its
-        keys, and no level group holds exactly one core point.  Staircases,
-        forests, generic sets and their lifts have an empty core and full
-        column rank; closed staircases and grids do not."""
+        """Every closed path is nonzero on its keys; that it is zero off the
+        core follows from the basis test above.  Staircases, forests, generic
+        sets and their lifts have full column rank; closed staircases and
+        grids do not."""
         for family, cfg in core_configs():
             inc = build_incidence(cfg)
-            core = set(textbook_core(cfg))
             for vec in inc.closed_paths:
-                assert core.issuperset(vec) and all(vec.values())
-            for dir_groups in inc.groups:
-                for members in dir_groups:
-                    assert len(core.intersection(members)) != 1
+                assert all(vec.values())
             if family is not None:
-                assert bool(core) == (family in ("closed-staircase", "grid"))
-                assert bool(inc.closed_paths) == bool(core)
+                assert bool(inc.closed_paths) == (family in ("closed-staircase", "grid"))
 
     def test_verdict_builds_no_level_fraction(self):
         """The verdict and the bolt graph read integer keys only; the
@@ -333,8 +303,7 @@ def direction_positions(cfg: PointConfig, directions) -> list[int]:
 
 class TestSeparatingDirection:
     """A direction with ``n`` levels separates every point: its rows of ``M``
-    are a permutation matrix, the textbook core is empty, and the verdict
-    eliminates nothing."""
+    are a permutation matrix, and the verdict eliminates nothing."""
 
     @pytest.mark.parametrize(
         "k, case",
@@ -343,13 +312,13 @@ class TestSeparatingDirection:
     def test_core_verdict_and_fits(self, k, case, grouped_directions, monkeypatch):
         """The verdict calls ``nullspace_int``, over all ``n`` columns,
         exactly when no direction separates, and builds no ``groups`` when
-        one does, where the textbook core is empty; the verdict and the fits
-        are the textbook ones.  (With one
+        one does; the verdict and the fits are the textbook ones.  (With one
         direction, "last" is "every".)
 
-        Directions are grouped as they are read: the verdict groups the
-        first direction alone when it separates, and every direction, in
-        order, otherwise; a later fit groups each remaining direction once."""
+        Directions are grouped as they are read: building the index groups
+        none, the verdict groups the first direction alone when it separates,
+        and every direction, in order, otherwise; a later fit groups each
+        remaining direction once."""
         eliminated = []
         original = incidence.nullspace_int
 
@@ -367,7 +336,10 @@ class TestSeparatingDirection:
             want = textbook_certificate(cfg)
             verdicts[want is None] += 1
             if case != "none":
-                assert textbook_core(cfg) == () and want is None
+                assert want is None
+            grouped_directions.clear()
+            build_incidence(cfg)
+            assert grouped_directions == []
             incidence.analyze.cache_clear()
             grouped_directions.clear()
             eliminated.clear()
@@ -416,10 +388,8 @@ class TestSharedAnalysis:
 
     def test_dense_verdict_on_an_empty_core_eliminates_nothing(self, counted_calls):
         """A generic k = 3 set has a direction that separates every point, so
-        its textbook core is empty, and its verdict calls no ``nullspace_int``
-        and builds no level groups."""
+        its verdict calls no ``nullspace_int`` and builds no level groups."""
         cfg = large_config(random.Random(24), "generic", 60)
-        assert textbook_core(cfg) == ()
         assert density_verdict(cfg).dense
         inc = incidence.analyze(cfg)
         assert "groups" not in inc.__dict__
