@@ -26,7 +26,8 @@ from .rationals import RationalLike, rationalize
 
 
 # One round's dictionary is a levels x atoms float array; the atom count grows
-# about fourfold per round (round 5 of the six has 8.5M atoms).
+# about fourfold per round (round 5 of the six has 8.5M atoms).  A fit holds
+# one dictionary plus one block of atoms in memory.
 MAX_DICTIONARY_ENTRIES = 2**24
 _ATOM_BUDGET = 48  # atoms one fit may select
 _ROUNDS = 6  # dictionary refinements before a fit gives up
@@ -53,7 +54,9 @@ class SigmaOracle:
     """A continuous activation given by an evaluator plus a descriptor.
 
     ``array_evaluator``, when given, computes the same function elementwise on
-    a float array; without it :meth:`evaluate` loops over ``evaluator``.
+    a float array; without it :meth:`evaluate` loops over ``evaluator``.  It
+    may return a new array or its argument: the fit copies the values into
+    its dictionary and never writes into an array the evaluator returned.
     """
 
     name: str
@@ -78,18 +81,24 @@ def logistic_oracle() -> SigmaOracle:
         return e / (1.0 + e)
 
     def f_array(x: np.ndarray) -> np.ndarray:
-        e = np.exp(-np.abs(x))  # the scalar branches' exp argument, never positive
-        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        e = np.abs(x, out=np.empty(np.shape(x)))
+        np.negative(e, out=e)
+        np.exp(e, out=e)  # the scalar branches' exp argument, never positive
+        numerators = np.where(x >= 0, 1.0, e)
+        e += 1.0
+        return np.divide(numerators, e, out=numerators)
 
     return SigmaOracle("logistic", f, array_evaluator=f_array)
 
 
 def tanh_ramp_oracle() -> SigmaOracle:
-    return SigmaOracle(
-        "tanh-ramp",
-        lambda x: 0.5 * (1.0 + math.tanh(x)),
-        array_evaluator=lambda x: 0.5 * (1.0 + np.tanh(x)),
-    )
+    def f_array(x: np.ndarray) -> np.ndarray:
+        v = np.tanh(x)
+        v += 1.0
+        v *= 0.5
+        return v
+
+    return SigmaOracle("tanh-ramp", lambda x: 0.5 * (1.0 + math.tanh(x)), array_evaluator=f_array)
 
 
 def _table_point(x: float, y: float, seen: set[float], where: str) -> tuple[float, float]:
@@ -228,6 +237,32 @@ def _scale_grid(exp_range: int) -> list[Fraction]:
     return grid
 
 
+def _dictionary(
+    ys: np.ndarray, ft: np.ndarray, fth: np.ndarray, sigma: SigmaOracle
+) -> tuple[np.ndarray, np.ndarray]:
+    """The levels x atoms dictionary ``sigma(ft[j] * ys - fth[j])`` and its
+    column norms.
+
+    Each block of ``_ATOM_BLOCK`` atoms takes one pass through one block-sized
+    scratch array: the arguments, the activation values (copied into the
+    dictionary, so the evaluator may return its argument), then their squares
+    summed down the levels.  The values and norms are bit for bit those of
+    ``sigma.evaluate`` on the whole argument array and
+    ``np.linalg.norm(columns, axis=0)``, without a dictionary-sized temporary.
+    """
+    columns = np.empty((ys.size, ft.size))
+    norms = np.empty(ft.size)
+    for j0 in range(0, ft.size, _ATOM_BLOCK):
+        j1 = j0 + _ATOM_BLOCK
+        scratch = np.multiply.outer(ys, ft[j0:j1])
+        scratch -= fth[j0:j1]
+        block = columns[:, j0:j1]
+        block[...] = sigma.evaluate(scratch)
+        np.multiply(block, block, out=scratch)
+        np.add.reduce(scratch, axis=0, out=norms[j0:j1])
+    return columns, np.sqrt(norms, out=norms)
+
+
 # Targets near the float limit overflow the correlations and the refit
 # residual; the inf and NaN that follow fail every ``err <= eps`` test, so the
 # fit refuses with the best finite error it saw.
@@ -272,11 +307,7 @@ def approx_univariate(
         # int / int rounds correctly, as float(Fraction) does.
         ft = np.repeat([float(t) for t in scales], theta_count)
         fth = np.tile([th / theta_den for th in theta_nums], len(scales))
-        columns = np.empty((f.size, atom_count))
-        for j0 in range(0, atom_count, _ATOM_BLOCK):
-            j1 = j0 + _ATOM_BLOCK
-            columns[:, j0:j1] = sigma.evaluate(np.multiply.outer(ys, ft[j0:j1]) - fth[j0:j1])
-        norms = np.linalg.norm(columns, axis=0)
+        columns, norms = _dictionary(ys, ft, fth, sigma)
         unusable = ~(norms > 1e-12)  # NaN norms too
         divisors = np.where(unusable, 1.0, norms)
 
@@ -306,6 +337,7 @@ def approx_univariate(
                     for c, jj in zip(coef, selected)
                 )
                 return UnivariateFit(terms, err)
+        del columns  # before the next round's dictionary is allocated
         exp_range *= 2
         theta_count = theta_count * 2 + 1
     raise FitBudgetError(best_error)

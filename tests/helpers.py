@@ -17,7 +17,10 @@ call and evaluates by a ``Fraction`` Horner.  The textbook threshold grid
 steps through the interval in ``Fraction``s.  The textbook network evaluator
 and replay form every term argument at one point at a time through
 ``textbook_dot``, not over the points' common denominator, and evaluate the
-constructed activation by the textbook activation.
+constructed activation by the textbook activation.  The textbook dictionary
+evaluates the activation on the whole levels x atoms argument at once and
+takes ``np.linalg.norm`` of the result; the textbook greedy fit runs on it,
+with its scales and thresholds stepped in ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -34,14 +37,17 @@ from ridgekit import (
     ActivationSpec,
     Bolt,
     BoltGenerationError,
+    FitBudgetError,
     PointConfig,
     ProbeReport,
     RationalPoly,
     RidgeTest,
     ThetaInterval,
+    UnivariateFit,
     decode_poly,
     smooth_step,
 )
+from ridgekit import netapprox
 from ridgekit.rationals import rationalize
 
 
@@ -538,6 +544,74 @@ def interior_grid(theta: ThetaInterval, count: int) -> list[Fraction]:
     """``count`` equispaced rationals strictly inside the interval, by ``Fraction`` steps."""
     step = (theta.hi - theta.lo) / (count + 1)
     return [theta.lo + step * (j + 1) for j in range(count)]
+
+
+def textbook_dictionary(ys: np.ndarray, ft: np.ndarray, fth: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The levels x atoms dictionary ``sigma(ft[j] * ys - fth[j])``, the
+    activation evaluated on the whole argument array at once, and its column
+    norms by ``np.linalg.norm``."""
+    argument = np.multiply.outer(ys, ft) - fth
+    columns = np.empty(argument.shape)
+    columns[...] = sigma.evaluate(argument)
+    return columns, np.linalg.norm(columns, axis=0)
+
+
+def textbook_atoms(theta: ThetaInterval, exp_range: int, count: int) -> list[tuple[Fraction, Fraction]]:
+    """The atoms ``(t, theta)`` of one round, scale by scale: ``t`` runs
+    through ``2^e, -2^e`` for ``e = -exp_range .. exp_range`` and the
+    thresholds through ``interior_grid(theta, count)``."""
+    scales = [s * Fraction(2) ** e for e in range(-exp_range, exp_range + 1) for s in (1, -1)]
+    thetas = interior_grid(theta, count)
+    return [(t, th) for t in scales for th in thetas]
+
+
+def textbook_approx_univariate(levels, targets, sigma, theta: ThetaInterval, eps: float) -> UnivariateFit:
+    """The greedy dictionary fit on :func:`textbook_dictionary`.
+
+    The first round has :func:`textbook_atoms` with ``exp_range`` 8 and
+    ``count`` 257; each later round doubles ``exp_range`` and doubles
+    ``count`` plus one.  Each step adds the usable atom of largest normalized residual
+    correlation and refits all selected atoms by least squares, until the
+    worst level error is within ``eps`` or ``netapprox._ATOM_BUDGET`` atoms
+    are in; a round whose dictionary would exceed
+    ``netapprox.MAX_DICTIONARY_ENTRIES``, or the end of
+    ``netapprox._ROUNDS`` rounds, raises ``FitBudgetError`` with the best
+    error seen.
+    """
+    ys = np.array([float(rationalize(v)) for v in levels])
+    f = np.array([float(rationalize(v)) for v in targets])
+    best_error = float(np.max(np.abs(f)))
+    if best_error <= eps:
+        return UnivariateFit((), best_error)
+    exp_range, theta_count = 8, 257
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(netapprox._ROUNDS):
+            if f.size * (4 * exp_range + 2) * theta_count > netapprox.MAX_DICTIONARY_ENTRIES:
+                raise FitBudgetError(best_error)
+            atoms = textbook_atoms(theta, exp_range, theta_count)
+            ft = np.array([float(t) for t, _ in atoms])
+            fth = np.array([float(th) for _, th in atoms])
+            columns, norms = textbook_dictionary(ys, ft, fth, sigma)
+            unusable = ~(norms > 1e-12)
+            selected: list[int] = []
+            residual = f
+            while len(selected) < netapprox._ATOM_BUDGET:
+                corr = np.abs(residual @ columns)
+                corr[unusable] = -1.0
+                corr[selected] = -1.0
+                j = int(np.argmax(corr / np.where(unusable, 1.0, norms)))
+                if corr[j] <= 0:
+                    break
+                selected.append(j)
+                sub = columns[:, selected]
+                coef = np.linalg.lstsq(sub, f, rcond=None)[0]
+                residual = f - sub @ coef
+                err = float(np.max(np.abs(residual)))
+                best_error = min(best_error, err)
+                if err <= eps:
+                    return UnivariateFit(tuple((Fraction(float(c)), *atoms[jj]) for c, jj in zip(coef, selected)), err)
+            exp_range, theta_count = 2 * exp_range, 2 * theta_count + 1
+    raise FitBudgetError(best_error)
 
 
 def textbook_eval_network(net, x) -> Fraction | float:

@@ -10,7 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import interior_grid, random_rational, textbook_eval_network, textbook_replayed_error
+from helpers import (
+    interior_grid,
+    random_rational,
+    textbook_approx_univariate,
+    textbook_atoms,
+    textbook_dictionary,
+    textbook_eval_network,
+    textbook_replayed_error,
+)
 from ridgekit import (
     DensityPreconditionError,
     Direction,
@@ -22,9 +30,11 @@ from ridgekit import (
     PolynomialActivationError,
     SigmaOracle,
     ThetaInterval,
+    UnivariateFit,
     approx_network,
     approx_univariate,
     eval_network,
+    interpolate_ridge,
     logistic_oracle,
     polynomial_degree_probe,
     sigma_by_name,
@@ -36,8 +46,12 @@ from ridgekit.presets import config_preset, target_values
 
 THETA = ThetaInterval.create(-5, 5)
 LOGISTIC = logistic_oracle()
+TANH_RAMP = tanh_ramp_oracle()
 # A sampled logistic, as a table activation.
 TABLE = table_oracle([(x / 10, 1 / (1 + math.exp(-x / 10))) for x in range(-120, 121)])
+ARRAY_ORACLES = [LOGISTIC, TANH_RAMP, TABLE]
+# Values one fit may read from every block; it must never write into them.
+SHARED_VALUES = np.linspace(0.125, 0.875, 21)[:, None]
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -186,6 +200,42 @@ class TestApproxUnivariate:
         peak = traced_peak(approx_univariate, levels, targets, LOGISTIC, THETA, 1e-13)
         assert peak <= 2.5 * columns_bytes
 
+    def test_exhausted_fit_peaks_below_one_and_a_half_dictionaries(self):
+        """A 300-level fit runs rounds 1 and 2 to the atom budget and is
+        refused at round 3 by the dictionary cap.  Its peak stays below 1.5x
+        the round-2 dictionary, so no norm temporary of the dictionary's
+        size is made, and below the two rounds' dictionaries together, so
+        the round-1 dictionary is gone before round 2 is allocated."""
+        levels = [Fraction(j, 16) for j in range(-150, 150)]
+        targets = [abs(lv) for lv in levels]
+        first = len(levels) * 34 * 257 * 8
+        largest = len(levels) * 66 * 515 * 8
+        assert len(levels) * 130 * 1031 > netapprox.MAX_DICTIONARY_ENTRIES
+        with pytest.raises(FitBudgetError):
+            approx_univariate(levels, targets, LOGISTIC, THETA, 1e-13)
+        peak = traced_peak(approx_univariate, levels, targets, LOGISTIC, THETA, 1e-13)
+        assert peak < 1.5 * largest
+        assert peak < largest + first
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            SigmaOracle("identity", float, array_evaluator=lambda x: x),
+            SigmaOracle("shared", lambda x: 0.5, array_evaluator=lambda x: SHARED_VALUES),
+        ],
+        ids=lambda o: o.name,
+    )
+    def test_build_writes_only_into_arrays_it_owns(self, oracle, monkeypatch):
+        """An evaluator may return its argument or an array it keeps: the
+        fit copies the values out, leaves the returned array as it was and
+        fits as the textbook does, through all 48 atoms of one round."""
+        monkeypatch.setattr(netapprox, "_ROUNDS", 1)
+        levels = [Fraction(j, 10) for j in range(-10, 11)]
+        targets = [abs(lv) for lv in levels]
+        before = SHARED_VALUES.copy()
+        assert_same_fit(levels, targets, oracle, THETA, 1e-3)
+        assert np.array_equal(SHARED_VALUES, before)
+
 
 class TestArrayEvaluate:
     """``SigmaOracle.evaluate`` against the scalar evaluator."""
@@ -222,6 +272,28 @@ class TestArrayEvaluate:
         np.testing.assert_allclose(got, self.scalar_loop(oracle, x), rtol=1e-15, atol=np.finfo(float).eps)
 
     @pytest.mark.parametrize(
+        "oracle, formula",
+        [
+            (LOGISTIC, lambda x, e: np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))),
+            (TANH_RAMP, lambda x, e: 0.5 * (1.0 + np.tanh(x))),
+        ],
+        ids=["logistic", "tanh-ramp"],
+    )
+    def test_in_place_evaluators_are_the_formulas(self, oracle, formula):
+        """The in-place array evaluators give the bits of their formulas,
+        written with a new array per operation, and leave their argument as
+        it was."""
+        x = np.concatenate([self.inputs().ravel(), [math.nan, math.inf, -math.inf, -1e-310]]).reshape(2, -1)
+        kept = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle.evaluate(x)
+            want = formula(x, np.exp(-np.abs(x)))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(x, kept, equal_nan=True)
+        assert oracle.evaluate(np.array(-0.75)) == formula(-0.75, math.exp(-0.75))
+
+    @pytest.mark.parametrize(
         "oracle",
         [SigmaOracle("cubic", lambda x: x**3 - 2 * x), SigmaOracle("exp", math.exp)],
         ids=lambda o: o.name,
@@ -229,6 +301,105 @@ class TestArrayEvaluate:
     def test_scalar_only_oracle_loops_its_evaluator(self, oracle):
         x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
         assert np.array_equal(oracle.evaluate(x), self.scalar_loop(oracle, x))
+
+
+def assert_same_fit(levels, targets, oracle, theta, eps) -> UnivariateFit | None:
+    """``approx_univariate`` selects the atoms, coefficients and error of
+    :func:`textbook_approx_univariate`, or refuses with the same best error."""
+    try:
+        want = textbook_approx_univariate(levels, targets, oracle, theta, eps)
+    except FitBudgetError as refused:
+        with pytest.raises(FitBudgetError) as exc:
+            approx_univariate(levels, targets, oracle, theta, eps)
+        assert exc.value.best_error == refused.best_error
+        return None
+    got = approx_univariate(levels, targets, oracle, theta, eps)
+    assert got.terms == want.terms
+    assert got.achieved_error == want.achieved_error
+    return got
+
+
+def round_atoms(round_no: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float scales and thresholds of round ``round_no`` (1 or 2), atom by atom."""
+    atoms = textbook_atoms(THETA, *{1: (8, 257), 2: (16, 515)}[round_no])
+    return np.array([float(t) for t, _ in atoms]), np.array([float(th) for _, th in atoms])
+
+
+DICTIONARY_CASES = [
+    (oracle, size, round_no)
+    for oracle in ARRAY_ORACLES + [SigmaOracle("atan", math.atan)]
+    for size in ([1, 2, 17, 81, 300] if oracle.array_evaluator else [1, 2, 17])
+    for round_no in (1, 2)
+]
+
+
+class TestDictionary:
+    """The one-pass block build against the textbook whole-array build."""
+
+    @pytest.mark.parametrize(
+        "oracle, size, round_no",
+        DICTIONARY_CASES,
+        ids=[f"{o.name}-L{size}-round{r}" for o, size, r in DICTIONARY_CASES],
+    )
+    def test_blocks_are_the_whole_array_build(self, oracle, size, round_no):
+        ft, fth = round_atoms(round_no)
+        assert ft.size == {1: 8738, 2: 33990}[round_no]
+        assert ft.size % netapprox._ATOM_BLOCK  # the last block is partial
+        rng = random.Random(size)
+        ys = np.array(sorted(rng.uniform(-6.0, 6.0) for _ in range(size)))
+        columns, norms = netapprox._dictionary(ys, ft, fth, oracle)
+        want_columns, want_norms = textbook_dictionary(ys, ft, fth, oracle)
+        assert np.array_equal(columns, want_columns)
+        assert np.array_equal(norms, want_norms)
+
+
+def profile_tables(case: str) -> tuple[int, list]:
+    """The direction count and the ridge tables of a fit case."""
+    if case.startswith("curve-"):
+        cfg = random_curve(random.Random(int(case[-1])))
+        values = [p[0] * p[1] * p[2] for p in cfg.points]
+    else:
+        preset, target = case.rsplit("-", 1)
+        cfg = config_preset(preset)
+        values = target_values(target, cfg)
+    ridge, _ = interpolate_ridge(cfg, values)
+    return cfg.k, ridge.tables
+
+
+class TestPinnedFits:
+    """netfit's atom selection against the textbook greedy fit."""
+
+    @pytest.mark.parametrize("oracle", ARRAY_ORACLES, ids=lambda o: o.name)
+    @pytest.mark.parametrize("case", ["curve-0", "curve-1", "monotone-curve-prod", "parallel-segments-xy"])
+    def test_netfit_budget_fits_are_the_textbook_fits(self, case, oracle):
+        """Every table at netfit's per-direction budget of a 1e-2 fit."""
+        k, tables = profile_tables(case)
+        for table in tables:
+            fit = assert_same_fit(table.levels, table.values, oracle, THETA, 1e-2 / (k + 1))
+            assert fit is not None and fit.terms
+
+    @pytest.mark.parametrize(
+        "case, oracle, eps",
+        [("curve-0", LOGISTIC, 7.88e-4), ("curve-0", TANH_RAMP, 7.62e-4), ("curve-1", TABLE, 2e-4)],
+        ids=["logistic", "tanh-ramp", "table"],
+    )
+    def test_fit_that_needs_round_two(self, case, oracle, eps, monkeypatch):
+        """An eps between the best errors of rounds 1 and 2."""
+        table = profile_tables(case)[1][2]
+        fit = assert_same_fit(table.levels, table.values, oracle, THETA, eps)
+        assert fit is not None
+        monkeypatch.setattr(netapprox, "_ROUNDS", 1)
+        with pytest.raises(FitBudgetError):
+            approx_univariate(table.levels, table.values, oracle, THETA, eps)
+
+    @pytest.mark.parametrize("oracle", ARRAY_ORACLES, ids=lambda o: o.name)
+    def test_fit_that_exhausts_every_round(self, oracle):
+        """81 levels: rounds 1 to 3 run to the atom budget and the cap
+        refuses round 4."""
+        table = profile_tables("curve-0")[1][0]
+        assert 81 * 130 * 1031 <= netapprox.MAX_DICTIONARY_ENTRIES < 81 * 258 * 2063
+        assert len(table.levels) == 81
+        assert assert_same_fit(table.levels, table.values, oracle, THETA, 1e-6) is None
 
 
 class TestApproxNetwork:
