@@ -26,7 +26,6 @@ from .bolts import (
     Bolt,
     BoltGenerationError,
     BoltGenerator,
-    BoltGraph,
     PointTest,
     ProbeReport,
     RidgeTest,

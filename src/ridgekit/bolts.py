@@ -10,10 +10,12 @@ that annihilate both directions.
 Every point's (level-1, level-2) pair is an edge of a bipartite graph on
 level nodes, and a closed bolt is exactly a simple cycle there, so detection
 is a linear-time cycle search rather than a combinatorial enumeration.  The
-graph is read from the cached level index of :mod:`ridgekit.incidence`, the
-same one the density verdict of those points and directions reads, and the
-orbits are the components of that index's level forest, the union-find the
-verdict grows.  That forest also says whether a closed bolt exists: when it
+bolt graph is the cached level index of :mod:`ridgekit.incidence` itself,
+the same one the density verdict of those points and directions reads:
+:func:`build_bolt_graph` checks the input and returns it, the search walks
+its level graph (:attr:`IncidenceStructure.level_graph`, whose nodes the
+index numbers), and the orbits are the components of its level forest,
+the union-find the verdict grows.  That forest also says whether a closed bolt exists: when it
 has no closing point, no search runs.  Otherwise the closed bolt comes from
 its own depth-first search: its cycle is pinned, and need not be the
 verdict's certificate.
@@ -104,22 +106,6 @@ def verify_bolt(bolt: Bolt, a1: Direction, a2: Direction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoltGraph:
-    """Exact level-sharing structure of a point set under two directions.
-
-    ``incidence`` is the level index of ``points`` under ``(a1, a2)``; family
-    ``i`` links the points that share a level along direction ``i``, that is
-    an entry of ``incidence.level_of[i - 1]`` (its groups are
-    ``incidence.groups[i - 1]``).
-    """
-
-    points: tuple[Point, ...]
-    a1: Direction
-    a2: Direction
-    incidence: IncidenceStructure
-
-
 def _parallel(a: Direction, b: Direction) -> bool:
     d = a.dim
     for i in range(d):
@@ -131,8 +117,10 @@ def _parallel(a: Direction, b: Direction) -> bool:
 
 def build_bolt_graph(
     points: Sequence[Point], a1: Direction, a2: Direction
-) -> BoltGraph:
-    """Index points by exact level along both directions.
+) -> IncidenceStructure:
+    """The bolt graph of ``points`` under ``(a1, a2)``: their cached level
+    index (:func:`analyze`).  Family ``i`` links the points that share a
+    level along direction ``i``, a group of ``groups[i - 1]``.
 
     Rejects empty or repeated point sets (as :class:`PointConfig` does),
     parallel directions, and point pairs sharing both levels (such a pair
@@ -161,7 +149,7 @@ def build_bolt_graph(
                     f"points {i} and {j} share both projection levels; "
                     "alternating traversal is ambiguous"
                 )
-    return BoltGraph(cfg.points, a1, a2, inc)
+    return inc
 
 
 def _first_shared_pair(level_of: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -175,31 +163,28 @@ def _first_shared_pair(level_of: Sequence[Sequence[int]]) -> tuple[int, int]:
     raise AssertionError("no two points share both levels")
 
 
-def find_closed_bolt(graph: BoltGraph) -> Bolt | None:
+def find_closed_bolt(graph: IncidenceStructure) -> Bolt | None:
     """Search for a closed bolt via cycle detection on the level graph.
 
-    Nodes are the distinct levels of either direction and each point is the
-    edge joining its two levels; a simple cycle there is precisely a closed
-    bolt (even length, alternation forced by bipartiteness).  The graph is
-    the index itself: node ``g`` is level ``g`` along ``a1``, node
-    ``n1 + g`` level ``g`` along ``a2`` (``n1`` levels lie along ``a1``), and
-    a node's edges are the points of its level group, in increasing order.
-    Roots are tried in the order in which points first touch them.
+    The graph is the index's :attr:`IncidenceStructure.level_graph`: its
+    nodes are the distinct levels of either direction, each point is the
+    edge joining its two levels, and a node's edges are the points of its
+    level group, in increasing order.  A simple cycle there is precisely a
+    closed bolt (even length, alternation forced by bipartiteness).  Roots
+    are tried in the order in which points first touch them.
 
     A closed bolt is a cycle of the level graph, and :func:`build_bolt_graph`
     rejects parallel edges, so there is none when the index's level forest
     (:attr:`IncidenceStructure.forest`) has no closing point: then ``None``
     is returned without the search.
     """
-    inc = graph.incidence
-    if not inc.forest[0]:
+    if not graph.forest[0]:
         return None
-    n1 = inc.level_counts[0]
-    members = inc.groups[0] + inc.groups[1]
-    ends = [g1 + n1 + g2 for g1, g2 in zip(*inc.level_of)]  # edge j's two nodes sum to ends[j]
-    visited = [False] * len(members)
-    parent = [(-1, -1)] * len(members)  # node -> (parent node, tree edge)
-    for root in chain.from_iterable((g1, n1 + g2) for g1, g2 in zip(*inc.level_of)):
+    _, nodes, first, second, ends = graph.level_graph
+    members = graph.groups[0] + graph.groups[1]
+    visited = [False] * nodes
+    parent = [(-1, -1)] * nodes  # node -> (parent node, tree edge)
+    for root in chain.from_iterable(zip(first, second)):
         if visited[root]:
             continue
         visited[root] = True
@@ -228,21 +213,21 @@ def _bolt_from_cycle(graph, parent, lower, upper, closing_edge) -> Bolt:
         path_edges.append(pedge)
         node = pnode
     cycle = list(reversed(path_edges)) + [closing_edge]
-    points = tuple(graph.points[j] for j in cycle)
-    level1_of = graph.incidence.level_of[0]
+    points = tuple(graph.cfg.points[j] for j in cycle)
+    level1_of = graph.level_of[0]
     first = 1 if level1_of[cycle[0]] == level1_of[cycle[1]] else 2
     bolt = Bolt(points, first, closed=True, indices=tuple(cycle))
-    if not verify_bolt(bolt, graph.a1, graph.a2):
+    if not verify_bolt(bolt, *graph.cfg.dirs):
         raise AssertionError("cycle of the level graph is not a closed bolt")
     return bolt
 
 
-def orbits(graph: BoltGraph) -> tuple[tuple[int, ...], ...]:
+def orbits(graph: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
     """Connected components under level sharing (union of both families),
     each in increasing order, ordered by their first points.  Two points
     share a component exactly when their levels do in the index's level
     forest (:attr:`IncidenceStructure.forest`), which the verdict reads too."""
-    _, component = graph.incidence.forest
+    _, component = graph.forest
     comps: dict[int, list[int]] = {}
     for j, node in enumerate(component):
         comps.setdefault(node, []).append(j)

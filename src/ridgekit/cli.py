@@ -363,7 +363,9 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
     lo = _float_rational_at(job.params.get("theta_lo", "-5"), "--theta-lo")
     hi = _float_rational_at(job.params.get("theta_hi", "5"), "--theta-hi")
     if not lo < hi:
-        raise ValueError(f"--theta-lo {lo} must be below --theta-hi {hi}")
+        raise ValueError(
+            f"--theta-lo {format_rational(lo)} must be below --theta-hi {format_rational(hi)}"
+        )
     theta = ThetaInterval(lo, hi)
     eps = float(_positive_eps(job, "0.01"))
     try:
@@ -394,7 +396,7 @@ def _activation_spec(job: JobConfig) -> ActivationSpec:
     for flag in ("alpha", "l", "sharpness"):
         value = _float_rational_at(job.params.get(flag, "1"), f"--{flag}")
         if not value > 0:
-            raise ValueError(f"--{flag} must be positive, got {value}")
+            raise ValueError(f"--{flag} must be positive, got {format_rational(value)}")
         values.append(value)
     return ActivationSpec(*values)
 
@@ -405,12 +407,15 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     stop = _float_rational_at(job.params.get("stop", "10"), "--to")
     step = _rational_at(job.params.get("step", "1/100"), "--step")
     if step <= 0:
-        raise ValueError(f"--step must be positive, got {step}")
+        raise ValueError(f"--step must be positive, got {format_rational(step)}")
     if stop < start:
-        raise ValueError(f"--to {stop} is below --from {start}")
+        raise ValueError(f"--to {format_rational(stop)} is below --from {format_rational(start)}")
     count = (stop - start) // step + 1
     if count > SIGMA_EVAL_MAX_ROWS:
-        raise ValueError(f"--step {step} gives {count} rows, more than {SIGMA_EVAL_MAX_ROWS}")
+        raise ValueError(
+            f"--step {format_rational(step)} gives {format_rational(count)} rows,"
+            f" more than {SIGMA_EVAL_MAX_ROWS}"
+        )
     den = lcm(start.denominator, step.denominator)  # t = (first + i * stride) / den
     first = start.numerator * (den // start.denominator)
     stride = step.numerator * (den // step.denominator)
@@ -421,7 +426,9 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
         try:
             rows.append(f"{tn / den!r},{float(sigma_eval(spec, t))!r}")
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"--from/--to: sigma cannot be evaluated at t = {t}: {exc}") from None
+            raise ValueError(
+                f"--from/--to: sigma cannot be evaluated at t = {format_rational(t)}: {exc}"
+            ) from None
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)
     return 0
 

@@ -1,8 +1,8 @@
 """Exact linear algebra in integers on one elimination.
 
 :func:`_eliminate` is a sparse, forward-only, integer fraction-free
-elimination that pivots over columns right to left; rows may be dense
-sequences or ``{column: value}`` dicts, and only nonzero entries are touched.
+elimination that pivots over columns right to left, on rows given as
+``{column: nonzero value}`` dicts, and only those entries are touched.
 It records every row update as integers, and runs only as far as it is
 asked: it hands back each free column as it reaches it.  Its two consumers
 share one integer back-substitution over its pivot rows,
@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 
 def _eliminate(
-    rows: Sequence[Sequence[int] | dict[int, int]], ncols: int
+    rows: Sequence[dict[int, int]], ncols: int
 ) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[tuple[int, ...]], Iterator[int]]:
     """Eliminate an integer matrix over columns right to left, as far as asked.
 
@@ -37,17 +37,15 @@ def _eliminate(
     column with no unused row left is free.  A pivot row is never updated
     again and is zero right of its pivot; the unused rows end zero.
 
-    The rows are copied here, by this call.  Returns the rows, the
+    The given rows are never written: an update replaces its row in this
+    call's own list with a new dict.  Returns the rows, the
     ``(column, pivot row)`` pairs right to left, each update as
     ``(pivot row, target row, pv, rv, g)``, and an iterator over the free
     columns right to left that runs the elimination: it hands back each free
     column as it reaches it, when the lists hold exactly what was done right
     of that column, and it ends when every column is eliminated.
     """
-    mat = [
-        {j: int(v) for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
-        for r in rows
-    ]
+    mat = list(rows)
     holders: list[set[int]] = [set() for _ in range(ncols)]  # column -> unused rows nonzero there
     for i, r in enumerate(mat):
         for j in r:
@@ -88,16 +86,16 @@ def _eliminate(
     return mat, pivots, updates, free_columns()
 
 
-def nullspace_int(
-    rows: Sequence[Sequence[int] | dict[int, int]], ncols: int
-) -> Iterator[tuple[int, ...]]:
-    """Null-space basis of an integer matrix, as coprime integer vectors.
+def nullspace_int(rows: Sequence[dict[int, int]], ncols: int) -> Iterator[tuple[int, ...]]:
+    """Null-space basis of an integer matrix, given as ``{column: nonzero
+    int}`` rows, as coprime integer vectors.
 
-    This call copies the rows; the returned iterator then eliminates as
-    vectors are asked for.  :func:`_eliminate` stops at each free column,
-    and its vector is back-substituted there, so a caller that needs the
-    first vector alone eliminates only the columns right of it and pays for
-    one back-substitution; the next vector resumes the same elimination.
+    The returned iterator eliminates as vectors are asked for, and reads the
+    rows as it goes, so they must not change afterwards.
+    :func:`_eliminate` stops at each free column, and its vector is
+    back-substituted there, so a caller that needs the first vector alone
+    eliminates only the columns right of it and pays for one
+    back-substitution; the next vector resumes the same elimination.
 
     A free column of :func:`_eliminate` depends on the pivot columns to its
     right, and its basis vector is :func:`_back_substitute` over their pivot
@@ -163,13 +161,15 @@ class IntegerSolver:
     becomes ``b_t <- α b_t - β b_p`` with ``L = lcm(G_t, G_p)``,
     ``α = pv L / G_t``, ``β = rv L / G_p`` and then ``G_t <- g L``.
 
-    ``solve`` raises ``ValueError`` when a non-pivot row ends nonzero (an
-    inconsistent system), else back-substitutes over the pivot rows on one
-    running denominator and returns the particular solution with free
-    variables set to zero.
+    The rows are ``{column: nonzero int}`` dicts, and the solver keeps those
+    that end as pivot rows, so they must not change afterwards.  ``solve``
+    raises ``ValueError`` when a non-pivot row ends nonzero (an inconsistent
+    system), else back-substitutes over the pivot rows on one running
+    denominator and returns the particular solution with free variables set
+    to zero.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int] | dict[int, int]], ncols: int):
+    def __init__(self, rows: Sequence[dict[int, int]], ncols: int):
         self.nrows, self.ncols = len(rows), ncols
         mat, pivots, updates, free_cols = _eliminate(rows, ncols)
         for _ in free_cols:  # run the elimination to the end

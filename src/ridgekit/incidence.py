@@ -21,14 +21,16 @@ levels.  It groups each direction the first time that direction is read, so
 a verdict that a separating direction settles groups no other.
 
 :func:`analyze` caches one index per configuration, which the verdict, the
-ridge fits and the bolt graph of :mod:`ridgekit.bolts` share.  The index
+ridge fits and :mod:`ridgekit.bolts` share: the index holds its
+configuration, and for two directions it is the bolt graph.  The index
 keeps what is derived from it on first use.  The verdict reads only the
 first closed path, the circuit on the rightmost column that depends on the
 columns to its right, and does only the work that one vector needs:
 
 * for two directions, points are the edges of the bipartite level graph,
-  and the circuits are the cycles that a union-find over level nodes closes
-  when the points are added from the last one down
+  numbered as :attr:`IncidenceStructure.level_graph` says, and the
+  circuits are the cycles that a union-find over level nodes closes when
+  the points are added from the last one down
   (:attr:`IncidenceStructure.forest`); the verdict builds the first one,
   nothing is eliminated, and the same forest gives the orbits of
   :mod:`ridgekit.bolts`;
@@ -135,69 +137,49 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """The level index of a configuration, kept as its integer columns
-    (:attr:`PointConfig.integer_columns`) and its directions, and grouped
-    one direction at a time: direction ``i`` is keyed
-    (:meth:`Direction.integer_keys`) and sorted (:func:`sorted_key_ids`) the
-    first time :meth:`_direction` reads it.  Only :attr:`_null_vectors`
-    reads the directions one by one.  ``keys``, ``level_of`` and
-    ``level_counts`` are whole-index reads, which group every direction not
-    yet grouped, and ``scales`` needs no grouping: ``keys[i]`` holds the
-    distinct integer level keys along direction ``i`` in increasing order,
-    level ``g`` lying at ``keys[i][g] / scales[i]``, and ``level_of[i][j]``
-    is the position there of point ``j``'s level.  The rows of ``M`` run over (direction,
-    level) pairs in that order.
+    """The level index of the configuration ``cfg``, grouped one direction
+    at a time: direction ``i`` is keyed (:meth:`Direction.integer_keys`, on
+    :attr:`PointConfig.integer_columns`) and sorted (:func:`sorted_key_ids`)
+    the first time :meth:`_direction` reads it.  ``keys`` and ``level_of``
+    read every direction through it: ``keys[i]`` holds the distinct integer
+    level keys along direction ``i`` in increasing order, and
+    ``level_of[i][j]`` is the position there of point ``j``'s level.  The
+    rows of ``M`` run over (direction, level) pairs in that order.
     """
 
-    integer_columns: tuple[int, tuple[tuple[int, ...], ...]]
-    dirs: tuple[Direction, ...]
+    cfg: PointConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_points", len(self.integer_columns[1][0]))
-        object.__setattr__(self, "_grouped", [None] * len(self.dirs))
+        object.__setattr__(self, "_grouped", [None] * self.cfg.k)
 
     def _direction(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Direction ``i``'s distinct level keys and each point's level id,
         grouped on its first read."""
         grouped = self._grouped[i]
         if grouped is None:
-            distinct, ids = sorted_key_ids(self.dirs[i].integer_keys(self.integer_columns[1]))
+            keys = self.cfg.dirs[i].integer_keys(self.cfg.integer_columns[1])
+            distinct, ids = sorted_key_ids(keys)
             grouped = self._grouped[i] = (tuple(distinct), tuple(ids))
         return grouped
 
-    def _whole_index(self) -> tuple[tuple, tuple, tuple]:
-        """Group every direction not yet grouped, and keep ``keys``,
-        ``level_of`` and ``level_counts`` together, so that whichever is read
-        first sets the other two."""
-        keys, level_of = zip(*map(self._direction, range(len(self.dirs))))
-        level_counts = tuple(map(len, keys))
-        self.__dict__.update(keys=keys, level_of=level_of, level_counts=level_counts)
-        return keys, level_of, level_counts
-
     @cached_property
     def keys(self) -> tuple[tuple[int, ...], ...]:
-        return self._whole_index()[0]
+        return tuple(self._direction(i)[0] for i in range(self.cfg.k))
 
     @cached_property
     def level_of(self) -> tuple[tuple[int, ...], ...]:
-        return self._whole_index()[1]
-
-    @cached_property
-    def level_counts(self) -> tuple[int, ...]:
-        return self._whole_index()[2]
-
-    @property
-    def scales(self) -> tuple[int, ...]:
-        big_d = self.integer_columns[0]
-        return tuple(big_d * a.integer_multiple[0] for a in self.dirs)
+        return tuple(self._direction(i)[1] for i in range(self.cfg.k))
 
     @cached_property
     def levels(self) -> tuple[tuple[Fraction, ...], ...]:
         """Per direction, the distinct projection values in increasing order,
-        as ``Fraction``s built on first use: only ridge tables read them."""
+        as ``Fraction``s built on first use: only ridge tables read them.
+        Level ``g`` along direction ``i`` lies at ``keys[i][g] / (D E)``, with
+        ``D E`` that direction's scale."""
+        big_d = self.cfg.integer_columns[0]
+        scales = [big_d * a.integer_multiple[0] for a in self.cfg.dirs]
         return tuple(
-            tuple(Fraction(key, scale) for key in keys)
-            for keys, scale in zip(self.keys, self.scales)
+            tuple(Fraction(key, scale) for key in keys) for keys, scale in zip(self.keys, scales)
         )
 
     @cached_property
@@ -214,24 +196,38 @@ class IncidenceStructure:
         return tuple(out)
 
     @cached_property
+    def level_graph(self) -> tuple[int, int, tuple[int, ...], list[int], list[int]]:
+        """For two directions, the one numbering of the bipartite level
+        graph: node ``g`` is level ``g`` along the first direction, node
+        ``n1 + g`` level ``g`` along the second, and point ``j`` is the edge
+        joining its two levels, so :attr:`groups` of the first direction and
+        then of the second list each node's edges.  Returns ``n1``, the
+        number of nodes, each point's node along the first direction and
+        along the second, and their sums ``ends``: the other end of edge ``j``
+        from either of its nodes ``v`` is ``ends[j] - v``."""
+        (keys1, first), (keys2, second) = self._direction(0), self._direction(1)
+        n1 = len(keys1)
+        second = [n1 + g for g in second]
+        return n1, n1 + len(keys2), first, second, list(map(add, first, second))
+
+    @cached_property
     def forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """For two directions: the level graph grown into a spanning forest,
         point by point from ``n - 1`` down to 0.  Returns every point that
         closes a cycle, in that order (none when the graph is a forest), and
         each point's component, named by a level node.
 
-        Node ``g`` is level ``g`` along the first direction, node ``n1 + g``
-        level ``g`` along the second (``n1`` levels lie along the first), and
-        each point is the edge joining its two levels, added to a union-find
-        over the nodes.  The columns of ``M`` are the edges of this graph, so
-        the closing points are exactly the free columns of the right-to-left
+        Each point is added to a union-find over the nodes of
+        :attr:`level_graph`, numbered as there within the one pass a verdict
+        makes.  The columns of ``M`` are the edges of this graph, so the
+        closing points are exactly the free columns of the right-to-left
         elimination, and the other points, the forest's edges, its pivot
         columns.  Each closing point's two levels are joined by the forest
         edges after it, so its cycle runs through those and no later closing
         point (:meth:`_forest_cycle`)."""
-        first, second = self.level_of
-        n1 = len(self.keys[0])
-        root = list(range(n1 + len(self.keys[1])))
+        (keys1, first), (keys2, second) = self._direction(0), self._direction(1)
+        n1 = len(keys1)
+        root = list(range(n1 + len(keys2)))
 
         def find(a: int) -> int:
             while root[a] != a:
@@ -254,15 +250,13 @@ class IncidenceStructure:
         lowest node of each component: each node's parent edge (the point
         joining it to its parent, -1 at a root) and depth, and each
         component's nodes in breadth-first order, root first."""
-        first, second = self.level_of
-        n1 = len(self.keys[0])
-        nodes = n1 + len(self.keys[1])
+        _, nodes, first, second, ends = self.level_graph
         edges: list[list[int]] = [[] for _ in range(nodes)]
         closing = set(self.forest[0])
         for e, (a, b) in enumerate(zip(first, second)):
             if e not in closing:
                 edges[a].append(e)
-                edges[n1 + b].append(e)
+                edges[b].append(e)
         via, depth = [-1] * nodes, [-1] * nodes
         components = []
         for start in range(nodes):
@@ -272,7 +266,7 @@ class IncidenceStructure:
             queue = [start]
             for node in queue:
                 for e in edges[node]:
-                    other = first[e] + n1 + second[e] - node
+                    other = ends[e] - node
                     if depth[other] < 0:
                         depth[other] = depth[node] + 1
                         via[other] = e
@@ -291,21 +285,20 @@ class IncidenceStructure:
         the path has odd length, and weights alternating ±1 along the cycle
         cancel on every level; ``closing``, the smallest point, gets +1, which
         is that basis's normal form."""
-        first, second = self.level_of
-        n1 = len(self.keys[0])
+        _, _, first, second, ends = self.level_graph
         via, depth, _ = self._rooted_forest
-        a, b = first[closing], n1 + second[closing]
+        a, b = first[closing], second[closing]
         up_a: list[int] = []
         up_b: list[int] = []
         while a != b:
             if depth[a] >= depth[b]:
                 e = via[a]
                 up_a.append(e)
-                a = first[e] + n1 + second[e] - a
+                a = ends[e] - a
             else:
                 e = via[b]
                 up_b.append(e)
-                b = first[e] + n1 + second[e] - b
+                b = ends[e] - b
         weights = {closing: 1}
         for path in (up_a, up_b):
             for t, e in enumerate(path):
@@ -327,8 +320,8 @@ class IncidenceStructure:
         rows of ``M`` are a permutation matrix, ``M`` has full column rank,
         so there is no vector, no row is built and the later directions stay
         ungrouped."""
-        n = self.n_points
-        if any(len(self._direction(i)[0]) == n for i in range(len(self.dirs))):
+        n = self.cfg.n
+        if any(len(self._direction(i)[0]) == n for i in range(self.cfg.k)):
             return iter(())
         rows = [dict.fromkeys(members, 1) for dir_groups in self.groups for members in dir_groups]
         return ({j: w for j, w in enumerate(vec) if w} for vec in nullspace_int(rows, n))
@@ -343,7 +336,7 @@ class IncidenceStructure:
         first closing point of :attr:`forest`, and nothing is eliminated;
         otherwise it is the first of :attr:`_null_vectors`, whose
         elimination stops at that column."""
-        if len(self.dirs) != 2:
+        if self.cfg.k != 2:
             return next(self._null_vectors, None)
         closing, _ = self.forest
         return self._forest_cycle(closing[0]) if closing else None
@@ -358,7 +351,7 @@ class IncidenceStructure:
         first = self.first_closed_path
         if first is None:
             return []
-        if len(self.dirs) == 2:
+        if self.cfg.k == 2:
             return [first, *map(self._forest_cycle, self.forest[0][1:])]
         return [first, *self._null_vectors]
 
@@ -367,7 +360,7 @@ class IncidenceStructure:
         """The factorization of ``[N | S]``.  The closed paths fill the
         leftmost columns, which the right-to-left elimination reaches last."""
         p = len(self.closed_paths)
-        rows: list[dict[int, int]] = [{} for _ in range(self.n_points)]
+        rows: list[dict[int, int]] = [{} for _ in range(self.cfg.n)]
         for c, vec in enumerate(self.closed_paths):
             for a, w in vec.items():
                 rows[a][c] = w
@@ -377,14 +370,14 @@ class IncidenceStructure:
                     row = rows[a]
                     for b in members:
                         row[p + b] = row.get(p + b, 0) + 1
-        return IntegerSolver(rows, p + self.n_points)
+        return IntegerSolver(rows, p + self.cfg.n)
 
     @cached_property
     def _fits_on_forest(self) -> bool:
         """Whether :meth:`fit` reads the level forest: two directions whose
         closed paths are pairwise disjoint (none, or one cycle, as in a closed
         staircase)."""
-        if len(self.dirs) != 2:
+        if self.cfg.k != 2:
             return False
         paths = self.closed_paths
         return sum(map(len, paths)) == len(set().union(*paths))
@@ -397,15 +390,14 @@ class IncidenceStructure:
         component's vector of ``null(M^T)``, +1 on its levels along the first
         direction and -1 on those along the second, every point's two levels
         cancelling.  The ±1 vectors are kept as ``(+1 support, -1 support)``."""
-        first, second = self.level_of
-        n1 = len(self.keys[0])
+        n1, _, _, _, ends = self.level_graph
         via, _, components = self._rooted_forest
         steps = []
         alternating = []
         for nodes in components:
             for node in nodes[1:]:
                 e = via[node]
-                steps.append((node, e, first[e] + n1 + second[e] - node))
+                steps.append((node, e, ends[e] - node))
             alternating.append(
                 (tuple(v for v in nodes if v < n1), tuple(v for v in nodes if v >= n1))
             )
@@ -431,11 +423,11 @@ class IncidenceStructure:
         solution."""
         steps, paths, alternating = self._forest_steps
         f, q = _project_out(f_num, paths)
-        u = [0] * sum(self.level_counts)
+        n1, nodes, _, _, _ = self.level_graph
+        u = [0] * nodes
         for node, e, parent in steps:
             u[node] = f[e] - u[parent]
         w, r = _project_out(u, alternating)
-        n1 = len(self.keys[0])
         return [w[:n1], w[n1:]], q * r
 
     def _solve_on_levels(self, f_num: Sequence[int]) -> tuple[list[list[int]], int]:
@@ -488,7 +480,7 @@ class IncidenceStructure:
         """
         d = lcm(*(v.denominator for v in values))
         f_num = [v.numerator * (d // v.denominator) for v in values]
-        if len(self.dirs) == 1:
+        if self.cfg.k == 1:
             solve = self._solve_on_levels
         elif self._fits_on_forest:
             solve = self._solve_on_forest
@@ -512,7 +504,7 @@ class IncidenceStructure:
 
     def gather(self, level_vecs: Sequence[Sequence[int | Fraction]]) -> list[int | Fraction]:
         """``M^T @ u`` for ``u`` split per direction: each point's sum over its levels."""
-        out = [0] * self.n_points
+        out = [0] * self.cfg.n
         for ids, u in zip(self.level_of, level_vecs):
             out = list(map(add, out, map(u.__getitem__, ids)))
         return out
@@ -563,15 +555,17 @@ def sorted_key_ids(keys: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def build_incidence(cfg: PointConfig) -> IncidenceStructure:
-    """The level index of ``cfg`` on its integer columns, scaled here once
-    per configuration; each direction is grouped when it is first read.
+    """The level index of ``cfg``, uncached (:func:`analyze` caches it), on
+    the configuration's integer columns, scaled here once per configuration;
+    each direction is grouped when it is first read.
 
     The integer keys ``(E a) . (D x)`` of :meth:`Direction.integer_keys` are
     ordered like ``a . x``.  Level ids come from :func:`sorted_key_ids`; the
-    index keeps the distinct keys and the scale ``D E``, and builds no
-    ``Fraction``.
+    index keeps the distinct keys, and builds no ``Fraction`` until a ridge
+    table reads its levels.
     """
-    return IncidenceStructure(cfg.integer_columns, cfg.dirs)
+    cfg.integer_columns  # scaled in this call, which perfbench/tracer.py times as the index build
+    return IncidenceStructure(cfg)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ _STR_DIGITS_MARGIN = 64
 # are written by divide and conquer through ``decimal``, which is faster there.
 _SPLIT_BITS = 40_000
 _LEAF_BITS = 128  # the halves below this length are converted directly
+# ``Fraction("1e-N")`` builds 10**N: N = 10**5 takes milliseconds, 10**7 seconds.
+_MAX_EXPONENT = 10**5
+_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
 
 @contextmanager
@@ -41,7 +44,8 @@ def rationalize(value: RationalLike) -> Fraction:
 
     Ints and Fractions pass through; strings accept "p/q", integer and
     decimal forms ("0.25" parses as the exact decimal 1/4); floats use their
-    exact binary expansion.
+    exact binary expansion.  A decimal exponent beyond ``_MAX_EXPONENT`` in
+    magnitude raises ``ValueError`` before its power of ten is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -52,8 +56,14 @@ def rationalize(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
-        with _str_digits(len(value)):
-            return Fraction(value.strip())
+        text = value.strip()
+        cut = max(text.rfind("e"), text.rfind("E"))
+        if cut >= 0:
+            digits = text[cut + 1 :].lstrip("+-").replace("_", "").lstrip("0")
+            if digits.isdecimal() and (len(digits) > _EXPONENT_DIGITS or int(digits) > _MAX_EXPONENT):
+                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+        with _str_digits(len(text)):
+            return Fraction(text)
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 

@@ -151,6 +151,12 @@ def level_rows(cfg: PointConfig) -> list[list[int]]:
     return rows
 
 
+def sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+    """Dense integer rows as the ``{column: nonzero value}`` rows that the
+    library's elimination takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def oracle_has_closed_path(cfg: PointConfig) -> bool:
     return bool(rref_nullspace(level_rows(cfg), cfg.n))
 

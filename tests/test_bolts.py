@@ -168,10 +168,15 @@ class TestGenerator:
 
 def shared_levels(graph, family):
     """The level groups of ``family`` that hold more than one point."""
-    return {m for m in graph.incidence.groups[family - 1] if len(m) > 1}
+    return {m for m in graph.groups[family - 1] if len(m) > 1}
 
 
 class TestBoltGraph:
+    @pytest.mark.parametrize("name", ["grid-2x2", "parallel-segments", "paper-orbit"])
+    def test_bolt_graph_is_the_cached_index(self, name):
+        cfg = config_preset(name)
+        assert build_bolt_graph(cfg.points, *cfg.dirs) is analyze(cfg)
+
     def test_orbit_truncation_is_a_path(self):
         graph = build_bolt_graph([Point.from_seq(p) for p in ORBIT_POINTS_10], A1, A2)
         assert shared_levels(graph, 1) == {(j, j + 1) for j in range(0, 9, 2)}
@@ -270,7 +275,7 @@ class TestBoltGraph:
             graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
             assert find_closed_bolt(graph) is None
             assert orbits(graph) == textbook_orbits(cfg)
-            assert "groups" not in graph.incidence.__dict__
+            assert "groups" not in graph.__dict__
 
 
 class TestFindClosedBolt:
@@ -331,14 +336,13 @@ class TestFindClosedBolt:
                 graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
             except ValueError:
                 continue  # parallel directions, or points sharing both levels
-            inc = graph.incidence
             bolt = find_closed_bolt(graph)
             assert (bolt is None) == (not oracle_has_closed_path(cfg))
-            assert ("groups" in inc.__dict__) == (bolt is not None)
+            assert ("groups" in graph.__dict__) == (bolt is not None)
             if bolt is None:
-                forced = IncidenceStructure(cfg.integer_columns, cfg.dirs)
-                forced.__dict__["forest"] = ((0,), inc.forest[1])
-                assert find_closed_bolt(replace(graph, incidence=forced)) is None
+                forced = IncidenceStructure(cfg)
+                forced.__dict__["forest"] = ((0,), graph.forest[1])
+                assert find_closed_bolt(forced) is None
             else:
                 assert verify_bolt(bolt, cfg.dirs[0], cfg.dirs[1])
             found[bolt is None] += 1

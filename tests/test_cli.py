@@ -320,6 +320,21 @@ BAD_FLAGS = [
 ]
 
 
+# A 5,001-digit denominator, past CPython's 4,300-digit int-to-str limit, and
+# a t near 1e11 over it, where sigma cannot be evaluated: (argv, the flag its
+# error starts with).
+LONG = "1" + "0" * 5000
+LONG_T = "1" + "0" * 5010 + "1/" + LONG  # (10^5011 + 1) / 10^5000
+LONG_VALUES = [
+    (["sigma-eval", "--step", f"1/{LONG}"], "--step"),
+    (["sigma-eval", "--step", f"-1/{LONG}"], "--step"),
+    (["sigma-eval", "--to", f"-1/{LONG}"], "--to"),
+    (["sigma-eval", "--from", LONG_T, "--to", LONG_T], "--from"),
+    *((["sigma-eval", flag, f"-1/{LONG}"], flag) for flag in ("--alpha", "--l", "--sharpness")),
+    (["netfit", *FIT_ARGS, "--theta-lo", f"1/{LONG}", "--theta-hi", f"-1/{LONG}"], "--theta-lo"),
+]
+
+
 def _flag_case_ids(cases) -> list[str]:
     """Ids ``command flag``; a later case of the same flag gets its last argument appended."""
     ids: list[str] = []
@@ -337,6 +352,30 @@ class TestResourceCaps:
         assert code == 1
         assert "--step" in capsys.readouterr().err
         assert not (tmp_path / "sigma.csv").exists()
+
+    def test_decimal_exponent_beyond_the_bound_is_refused_at_once(self, tmp_path, capsys):
+        """``1e-100000000`` is refused before its power of ten is built."""
+        cfg_file = tmp_path / "cfg.json"
+        points = [["1e-100000000", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+        cfg_file.write_text(
+            json.dumps({"dimension": 2, "points": points, "directions": [["1", "0"], ["0", "1"]]})
+        )
+        start = time.perf_counter()
+        assert main(["paths", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: points[0][0]: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        LONG_VALUES,
+        ids=["step-rows", "step-sign", "to", "t", "alpha", "l", "sharpness", "theta-lo"],
+    )
+    def test_a_long_value_in_an_error_keeps_its_flag(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and "Exceeds the limit" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_probe_n_above_cap_is_refused(self, tmp_path, capsys):
         code = main(["probe", "--preset", "paper-orbit", "--N", "100001", "--out", str(tmp_path)])

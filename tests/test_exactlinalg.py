@@ -17,6 +17,7 @@ from helpers import (
     right_to_left_oracle,
     rref_nullspace,
     rref_solve,
+    sparse_rows,
 )
 from ridgekit import exactlinalg, rationals
 from ridgekit.exactlinalg import IntegerSolver, nullspace_int
@@ -60,10 +61,7 @@ class TestNullspace:
     @given(int_matrices())
     def test_matches_right_to_left_oracle(self, matrix):
         rows, ncols = matrix
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        expected = right_to_left_oracle(rows, ncols)
-        assert list(nullspace_int(rows, ncols)) == expected
-        assert list(nullspace_int(sparse, ncols)) == expected
+        assert list(nullspace_int(sparse_rows(rows), ncols)) == right_to_left_oracle(rows, ncols)
 
     @settings(max_examples=300, deadline=None)
     @given(int_matrices(), st.data())
@@ -72,8 +70,8 @@ class TestNullspace:
         rank-deficient matrices too, and refuses ``A x`` plus a left-null
         vector."""
         rows, ncols = matrix
-        solver = IntegerSolver(rows, ncols)
-        assert solver.rank == ncols - len(list(nullspace_int(rows, ncols)))
+        solver = IntegerSolver(sparse_rows(rows), ncols)
+        assert solver.rank == ncols - len(list(nullspace_int(sparse_rows(rows), ncols)))
         small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
         x_true = data.draw(st.lists(small, min_size=ncols, max_size=ncols))
         b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in rows]
@@ -90,16 +88,14 @@ class TestNullspace:
         "family", ["staircase", "closed-staircase", "forest", "grid", "generic"]
     )
     def test_matches_oracle_on_incidence_rows(self, family):
-        """Seeded level rows up to n = 200, dense and as dicts, against the oracle."""
+        """Seeded level rows up to n = 200 against the oracle."""
         rng = random.Random(f"nullspace-{family}")
         for n in (12, 60, 200):
             cfg = large_config(rng, family, n)
             rows = level_rows(cfg)
             expected = right_to_left_oracle(rows, cfg.n)
             assert bool(expected) == (family in ("closed-staircase", "grid"))
-            assert list(nullspace_int(rows, cfg.n)) == expected
-            sparse = [{j: 1 for j, v in enumerate(row) if v} for row in rows]
-            assert list(nullspace_int(sparse, cfg.n)) == expected
+            assert list(nullspace_int(sparse_rows(rows), cfg.n)) == expected
 
     def test_vectors_are_in_kernel_and_dimension_matches(self):
         rng = random.Random(99)
@@ -107,7 +103,7 @@ class TestNullspace:
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = random_int_matrix(rng, rows, cols)
-            basis = list(nullspace_int(m, cols))
+            basis = list(nullspace_int(sparse_rows(m), cols))
             oracle = rref_nullspace(m, cols)
             assert len(basis) == len(oracle)
             for vec in basis:
@@ -122,7 +118,7 @@ class TestNullspace:
 
     def test_deterministic(self):
         m = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-        assert list(nullspace_int(m, 4)) == list(nullspace_int(m, 4))
+        assert list(nullspace_int(sparse_rows(m), 4)) == list(nullspace_int(sparse_rows(m), 4))
 
 
 class TestIntegerSolver:
@@ -133,16 +129,16 @@ class TestIntegerSolver:
             a = random_int_matrix(rng, n, n)
             x_true = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
             b = [sum((r * v for r, v in zip(row, x_true)), Fraction(0)) for row in a]
-            x = solve_fractions(IntegerSolver(a, n), b)
+            x = solve_fractions(IntegerSolver(sparse_rows(a), n), b)
             assert [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a] == b
 
     def test_detects_inconsistent(self):
-        solver = IntegerSolver([[1, 1], [2, 2]], 2)
+        solver = IntegerSolver(sparse_rows([[1, 1], [2, 2]]), 2)
         with pytest.raises(ValueError, match="inconsistent"):
             solver.solve([1, 3])
 
     def test_rank(self):
-        assert IntegerSolver([[1, 2], [2, 4]], 2).rank == 1
+        assert IntegerSolver(sparse_rows([[1, 2], [2, 4]]), 2).rank == 1
 
     def test_singular_gram_matrices_of_incidence_rows(self):
         """S = M^T M for 0/1 level rows M: singular, symmetric, PSD.  Right-hand
@@ -156,7 +152,7 @@ class TestIntegerSolver:
             n = cfg.n
             s = [[sum(r[a] * r[b] for r in rows) for b in range(n)] for a in range(n)]
             null = rref_nullspace(rows, n)
-            solver = IntegerSolver(s, n)
+            solver = IntegerSolver(sparse_rows(s), n)
             assert solver.rank == n - len(null)
             x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             b = [sum((v * x for v, x in zip(row, x_true)), Fraction(0)) for row in s]
@@ -167,23 +163,6 @@ class TestIntegerSolver:
                 with pytest.raises(ValueError, match="inconsistent"):
                     solve_fractions(solver, [v + w for v, w in zip(b, null[0])])
         assert singular >= 10
-
-    def test_dict_rows_match_dense_rows(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            n = rng.randint(1, 9)
-            a = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
-            sparse = [{j: v for j, v in enumerate(row) if v} for row in a]
-            b = [rng.randint(-5, 5) for _ in range(n)]
-            dense_solver, dict_solver = IntegerSolver(a, n), IntegerSolver(sparse, n)
-            assert dense_solver.rank == dict_solver.rank
-            try:
-                expected = dense_solver.solve(b)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    dict_solver.solve(b)
-            else:
-                assert dict_solver.solve(b) == expected
 
 
 def right_to_left_solve_oracle(rows, ncols, rhs):
@@ -247,22 +226,20 @@ SOLVER_CASE_KINDS = ["full-rank", "rank-deficient", "inconsistent", "float-rhs"]
 
 
 def oracle_mismatches(cases):
-    """Systems on which ``IntegerSolver``, fed dense or dict rows, disagrees
-    with the textbook oracle: a different solution, or a different verdict on
-    consistency."""
+    """Systems on which ``IntegerSolver`` disagrees with the textbook oracle:
+    a different solution, or a different verdict on consistency."""
     bad = 0
     for rows, ncols, rhs in cases:
         try:
             expected = right_to_left_solve_oracle(rows, ncols, rhs)
         except ValueError:
             expected = None
-        for form in (rows, [{j: v for j, v in enumerate(row) if v} for row in rows]):
-            try:
-                got = solve_fractions(IntegerSolver(form, ncols), rhs)
-            except ValueError as exc:
-                got = None
-                assert "inconsistent" in str(exc)
-            bad += got != expected
+        try:
+            got = solve_fractions(IntegerSolver(sparse_rows(rows), ncols), rhs)
+        except ValueError as exc:
+            got = None
+            assert "inconsistent" in str(exc)
+        bad += got != expected
     return bad
 
 
@@ -273,7 +250,9 @@ class TestIntegerSolverOracle:
     def test_matches_textbook_oracle(self, kind):
         cases = solver_cases(kind)
         assert oracle_mismatches(cases) == 0
-        deficient = sum(IntegerSolver(rows, n).rank < min(len(rows), n) for rows, n, _ in cases)
+        deficient = sum(
+            IntegerSolver(sparse_rows(rows), n).rank < min(len(rows), n) for rows, n, _ in cases
+        )
         if kind in ("rank-deficient", "inconsistent"):
             assert deficient == len(cases)
         if kind == "float-rhs":
@@ -283,7 +262,7 @@ class TestIntegerSolverOracle:
     def test_inconsistent_systems_raise(self):
         for rows, n, rhs in solver_cases("inconsistent"):
             with pytest.raises(ValueError, match="inconsistent"):
-                solve_fractions(IntegerSolver(rows, n), rhs)
+                solve_fractions(IntegerSolver(sparse_rows(rows), n), rhs)
 
     @pytest.mark.parametrize("mutation", ["drop-all", "drop-one", "double-one"])
     def test_mistracked_row_denominator_is_caught(self, monkeypatch, mutation):
@@ -347,6 +326,16 @@ class TestBigRationalStrings:
             assert quotient == f"{q.numerator}/{q.denominator}"
         finally:
             sys.set_int_max_str_digits(before)
+
+    def test_decimal_exponent_is_bounded(self):
+        """An exponent up to the bound parses; one beyond it, in any spelling,
+        is refused before its power of ten is built."""
+        bound = rationals._MAX_EXPONENT
+        assert rationalize(f"1e{bound}") == 10**bound
+        assert rationalize(f" 25E-{bound} ") == Fraction(25, 10**bound)
+        for text in (f"1e{bound + 1}", f"1E-{bound + 1}", "1e-1_000_000", "2.5e+" + "9" * 5000):
+            with pytest.raises(ValueError, match="decimal exponent beyond"):
+                rationalize(text)
 
     def test_plain_forms(self):
         assert format_rational(Fraction(-3, 32)) == "-3/32"

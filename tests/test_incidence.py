@@ -20,6 +20,7 @@ from helpers import (
     random_values,
     right_to_left_oracle,
     rref_nullspace,
+    sparse_rows,
     textbook_certificate,
     textbook_dot,
     textbook_levels,
@@ -75,7 +76,7 @@ def assert_exact_min_norm_least_squares(cfg: PointConfig, values: list[Fraction]
 class TestBuildIncidence:
     def test_five_point_structure(self):
         inc = build_incidence(FIVE_PT)
-        assert inc.level_counts == (2, 2, 2)
+        assert tuple(map(len, inc.keys)) == (2, 2, 2)
         rows = level_rows(FIVE_PT)
         assert len(rows) == 6 and all(len(r) == 5 for r in rows)
         assert all(v in (0, 1) for r in rows for v in r)
@@ -112,7 +113,7 @@ class TestBuildIncidence:
             sums = [s for per_dir in inc.level_sums(v) for s in per_dir]
             assert sums == [sum(r * x for r, x in zip(row, v)) for row in rows]
             split, pos = [], 0
-            for count in inc.level_counts:
+            for count in map(len, inc.keys):
                 split.append(u[pos : pos + count])
                 pos += count
             assert inc.gather(split) == [
@@ -219,7 +220,7 @@ class TestCore:
             inc = build_incidence(cfg)
             # the sparse paths widened to n-tuples, zero off their keys
             basis = [tuple(vec.get(j, 0) for j in range(cfg.n)) for vec in inc.closed_paths]
-            assert basis == list(nullspace_int(rows, cfg.n))
+            assert basis == list(nullspace_int(sparse_rows(rows), cfg.n))
             assert basis == right_to_left_oracle(rows, cfg.n)
 
     def test_zero_off_the_core_and_no_core_point_alone(self):
@@ -950,7 +951,7 @@ class TestMinNormOracle:
             else:
                 cfg = large_config(rng, family, n)
             inc = incidence.analyze(cfg)
-            z = sum(inc.level_counts) - cfg.n
+            z = sum(map(len, inc.keys)) - cfg.n
             assert not inc.closed_paths
             assert z == {"staircase": 1, "forests": trees, "generic": 2 * cfg.n}[family]
             vectors = [random_values(rng, cfg.n), [rng.uniform(-3, 3) for _ in range(cfg.n)]]
@@ -961,7 +962,7 @@ class TestMinNormOracle:
     def test_presets_on_both_routes(self, name, z):
         cfg = config_preset(name)
         inc = incidence.analyze(cfg)
-        assert not inc.closed_paths and sum(inc.level_counts) - cfg.n == z
+        assert not inc.closed_paths and sum(map(len, inc.keys)) - cfg.n == z
         rng = random.Random(name)
         vectors = [random_values(rng, cfg.n) for _ in range(3)]
         assert_matches_min_norm_oracle(cfg, vectors)
@@ -1061,7 +1062,7 @@ class TestMinNormOracle:
             getattr(inc, factorization)
             assert built == []
             tables, residual = inc.fit(values)
-            assert len(built) == sum(inc.level_counts) + 1
+            assert len(built) == sum(map(len, inc.keys)) + 1
             monkeypatch.undo()
             assert ("solver" in inc.__dict__) == (factorization == "solver")
             ridge, expected = interpolate_ridge(cfg, values)
@@ -1131,7 +1132,7 @@ class TestForestRoute:
         then makes the textbook tables on every route.  Returns whether it
         reads the forest."""
         rows = level_rows(cfg)
-        basis = list(nullspace_int(rows, cfg.n))
+        basis = list(nullspace_int(sparse_rows(rows), cfg.n))
         incidence.analyze.cache_clear()
         inc = incidence.analyze(cfg)
         assert [tuple(vec.get(j, 0) for j in range(cfg.n)) for vec in inc.closed_paths] == basis
@@ -1165,7 +1166,7 @@ class TestForestRoute:
         for cfg in configs:
             assert self.assert_route_and_basis(cfg)
             assert not incidence.analyze(cfg).closed_paths
-        assert sum(incidence.analyze(configs[-1]).level_counts) == 2 * configs[-1].n
+        assert sum(map(len, incidence.analyze(configs[-1]).keys)) == 2 * configs[-1].n
 
     def test_level_multigraphs(self):
         """Plane, shared and parallel seeds: closed paths that overlap, or
