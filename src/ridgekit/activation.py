@@ -122,14 +122,22 @@ def sigma_eval(spec: ActivationSpec, t: RationalLike) -> Fraction | float:
     intrinsically inexact, and the float ``0.0`` on the left tail
     ``t < alpha``, where the first (zero) polynomial's extension is 0.
     Every gap float is the correctly rounded value of its exact ratio
-    (``int / int``).
+    (``int / int``).  The segment value is the ``Fraction`` of
+    :func:`_sigma_ratio`'s integer ratio.
     """
     tq = rationalize(t)
-    return _sigma_ratio(spec, tq.numerator, tq.denominator)
+    value = _sigma_ratio(spec, tq.numerator, tq.denominator)
+    return value if isinstance(value, float) else Fraction(*value)
 
 
-def _sigma_ratio(spec: ActivationSpec, tn: int, td: int) -> Fraction | float:
-    """:func:`sigma_eval` at ``t = tn / td`` (``td > 0``), an unreduced integer ratio."""
+def _sigma_ratio(spec: ActivationSpec, tn: int, td: int) -> tuple[int, int] | float:
+    """:func:`sigma_eval` at ``t = tn / td`` (``td > 0``), a ratio that need not be reduced.
+
+    On a carrier segment the value comes back as an unreduced integer ratio
+    ``(n, d)``, ``d > 0``: a caller builds its ``Fraction`` or rounds it once,
+    as ``n / d``, which is the float of the reduced value bit for bit.  On a
+    gap or the left tail it is the float, as :func:`sigma_eval` returns it.
+    """
     alpha = spec.alpha
     qn = tn * alpha.denominator  # q = t / alpha = qn / qd, qd > 0
     qd = td * alpha.numerator
@@ -137,7 +145,7 @@ def _sigma_ratio(spec: ActivationSpec, tn: int, td: int) -> Fraction | float:
         return 0.0
     m = -(-qn // (2 * qd))  # ceil(q / 2)
     if qn >= (2 * m - 1) * qd:
-        return Fraction(*_segment_value(spec, m, qn, qd))
+        return _segment_value(spec, m, qn, qd)
     # gap between segments m-1 and m
     w = smooth_step((qn - (2 * m - 2) * qd) / qd, float(spec.sharpness))
     low_n, low_d = _segment_value(spec, m - 1, qn, qd)
@@ -427,11 +435,11 @@ def _network_values(net: Network, integer_points: tuple[int, Sequence]) -> list[
             continue
         for i, dot in enumerate(dots):
             value = _sigma_ratio(spec, dot * theta_d - offset, den)
-            if isinstance(value, Fraction):
-                exact[i] += term.c * value
-            else:
+            if isinstance(value, float):
                 floats[i] += float(term.c) * value
                 has_float[i] = True
+            else:
+                exact[i] += term.c * Fraction(*value)
     if spec is None:
         return floats
     return [float(e) + f if h else e for e, f, h in zip(exact, floats, has_float)]

@@ -397,7 +397,10 @@ def weak_star_probe(
     the first link's family, ``S_n = g_across(across[0]) + g_along(along[n-1])``
     for odd n and ``g_across(across[0]) - g_across(across[n-1])`` for even n.
     So |integral| <= (2/n)(sup|g1| + sup|g2|) must hold exactly (sup over the
-    realized levels); the probe verifies that for every n.  The verdict is
+    realized levels); the probe verifies that for every n.  Each profile
+    value is kept as its integer ratio, so the sups, the bound and every
+    ``S_n`` come from integer cross-multiplication, and each tabulated value
+    is rounded once, as ``int / int``.  The verdict is
     "consistent-with-zero" iff every ridge bound holds and every plain test
     ends below the threshold at n = n_max.
     """
@@ -415,17 +418,20 @@ def weak_star_probe(
             g_along, g_across = test.profile1, test.profile2
             if bolt.first_link == 2:
                 g_along, g_across = g_across, g_along
-            head = rationalize(g_across(across[0]))
+            head = rationalize(g_across(across[0])).as_integer_ratio()
             last = [
-                rationalize(g_along(along[j]) if j % 2 == 0 else g_across(across[j]))
+                rationalize(
+                    g_along(along[j]) if j % 2 == 0 else g_across(across[j])
+                ).as_integer_ratio()
                 for j in range(n_max)
             ]
-            bound = 2 * (max(map(abs, last[0::2])) + max([abs(head), *map(abs, last[1::2])]))
-            bound_num, bound_den = bound.as_integer_ratio()
-            a, b = head.as_integer_ratio()
+            along_n, along_d = _largest_magnitude(last[0::2])  # sup |g_along|
+            across_n, across_d = _largest_magnitude([head, *last[1::2]])
+            bound_num = 2 * (along_n * across_d + across_n * along_d)
+            bound_den = along_d * across_d
+            a, b = head
             values = []
-            for n, term in enumerate(last, 1):
-                num, den = term.as_integer_ratio()
+            for n, (num, den) in enumerate(last, 1):
                 size = abs(a * den + num * b if n % 2 else a * den - num * b)
                 den *= b
                 if size * bound_den > bound_num * den:
@@ -457,6 +463,16 @@ def weak_star_probe(
         verdict=verdict,
         bolt=bolt,
     )
+
+
+def _largest_magnitude(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The largest ``|n / d|`` of the integer ratios ``(n, d)``, ``d > 0``,
+    as ``(|n|, d)``, compared by cross-multiplication."""
+    best_n, best_d = 0, 1
+    for n, d in ratios:
+        if abs(n) * best_d > best_n * d:
+            best_n, best_d = abs(n), d
+    return best_n, best_d
 
 
 def _pointwise_decay(

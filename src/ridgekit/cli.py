@@ -24,9 +24,9 @@ from pathlib import Path
 from .activation import (
     ActivationSpec,
     EncoderBudgetError,
+    _sigma_ratio,
     build_k_network,
     encode_univariate,
-    sigma_eval,
 )
 from .bolts import (
     BoltGenerationError,
@@ -55,15 +55,18 @@ from .presets import (
     probe_test,
     target_values,
 )
-from .rationals import format_rational, rationalize
+from .rationals import ExponentBoundError, format_rational, parse_int, rationalize
 
 # perfbench/tracer.py times the library by replacing the names imported here
-# (config_preset, target_values, sigma_by_name, sigma_eval and others) and
+# (config_preset, target_values, sigma_by_name, weak_star_probe and others) and
 # approx_network and table_oracle_from_csv in netapprox, which is why
 # _run_netfit imports those two at call time: call each through its module
-# global, not through a reference taken earlier.
+# global, not through a reference taken earlier.  sigma-eval's rows call
+# _sigma_ratio, which the tracer does not replace: its sigma_eval span does
+# not see them.
 PROBE_MAX_N = 100_000  # the probe's cost is quadratic in N (denominators grow by ~N/2 bits)
 SIGMA_EVAL_MAX_ROWS = 1_000_000
+_ECHOED = 40  # characters of a refused value that its error message repeats
 
 
 @dataclass
@@ -95,11 +98,23 @@ def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     path.write_bytes(("\n".join([",".join(header), *lines]) + "\n").encode("utf-8"))
 
 
+def _echo(value) -> str:
+    """A refused value as its error message shows it: its ``repr``, or an
+    int's digits written digit-safely, and of a longer one only the first
+    ``_ECHOED`` characters and the count."""
+    text = format_rational(Fraction(value)) if type(value) is int else repr(value)
+    if len(text) <= _ECHOED:
+        return text
+    return f"{text[:_ECHOED]}... ({len(text):,} characters)"
+
+
 def _rational_at(value, path: str) -> Fraction:
     try:
         return rationalize(value)
+    except ExponentBoundError as exc:
+        raise ValueError(f"{path}: {_echo(value)}: {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{path}: {value!r} is not a rational") from None
+        raise ValueError(f"{path}: {_echo(value)} is not a rational") from None
 
 
 def _float_rational_at(value, path: str) -> Fraction:
@@ -116,14 +131,27 @@ def _in_float_range(q: Fraction, path: str) -> Fraction:
 
 
 def _int_at(value, path: str) -> int:
+    """An integer flag: an ``int``, or a string that ``int`` reads, of any length."""
     if isinstance(value, str):
         try:
-            return int(value)
+            return parse_int(value)
         except ValueError:
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{path}: {value!r} is not an integer")
+    raise ValueError(f"{path}: {_echo(value)} is not an integer")
+
+
+def _seed_at(value) -> int:
+    """``--seed``, which every artifact records as a JSON integer: one that
+    ``json`` cannot write is refused with its reason."""
+    seed = _int_at(value, "--seed")
+    try:
+        json.dumps(seed)
+    except ValueError as exc:  # CPython's digit limit; its advice after ";" is dropped
+        reason = str(exc).partition(";")[0]
+        raise ValueError(f"--seed: {_echo(seed)} cannot be recorded: {reason}") from None
+    return seed
 
 
 def _coordinate_rows(rows, label: str, dim: int) -> list[list[Fraction]]:
@@ -281,13 +309,13 @@ def _run_probe(job: JobConfig, out: Path) -> int:
         tests.append(probe_test("ridge-identity"))
     n_max = _int_at(job.params.get("n", 1000), "--N")
     if n_max < 1:
-        raise ValueError(f"--N {n_max} is not positive")
+        raise ValueError(f"--N {_echo(n_max)} is not positive")
     if n_max > PROBE_MAX_N:
-        raise ValueError(f"--N {n_max} exceeds the probe limit {PROBE_MAX_N}")
+        raise ValueError(f"--N {_echo(n_max)} exceeds the probe limit {PROBE_MAX_N}")
     raw_threshold = job.params.get("threshold", "1/100")
     threshold = _float_rational_at(raw_threshold, "--threshold")
     if threshold < 0:
-        raise ValueError(f"--threshold must not be negative, got {raw_threshold!r}")
+        raise ValueError(f"--threshold must not be negative, got {_echo(raw_threshold)}")
     report = weak_star_probe(gen, tests, n_max, threshold)
     _write_csv(
         out / "decay.csv",
@@ -341,7 +369,7 @@ def _positive_eps(job: JobConfig, default: str) -> Fraction:
     raw_eps = job.params.get("eps", default)
     eps = _float_rational_at(raw_eps, "--eps")
     if not float(eps) > 0:
-        raise ValueError(f"--eps must be positive, got {raw_eps!r}")
+        raise ValueError(f"--eps must be positive, got {_echo(raw_eps)}")
     return eps
 
 
@@ -422,12 +450,16 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
     rows = []
     for i in range(count):
         tn = first + i * stride
-        t = Fraction(tn, den)
         try:
-            rows.append(f"{tn / den!r},{float(sigma_eval(spec, t))!r}")
+            value = _sigma_ratio(spec, tn, den)
+            if not isinstance(value, float):
+                num, d = value
+                value = num / d  # correctly rounded, as float(Fraction(num, d))
+            rows.append(f"{tn / den!r},{value!r}")
         except (ValueError, OverflowError) as exc:
             raise ValueError(
-                f"--from/--to: sigma cannot be evaluated at t = {format_rational(t)}: {exc}"
+                "--from/--to: sigma cannot be evaluated at"
+                f" t = {format_rational(Fraction(tn, den))}: {exc}"
             ) from None
     _write_csv(out / "sigma.csv", ["t", "sigma_t"], rows)
     return 0
@@ -474,7 +506,7 @@ def run(job: JobConfig) -> int:
         raise ValueError(f"unknown command {job.command!r}")
     out = Path(job.out_dir)
     try:
-        job = replace(job, seed=_int_at(job.seed, "--seed"))
+        job = replace(job, seed=_seed_at(job.seed))
         return _RUNNERS[job.command](job, out)
     except json.JSONDecodeError as exc:
         print(

@@ -191,12 +191,20 @@ class RationalPoly:
         x = rationalize(t)
         return Fraction(*self.eval_ratio(x.numerator, x.denominator))
 
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[int, float], ...]:
+        """``((e, float(c_e)), ...)``: each coefficient rounded once."""
+        return tuple((e, float(c)) for e, c in self.terms)
+
     def eval_float(self, t: float) -> float:
+        """The value at the float ``t``: the sum of ``float(c_e) * t**e``,
+        term by term in ascending order, with each coefficient rounded once
+        per polynomial (``_float_terms``), not once per call."""
         if self.degree > _EVAL_DEGREE_CAP:
             raise ValueError("degree too large to evaluate")
         total = 0.0
-        for e, c in self.terms:
-            total += float(c) * t**e
+        for e, c in self._float_terms:
+            total += c * t**e
         return total
 
     def __str__(self) -> str:

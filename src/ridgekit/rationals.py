@@ -39,13 +39,25 @@ def _str_digits(n_digits: int) -> Iterator[None]:
             sys.set_int_max_str_digits(saved)
 
 
+class ExponentBoundError(ValueError):
+    """A decimal string whose exponent is beyond ``_MAX_EXPONENT`` in
+    magnitude: a rational, refused for the size of its power of ten."""
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, with CPython's int-from-string digit limit raised to the text's length."""
+    with _str_digits(len(text)):
+        return int(text)
+
+
 def rationalize(value: RationalLike) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
     Ints and Fractions pass through; strings accept "p/q", integer and
     decimal forms ("0.25" parses as the exact decimal 1/4); floats use their
     exact binary expansion.  A decimal exponent beyond ``_MAX_EXPONENT`` in
-    magnitude raises ``ValueError`` before its power of ten is built.
+    magnitude raises :class:`ExponentBoundError`, a ``ValueError``, before
+    its power of ten is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -61,7 +73,7 @@ def rationalize(value: RationalLike) -> Fraction:
         if cut >= 0:
             digits = text[cut + 1 :].lstrip("+-").replace("_", "").lstrip("0")
             if digits.isdecimal() and (len(digits) > _EXPONENT_DIGITS or int(digits) > _MAX_EXPONENT):
-                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+                raise ExponentBoundError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
         with _str_digits(len(text)):
             return Fraction(text)
     raise TypeError(f"cannot rationalize {type(value).__name__}")

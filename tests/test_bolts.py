@@ -624,10 +624,29 @@ def _x_turning_float(p: Point) -> Fraction | float:
     return float(x) if x.denominator > 2**20 else x
 
 
+def _typed_ridge_tests() -> list[RidgeTest]:
+    """Ridge tests whose profiles return an ``int``, a ``str`` and a
+    ``float``, each with negative values on some levels."""
+    return [
+        RidgeTest("ridge-int", lambda lv: int(8 * lv) - 3, lambda lv: 5 if lv > 0 else -7),
+        RidgeTest("ridge-str", lambda lv: "1/3", lambda lv: str(-lv / 3)),
+        RidgeTest("ridge-float", lambda lv: float(lv) / 3 - 0.25, lambda lv: -0.1 * float(lv)),
+    ]
+
+
 PROBE_CASES = {
     "orbit-1": (paper_orbit_generator, lambda: [probe_test("x"), probe_test("ridge-identity")], 1),
     "orbit-2": (paper_orbit_generator, lambda: [probe_test("ridge-identity"), probe_test("y")], 2),
     "orbit-3": (paper_orbit_generator, lambda: [probe_test("x2"), probe_test("const")], 3),
+    "ridge-types-1": (paper_orbit_generator, _typed_ridge_tests, 1),
+    "ridge-types": (paper_orbit_generator, lambda: [probe_test("x"), *_typed_ridge_tests()], 150),
+    "ridge-types-first-link-2": (
+        lambda: replace(
+            _halving_generator(), a1=Direction.of(0, 1), a2=Direction.of(1, 0), first_link=2
+        ),
+        _typed_ridge_tests,
+        101,
+    ),
     "orbit-150": (
         paper_orbit_generator,
         lambda: [probe_test(n) for n in ("x", "y", "x2", "y2", "xy", "const", "ridge-identity")],

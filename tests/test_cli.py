@@ -2,17 +2,21 @@
 
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ridgekit import DiscreteMeasure, Direction, Point, is_annihilating
+from helpers import textbook_sigma
+from ridgekit import ActivationSpec, DiscreteMeasure, Direction, Point, is_annihilating
 from ridgekit import cli
 from ridgekit.cli import JobConfig, load_config_file, main, run
 from ridgekit.presets import config_preset, target_values
@@ -335,6 +339,24 @@ LONG_VALUES = [
 ]
 
 
+# Refused values whose error keeps the refusal's reason and repeats at most 40
+# characters of the value: (argv, flag, reason).
+NO_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+REASONED_REFUSALS = [
+    (["sigma-eval", "--to", "1e-100001"], "--to", "decimal exponent beyond 100000 in magnitude"),
+    (["sigma-eval", "--to", f"x{LONG}"], "--to", "is not a rational"),
+    (["probe", "--preset", "paper-orbit", "--N", LONG], "--N", "exceeds the probe limit 100000"),
+    (["probe", "--preset", "paper-orbit", "--N", f"-{LONG}"], "--N", "is not positive"),
+    (["probe", "--preset", "paper-orbit", "--N", f"x{LONG}"], "--N", "is not an integer"),
+    (["probe", "--preset", "paper-orbit", "--threshold", f"-1/{LONG}"], "--threshold", "must not be negative"),
+    pytest.param(
+        ["paths", "--preset", "grid-2x2", "--seed", LONG], "--seed", "cannot be recorded", marks=NO_DIGIT_LIMIT
+    ),
+]
+
+
 def _flag_case_ids(cases) -> list[str]:
     """Ids ``command flag``; a later case of the same flag gets its last argument appended."""
     ids: list[str] = []
@@ -375,6 +397,17 @@ class TestResourceCaps:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and "Exceeds the limit" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, reason",
+        REASONED_REFUSALS,
+        ids=["to-exponent", "to-long", "N-long", "N-long-negative", "N-long-text", "threshold-long", "seed-long"],
+    )
+    def test_a_refusal_keeps_its_reason_and_a_short_echo(self, tmp_path, capsys, argv, flag, reason):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and reason in err and len(err) < 200, err
         assert not (tmp_path / "out").exists()
 
     def test_probe_n_above_cap_is_refused(self, tmp_path, capsys):
@@ -706,6 +739,46 @@ def test_golden_sigma_eval(tmp_path, argv, digest):
     assert main(["sigma-eval", *argv, "--out", str(tmp_path)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
     assert hashlib.sha256((tmp_path / "sigma.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sigma_rows_match_the_textbook_activation(tmp_path, seed):
+    """Each ``sigma.csv`` row at ``t = (first + i * stride) / den``, left
+    unreduced where ``--from`` and ``--step`` share a denominator factor, is
+    ``repr(tn / den)`` and the float of the textbook activation there; the
+    rows cover the tail, segments, their ends and gaps."""
+    rng = random.Random(seed)
+    spec = ActivationSpec(
+        Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+        Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+        Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+    )
+    while True:  # rows on every multiple of alpha / k, so on each segment's two ends
+        k = rng.randint(2, 6)
+        step = spec.alpha / k
+        start = -step * rng.randint(1, 2 * k)
+        if math.gcd(start.denominator, step.denominator) > 1:
+            break
+    stop = 60 * spec.alpha  # segments up to m = 30, whose ratios pass 53 bits
+    flags = {"--alpha": spec.alpha, "--l": spec.half_width, "--sharpness": spec.sharpness}
+    flags |= {"--from": start, "--to": stop, "--step": step}
+    argv = [x for flag, q in flags.items() for x in (flag, format_rational(q))]
+    assert main(["sigma-eval", *argv, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sigma.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,sigma_t"
+    den = math.lcm(start.denominator, step.denominator)
+    first, stride = start * den, step * den
+    kinds = Counter()
+    for i, line in enumerate(lines[1:]):
+        tn = int(first + i * stride)
+        t = Fraction(tn, den)
+        want = textbook_sigma(spec, t)
+        assert line == f"{tn / den!r},{float(want)!r}", (spec, t)
+        kinds["tail" if t < spec.alpha else "segment" if isinstance(want, Fraction) else "gap"] += 1
+        kinds["unreduced"] += t.denominator < den
+        kinds["segment end"] += t >= spec.alpha and (t / spec.alpha).denominator == 1
+    assert len(lines) - 1 == (stop - start) // step + 1
+    assert all(kinds[k] for k in ("tail", "segment", "segment end", "gap", "unreduced")), kinds
 
 
 def _write_config(path: str, preset: str, target: str) -> None:

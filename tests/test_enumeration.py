@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_sparse_poly
 from ridgekit import (
     RationalPoly,
     calkin_wilf_index,
@@ -131,3 +132,35 @@ class TestRationalPoly:
         p = RationalPoly.from_coefficients([1, 0, Fraction(-1, 4), Fraction(1, 8)])
         for x in (-1.0, -0.25, 0.0, 0.5, 1.0):
             assert p.eval_float(x) == pytest.approx(float(p.eval_exact(Fraction(x))))
+
+    def test_eval_float_is_the_per_term_float_sum(self):
+        """``eval_float`` rounds each coefficient once per polynomial and
+        still sums ``float(c) * t**e`` term by term in ascending order: the
+        same float, compared with ``==``."""
+
+        def per_term(p: RationalPoly, t: float) -> float:
+            total = 0.0
+            for e, c in p.terms:
+                total += float(c) * t**e
+            return total
+
+        rng = random.Random(35)
+        polys = [random_sparse_poly(rng) for _ in range(500)]
+        near_limit = Fraction(1.5e308)
+        polys += [
+            RationalPoly.from_coefficients([near_limit]),
+            RationalPoly.from_coefficients([-near_limit, 0, Fraction(1, 3)]),
+            RationalPoly(((0, Fraction(-7, 3)), (3, near_limit / 4))),
+        ]
+        for p in polys:
+            for t in (0.0, -0.0, 1.0, -1.0, 0.5, -0.75, rng.uniform(-3, 3), -rng.uniform(0, 3)):
+                want = per_term(p, t)
+                got = p.eval_float(t)
+                assert got == want and str(got) == str(want), (p, t)
+
+    def test_float_cache_keeps_equality_and_hash(self):
+        p = RationalPoly.from_coefficients([Fraction(1, 3), 0, Fraction(-2, 7)])
+        assert p.eval_float(0.5) == p.eval_float(0.5)
+        fresh = RationalPoly.from_coefficients([Fraction(1, 3), 0, Fraction(-2, 7)])
+        assert p == fresh and hash(p) == hash(fresh)
+        assert {p: 1}[fresh] == 1
