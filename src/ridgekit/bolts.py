@@ -24,17 +24,24 @@ For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
 decide a limit statement, so :func:`weak_star_probe` reports empirical decay
 plus the provable telescoping bound and labels the favourable outcome
-"consistent-with-zero", never "converges".  The probe walks its bolt once,
-and a ridge test's alternating sum telescopes along it to at most two terms
-(a link's two points share a level of its family), so no levels are grouped.
+"consistent-with-zero", never "converges".  The probe walks its bolt once.
+The walk reads each point's coordinates once, as integer ratios over the
+point's own lcm denominator ``D``, holds each level unreduced as the integer
+``(E a) . (D x)`` over ``E D`` and checks consecutive levels by
+cross-multiplication, so it builds no ``Fraction`` and takes no gcd per
+level.  A ridge test's alternating sum telescopes along the bolt to at most
+two terms (a link's two points share a level of its family), so no levels
+are grouped, and only the one level per point that the sum reads becomes a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from itertools import chain, cycle
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .incidence import IncidenceStructure, PointConfig, analyze
@@ -268,28 +275,33 @@ class BoltGenerator:
     def generate(self, n: int) -> Bolt:
         return self._walk(n)[0]
 
-    def _walk(self, n: int) -> tuple[Bolt, list[Fraction], list[Fraction]]:
-        """The first ``n`` bolt points and their ``a1``- and ``a2``-levels.
+    def _walk(self, n: int) -> tuple[Bolt, list[int], list[int], list[int]]:
+        """The first ``n`` bolt points and, per point, the integers ``K1``,
+        ``K2`` and ``D`` of its ``a1``- and ``a2``-levels ``K1 / (E1 D)`` and
+        ``K2 / (E2 D)``, unreduced.
 
-        Each point's two levels are computed once and carried to the next
-        step's checks, which compare them with the successor's.
+        Each point is read once (:func:`_integer_point`), and the next step's
+        checks compare its levels with the successor's by cross-multiplication:
+        ``K / (E D)`` and ``K' / (E D')`` are equal exactly when
+        ``K D' == K' D``.  No level is reduced and no ``Fraction`` is built.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        a1, a2 = self.a1, self.a2
+        w1, w2 = self.a1.integer_multiple[1], self.a2.integer_multiple[1]
+        rule, first_link = self.rule, self.first_link
         current = self.initial
-        u, v = a1.dot(current), a2.dot(current)
-        pts, u_levels, v_levels = [current], [u], [v]
-        key = _revisit_key(current)
+        key, d, u, v = _integer_point(current, w1, w2)
+        pts, u_nums, v_nums, dens = [current], [u], [v], [d]
         seen = {key}
         for step in range(1, n):
-            nxt = self.rule(current)
-            prev_key, key = key, _revisit_key(nxt)
+            nxt = rule(current)
+            prev_key = key
+            key, nd, nu, nv = _integer_point(nxt, w1, w2)
             if key == prev_key:
                 raise BoltGenerationError(step, "rule repeated the previous point")
-            nu, nv = a1.dot(nxt), a2.dot(nxt)
-            fam = self.first_link if step % 2 else 3 - self.first_link
-            along_kept, across_kept = (nu == u, nv == v) if fam == 1 else (nv == v, nu == u)
+            fam = first_link if step % 2 else 3 - first_link
+            u_kept, v_kept = nu * d == u * nd, nv * d == v * nd
+            along_kept, across_kept = (u_kept, v_kept) if fam == 1 else (v_kept, u_kept)
             if not along_kept:
                 raise BoltGenerationError(
                     step, f"step is not perpendicular to direction {fam}"
@@ -300,33 +312,58 @@ class BoltGenerator:
                 raise BoltGenerationError(step, "rule revisited an earlier point")
             seen.add(key)
             pts.append(nxt)
-            u_levels.append(nu)
-            v_levels.append(nv)
-            current, u, v = nxt, nu, nv
-        return Bolt(tuple(pts), self.first_link), u_levels, v_levels
+            u_nums.append(nu)
+            v_nums.append(nv)
+            dens.append(nd)
+            current, d, u, v = nxt, nd, nu, nv
+        return Bolt(tuple(pts), first_link), u_nums, v_nums, dens
 
 
-def _revisit_key(p: Point) -> tuple[int, ...]:
-    """``p.coords`` as ints: equal keys are equal points, compared in C.
+def _integer_point(
+    p: Point, w1: Sequence[int], w2: Sequence[int]
+) -> tuple[tuple[int, ...], int, int, int]:
+    """``p``'s revisit key, the lcm ``D`` of its coordinates' denominators and
+    its integer levels ``(E1 a1) . (D x)`` and ``(E2 a2) . (D x)``, from the
+    directions' integer multiples ``w1 = E1 a1`` and ``w2 = E2 a2``.
 
-    A ``Fraction`` hashes to ``num * den^-1 mod 2^61 - 1``, so the
-    coordinates ``2^-k`` and ``2^-(k+61)`` of a contracting orbit collide;
-    the denominators' bit lengths tell them apart.
+    Each coordinate is read once, as its integer ratio.  The key holds
+    ``(num, den, den.bit_length())`` per coordinate: equal keys are equal
+    points, compared in C.  A ``Fraction`` hashes to ``num * den^-1 mod
+    2^61 - 1``, so the coordinates ``2^-k`` and ``2^-(k+61)`` of a
+    contracting orbit collide; the denominators' bit lengths tell them
+    apart.  When the denominators divide one another, as on the paper
+    orbit, ``D`` is the largest of them and takes no gcd.
     """
+    ratios = [c.as_integer_ratio() for c in p.coords]
+    for w in (w1, w2):
+        if len(w) != len(ratios):
+            raise ValueError(
+                f"dimension mismatch: direction is {len(w)}-d, point is {len(ratios)}-d"
+            )
     key: list[int] = []
-    for c in p.coords:
-        num, den = c.as_integer_ratio()
+    big_d = 1
+    for num, den in ratios:
         key += (num, den, den.bit_length())
-    return tuple(key)
+        if den == 1 or den == big_d:
+            continue
+        if big_d == 1 or not den % big_d:
+            big_d = den
+        elif big_d % den:
+            big_d = lcm(big_d, den)
+    scaled = [num if den == big_d or not num else num * (big_d // den) for num, den in ratios]
+    return tuple(key), big_d, sum(map(mul, w1, scaled)), sum(map(mul, w2, scaled))
+
+
+_THREE_QUARTERS, _QUARTER, _ZERO = Fraction(3, 4), Fraction(1, 4), Fraction(0)
 
 
 def _inward_spiral_rule(p: Point) -> Point:
     x, y = p.coords
-    if x == 0:
-        if y == 0:
+    if not x:
+        if not y:
             return Point.of(1, -1)
-        return Point((3 * y / 4, y / 4))
-    return Point((Fraction(0), y - x))
+        return Point((_THREE_QUARTERS * y, _QUARTER * y))
+    return Point((_ZERO, y - x))
 
 
 def paper_orbit_generator() -> BoltGenerator:
@@ -397,7 +434,11 @@ def weak_star_probe(
     the first link's family, ``S_n = g_across(across[0]) + g_along(along[n-1])``
     for odd n and ``g_across(across[0]) - g_across(across[n-1])`` for even n.
     So |integral| <= (2/n)(sup|g1| + sup|g2|) must hold exactly (sup over the
-    realized levels); the probe verifies that for every n.  Each profile
+    realized levels); the probe verifies that for every n.  The walk
+    (:meth:`BoltGenerator._walk`) gives each level as an unreduced integer
+    ratio, and only the level each term reads, ``along[j]`` at even ``j``,
+    ``across[j]`` at odd ``j`` and ``across[0]``, is built as the
+    ``Fraction`` its profile is called with, once for all tests.  Each profile
     value is kept as its integer ratio, so the sups, the bound and every
     ``S_n`` come from integer cross-multiplication, and each tabulated value
     is rounded once, as ``int / int``.  The verdict is
@@ -407,8 +448,19 @@ def weak_star_probe(
     if not tests:
         raise ValueError("need at least one test")
     thr = rationalize(threshold)
-    bolt, u_levels, v_levels = gen._walk(n_max)
-    along, across = (u_levels, v_levels) if bolt.first_link == 1 else (v_levels, u_levels)
+    bolt, u_nums, v_nums, dens = gen._walk(n_max)
+    if any(isinstance(test, RidgeTest) for test in tests):
+        # the one level per point that the ridge sums read, along at even j
+        # and across at odd j, as K / (E D)
+        along = (u_nums, gen.a1.integer_multiple[0])
+        across = (v_nums, gen.a2.integer_multiple[0])
+        if bolt.first_link == 2:
+            along, across = across, along
+        (along_k, along_e), (across_k, across_e) = along, across
+        nums = along_k[:]
+        nums[1::2] = across_k[1::2]
+        levels = [Fraction(k, e * d) for k, e, d in zip(nums, cycle((along_e, across_e)), dens)]
+        head_level = Fraction(across_k[0], across_e * dens[0])
 
     ridge_bounds_ok = True
     pointwise_ok = True
@@ -418,12 +470,10 @@ def weak_star_probe(
             g_along, g_across = test.profile1, test.profile2
             if bolt.first_link == 2:
                 g_along, g_across = g_across, g_along
-            head = rationalize(g_across(across[0])).as_integer_ratio()
+            head = rationalize(g_across(head_level)).as_integer_ratio()
             last = [
-                rationalize(
-                    g_along(along[j]) if j % 2 == 0 else g_across(across[j])
-                ).as_integer_ratio()
-                for j in range(n_max)
+                rationalize(g(level)).as_integer_ratio()
+                for g, level in zip(cycle((g_along, g_across)), levels)
             ]
             along_n, along_d = _largest_magnitude(last[0::2])  # sup |g_along|
             across_n, across_d = _largest_magnitude([head, *last[1::2]])

@@ -64,7 +64,10 @@ from .rationals import ExponentBoundError, format_rational, parse_int, rationali
 # global, not through a reference taken earlier.  sigma-eval's rows call
 # _sigma_ratio, which the tracer does not replace: its sigma_eval span does
 # not see them.
-PROBE_MAX_N = 100_000  # the probe's cost is quadratic in N (denominators grow by ~N/2 bits)
+
+# the probe's cost is quadratic in N (denominators grow by ~N/2 bits): a
+# paper-orbit probe at N = 20000 takes about 0.5 s on a 2-core x86-64 VM
+PROBE_MAX_N = 100_000
 SIGMA_EVAL_MAX_ROWS = 1_000_000
 _ECHOED = 40  # characters of a refused value that its error message repeats
 
@@ -203,11 +206,12 @@ def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
 
 
 def _named(flag: str, lookup, name: str, *args):
-    """``lookup(name, *args)``, with its refusal of an unknown name put under ``flag``."""
+    """``lookup(name, *args)``, with its refusal of an unknown name put under
+    ``flag`` and the name, which the refusal repeats, shown by :func:`_echo`."""
     try:
         return lookup(name, *args)
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {str(exc).replace(repr(name), _echo(name), 1)}") from None
 
 
 def _resolve_config(job: JobConfig) -> tuple[PointConfig, list[Fraction] | None]:
@@ -385,7 +389,9 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
             raise ValueError("--sigma table requires --sigma-table FILE.csv")
         sigma = table_oracle_from_csv(table_path)
     elif "sigma_table" in job.params:
-        raise ValueError(f"--sigma-table is read only with --sigma table, not --sigma {sigma_name}")
+        raise ValueError(
+            f"--sigma-table is read only with --sigma table, not --sigma {_echo(sigma_name)}"
+        )
     else:
         sigma = _named("--sigma", sigma_by_name, sigma_name)
     lo = _float_rational_at(job.params.get("theta_lo", "-5"), "--theta-lo")

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -60,10 +62,118 @@ ORBIT_POINTS_10 = [
 
 
 def _table_generator(path, a1, a2, first_link=1) -> BoltGenerator:
-    """A generator whose rule follows ``path``: each listed point maps to the next."""
-    points = [Point.of(*p) for p in path]
+    """A generator whose rule follows ``path``: each listed point maps to the
+    next.  An entry is a :class:`Point`, returned as it is, or a coordinate
+    sequence."""
+    points = [p if isinstance(p, Point) else Point.of(*p) for p in path]
     nxt = {p.coords: q for p, q in zip(points, points[1:])}
     return BoltGenerator("table", points[0], lambda p: nxt[p.coords], a1, a2, first_link)
+
+
+SEEDED_WALKS = range(80)
+FAULTS = ("repeated", "off-level", "shared-both", "revisited", "dimension")
+
+
+def _rational_direction(rng: random.Random, d: int) -> Direction:
+    """A direction of R^d with rational coordinates whose lcm denominator ``E`` exceeds 1."""
+    while True:
+        coords = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 5))) for _ in range(d))
+        if any(coords) and lcm(*(c.denominator for c in coords)) > 1:
+            return Direction(coords)
+
+
+def _perpendicular(rng: random.Random, a: Direction, coefficient) -> tuple[Fraction, ...]:
+    """A nonzero step perpendicular to ``a``: a combination of the vectors
+    ``w_j e_i - w_i e_j`` of ``w = E a``, with coefficients ``coefficient()``."""
+    w = a.integer_multiple[1]
+    basis = []
+    for i, j in combinations(range(len(w)), 2):
+        v = [0] * len(w)
+        v[i], v[j] = w[j], -w[i]
+        if any(v):
+            basis.append(v)
+    while True:
+        ts = [coefficient() for _ in basis]
+        step = tuple(sum(t * v[i] for t, v in zip(ts, basis)) for i in range(len(w)))
+        if any(step):
+            return step
+
+
+def _as_point(coords) -> Point:
+    """A point whose integral coordinates are plain ``int``s, as a rule may return them."""
+    return Point(tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, coords)))
+
+
+def _seeded_walk(seed: int) -> tuple[BoltGenerator, int, dict]:
+    """A seeded table generator on shapes the paper orbit never reaches, the
+    length of its table and its shape.
+
+    It has d = 2 or 3, rational directions whose ``E`` exceeds 1 and either
+    first link.  Its start point's coordinates have distinct prime
+    denominators, and so do the steps' coefficients, so consecutive points
+    have different lcm denominators; with an integer rule, every point is
+    integral.  Integral coordinates are returned as ``int``.  Each step may
+    carry a fault, which ends the table: a repeated point, a step off its
+    family's level, one that keeps both levels (d = 3), a 4-cycle back to a
+    visited point, or a point of another dimension.  Other steps go to new
+    points, so each listed point has one successor."""
+    rng = random.Random(seed)
+    d, first_link, integer = rng.choice((2, 3)), rng.choice((1, 2)), rng.random() < 0.3
+    a1 = _rational_direction(rng, d)
+    while True:
+        a2 = _rational_direction(rng, d)
+        w1, w2 = a1.integer_multiple[1], a2.integer_multiple[1]
+        if any(w1[i] * w2[j] != w1[j] * w2[i] for i, j in combinations(range(d), 2)):
+            break
+    primes = [3, 5, 7, 11, 13, 17]
+    if integer:
+        coefficient = lambda: rng.randint(-3, 3)  # noqa: E731
+        current = tuple(Fraction(rng.randint(-5, 5)) for _ in range(d))
+    else:
+        coefficient = lambda: Fraction(rng.randint(-6, 6), rng.choice(primes))  # noqa: E731
+        current = tuple(Fraction(rng.randint(-9, 9), p) for p in rng.sample(primes, d))
+    dirs = (a1, a2)
+    path, fault, plan = [_as_point(current)], None, []
+    visited = {current}
+    for step in range(1, 30):
+        fam = first_link if step % 2 else 3 - first_link
+        along, across = dirs[fam - 1], dirs[2 - fam]
+        if plan:
+            move = plan.pop(0)
+        elif rng.random() < 0.035:
+            fault = rng.choice(FAULTS)
+            if fault == "repeated":
+                move = (0,) * d
+            elif fault == "off-level" or (fault == "shared-both" and d == 2):
+                fault = "off-level"
+                while True:
+                    move = tuple(coefficient() for _ in range(d))
+                    if sum(a * m for a, m in zip(along.coords, move)):
+                        break
+            elif fault == "shared-both":
+                move = tuple(w1[i] * w2[j] - w1[j] * w2[i] for i, j in ((1, 2), (2, 0), (0, 1)))
+            elif fault == "revisited":
+                first = _perpendicular(rng, along, coefficient)
+                second = _perpendicular(rng, across, coefficient)
+                plan = [second, tuple(-c for c in first), tuple(-c for c in second)]
+                move = first
+            else:
+                path.append(_as_point((*current, rng.randint(-2, 2))))
+                break
+        else:
+            while True:
+                move = _perpendicular(rng, along, coefficient)
+                new = tuple(c + m for c, m in zip(current, move))
+                if sum(a * m for a, m in zip(across.coords, move)) and new not in visited:
+                    break
+        current = tuple(c + m for c, m in zip(current, move))
+        path.append(_as_point(current))
+        if current in visited or (fault and not plan):
+            break
+        visited.add(current)
+    gen = _table_generator(path, a1, a2, first_link)
+    shape = {"d": d, "first_link": first_link, "integer": integer}
+    return gen, len(path), shape
 
 
 def _halving_generator() -> BoltGenerator:
@@ -598,24 +708,23 @@ class TestWeakStarProbe:
             weak_star_probe(gen, tests, 6)
         assert exc.value.step == 5
 
-    def test_two_dots_per_point_and_no_fraction_hash(self, monkeypatch):
-        calls = Counter()
-        dot = Direction.dot
+    def test_no_dot_and_no_fraction_hash(self, monkeypatch):
+        """The walk reads each point's coordinates as integer ratios and
+        compares its levels by cross-multiplication: no ``Direction.dot``."""
 
-        def counted(self, point):
-            calls["dot"] += 1
-            return dot(self, point)
+        def no_dot(self, point):
+            raise AssertionError("Direction.dot was called")
 
         def unhashable(self):
             raise AssertionError("a Fraction was hashed")
 
-        monkeypatch.setattr(Direction, "dot", counted)
+        monkeypatch.setattr(Direction, "dot", no_dot)
         monkeypatch.setattr(Fraction, "__hash__", unhashable)
         tests = [probe_test(name) for name in ("x", "y", "ridge-identity")]
         report = weak_star_probe(paper_orbit_generator(), tests, 500)
         monkeypatch.undo()
         assert report.verdict == "consistent-with-zero"
-        assert calls == {"dot": 2 * 500}
+        assert report == textbook_probe(paper_orbit_generator(), tests, 500)
 
 
 def _x_turning_float(p: Point) -> Fraction | float:
@@ -723,3 +832,93 @@ class TestProbeMatchesTextbook:
         coords = [c for p in bolt.points for c in p.coords]
         assert len(set(coords)) == 100
         assert len({hash(c) for c in coords}) < 70
+
+
+def _walk_outcome(gen: BoltGenerator, n: int) -> Bolt | BoltGenerationError | ValueError:
+    """The textbook walk of ``n`` points, or its refusal.  The textbook does not
+    check dimensions, so the first point of another dimension is refused as
+    :meth:`Direction.dot` refuses it, unless the walk stops before it."""
+    points = [gen.initial]
+    while len(points) < n:
+        points.append(gen.rule(points[-1]))
+    dims = {gen.a1.dim, gen.a2.dim}
+    bad = next((j for j, p in enumerate(points) if {p.dim} != dims), n)
+    try:
+        bolt = textbook_bolt(gen, max(bad, 1))
+    except BoltGenerationError as exc:
+        return exc
+    if bad == n:
+        return bolt
+    for a in (gen.a1, gen.a2):
+        try:
+            a.dot(points[bad])
+        except ValueError as exc:
+            return exc
+    raise AssertionError("no direction refused the point")
+
+
+class TestSeededWalks:
+    """The walk against the textbook bolt and probe on seeded table
+    generators (:func:`_seeded_walk`): rational directions with ``E > 1``,
+    coordinates over distinct primes, int coordinates, d = 2 and 3, both
+    first links, and every refusal."""
+
+    @pytest.mark.parametrize("seed", SEEDED_WALKS)
+    def test_walk_and_probe_match_the_textbook(self, seed):
+        gen, n, _ = _seeded_walk(seed)
+        tests = [probe_test("x"), probe_test("y"), probe_test("ridge-identity"), *_scaled_ridge_tests(seed)]
+        expected = _walk_outcome(gen, n)
+        walks = (gen.generate, lambda m: weak_star_probe(gen, tests, m).bolt)
+        if isinstance(expected, Bolt):
+            for walk in walks:
+                assert walk(n) == expected
+            walked = n
+        else:
+            for walk in walks:
+                with pytest.raises(type(expected)) as exc:
+                    walk(n)
+                assert str(exc.value) == str(expected)
+                assert getattr(exc.value, "step", None) == getattr(expected, "step", None)
+            walked = getattr(expected, "step", n - 1)
+        if walked:
+            for threshold in (Fraction(1, 100), Fraction(1, 10**9)):
+                report = weak_star_probe(gen, tests, walked, threshold)
+                assert report == textbook_probe(gen, tests, walked, threshold)
+
+    @pytest.mark.parametrize(
+        "path, a2",
+        [
+            ([(1, 2, 3), (1, 2, 4)], A2),
+            ([(0, 0), (1, -1)], Direction.of(1, 0, Fraction(1, 3))),
+            ([(0, 0), (1, -1), (0, -2, 0)], A2),
+        ],
+        ids=["initial-point", "second-direction", "later-point"],
+    )
+    def test_dimension_mismatch_is_refused_as_dot_refuses_it(self, path, a2):
+        gen = _table_generator(path, A1, a2)
+        expected = _walk_outcome(gen, len(path))
+        assert isinstance(expected, ValueError)
+        for walk in (gen.generate, lambda m: weak_star_probe(gen, [probe_test("x")], m)):
+            with pytest.raises(ValueError) as exc:
+                walk(len(path))
+            assert str(exc.value) == str(expected)
+
+    def test_the_seeds_cover_every_shape(self):
+        shapes, outcomes = Counter(), Counter()
+        for seed in SEEDED_WALKS:
+            gen, n, shape = _seeded_walk(seed)
+            shapes.update(f"{key}={value}" for key, value in shape.items())
+            outcome = _walk_outcome(gen, n)
+            if isinstance(outcome, BoltGenerationError):
+                outcomes[str(outcome).split(": ", 1)[1].split(" direction")[0]] += 1
+            else:
+                outcomes[type(outcome).__name__] += 1
+        assert {"d=2", "d=3", "first_link=1", "first_link=2", "integer=True", "integer=False"} <= set(shapes)
+        assert set(outcomes) == {
+            "Bolt",
+            "ValueError",
+            "rule repeated the previous point",
+            "step is not perpendicular to",
+            "step shares both levels",
+            "rule revisited an earlier point",
+        }, outcomes

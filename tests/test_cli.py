@@ -339,11 +339,12 @@ LONG_VALUES = [
 ]
 
 
-# Refused values whose error keeps the refusal's reason and repeats at most 40
-# characters of the value: (argv, flag, reason).
+# Refused values and names whose error keeps the refusal's reason and repeats
+# at most 40 characters of the value: (argv, flag, reason).
 NO_DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
 )
+LONG_NAME = "y" + "0" * 5000
 REASONED_REFUSALS = [
     (["sigma-eval", "--to", "1e-100001"], "--to", "decimal exponent beyond 100000 in magnitude"),
     (["sigma-eval", "--to", f"x{LONG}"], "--to", "is not a rational"),
@@ -354,6 +355,10 @@ REASONED_REFUSALS = [
     pytest.param(
         ["paths", "--preset", "grid-2x2", "--seed", LONG], "--seed", "cannot be recorded", marks=NO_DIGIT_LIMIT
     ),
+    (["paths", "--preset", LONG_NAME], "--preset", "unknown preset 'y000"),
+    (["probe", "--preset", "paper-orbit", "--tests", LONG_NAME], "--tests", "; available: const,"),
+    (["ridgefit", "--preset", "parallel-segments", "--f", LONG_NAME], "--f", "unknown target function"),
+    (["netfit", *FIT_ARGS, "--sigma", LONG_NAME], "--sigma", "(5,003 characters); available: logistic"),
 ]
 
 
@@ -402,7 +407,10 @@ class TestResourceCaps:
     @pytest.mark.parametrize(
         "argv, flag, reason",
         REASONED_REFUSALS,
-        ids=["to-exponent", "to-long", "N-long", "N-long-negative", "N-long-text", "threshold-long", "seed-long"],
+        ids=[
+            "to-exponent", "to-long", "N-long", "N-long-negative", "N-long-text", "threshold-long", "seed-long",
+            "preset-long", "tests-long", "f-long", "sigma-long",
+        ],
     )
     def test_a_refusal_keeps_its_reason_and_a_short_echo(self, tmp_path, capsys, argv, flag, reason):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
