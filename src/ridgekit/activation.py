@@ -171,6 +171,7 @@ _MAX_ABS_COEFF = 10**6
 _MAX_DEGREE = 14  # highest polynomial degree the encoder fits
 _FIT_NODES = 512  # least-squares Chebyshev nodes
 _VALIDATION_POINTS = 2049  # equispaced grid on which a candidate's worst error is measured
+_WITNESSES = 8  # grid points at which a candidate is refuted before the grid
 _DENOMINATOR_BOUNDS = tuple(8 << i for i in range(22))  # 8, 16, ..., 2**24: the rounding ladder
 
 
@@ -259,12 +260,25 @@ def _encode(
 ) -> UnivariateEncoding:
     """:func:`encode_univariate` on a profile given by ``sample``, which maps
     an array of arguments to the array of profile values; ``exact`` is the
-    profile itself when it is a polynomial."""
+    profile itself when it is a polynomial.
+
+    A candidate is first scored at a few witness grid points (at most
+    ``_WITNESSES``): the two grid ends and the worst grid point of each
+    candidate scored on the whole grid.  :func:`_refuted` evaluates it there
+    with ``polyval``'s own Horner steps in Python floats, which give the grid
+    evaluation's values at those points bit for bit.  A witness deviation
+    above the budget and at least the best error so far refutes the
+    candidate: its grid error is at least as large, so it could neither be
+    accepted nor lower the best error, and skipping its grid scoring changes
+    no result.  A NaN deviation refutes nothing.
+    """
     if not eps_over_k > 0:  # also rejects NaN
         raise ValueError("the error budget must be positive")
     xi_nodes, t_nodes, grid = _sample_points(spec)
     samples = sample(t_nodes)
     grid_target = sample(grid)
+    witness_at = [0, _VALIDATION_POINTS - 1]
+    witnesses = [(float(grid[i]), float(grid_target[i])) for i in witness_at]
 
     best_error = math.inf
     tried = False
@@ -286,8 +300,15 @@ def _encode(
                 err = 0.0
             else:
                 dense = [n / d for n, d in ratios]  # float(Fraction(n, d)), correctly rounded
+                if _refuted(dense, witnesses, eps_over_k, best_error):
+                    continue
                 approx = np.polynomial.polynomial.polyval(grid, dense)
-                err = float(np.max(np.abs(grid_target - approx)))
+                deviations = np.abs(grid_target - approx)
+                worst = int(np.argmax(deviations))  # the first NaN, if any: np.max's value
+                err = float(deviations[worst])
+                if len(witness_at) < _WITNESSES and worst not in witness_at:
+                    witness_at.append(worst)
+                    witnesses.append((float(grid[worst]), float(grid_target[worst])))
             best_error = min(best_error, err)
             if not err <= eps_over_k:  # also skips a NaN error
                 continue
@@ -304,6 +325,28 @@ def _encode(
             f"beyond the {_MAX_ABS_COEFF:,} coefficient cap"
         )
     raise EncoderBudgetError(best_error, skipped)
+
+
+def _refuted(
+    dense: Sequence[float], witnesses: Sequence[tuple[float, float]], budget: float, best: float
+) -> bool:
+    """Whether the polynomial with coefficients ``dense`` (lowest first)
+    deviates from a witness ``(x, target)`` by more than ``budget`` and by at
+    least ``best``.
+
+    The value at ``x`` takes ``polyval``'s steps, ``v = c[-1] + x*0`` and then
+    ``v = c[-i] + v*x``, as single IEEE double operations, so it is the grid
+    evaluation's value there.  A NaN deviation fails both comparisons.
+    """
+    top, rest = dense[-1], dense[-2::-1]
+    for x, target in witnesses:
+        v = top + x * 0
+        for c in rest:
+            v = c + v * x
+        dev = abs(target - v)
+        if dev > budget and dev >= best:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

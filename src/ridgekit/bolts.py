@@ -354,16 +354,31 @@ def _integer_point(
     return tuple(key), big_d, sum(map(mul, w1, scaled)), sum(map(mul, w2, scaled))
 
 
-_THREE_QUARTERS, _QUARTER, _ZERO = Fraction(3, 4), Fraction(1, 4), Fraction(0)
+_ZERO = Fraction(0)
 
 
 def _inward_spiral_rule(p: Point) -> Point:
+    """``(1, -1)`` from the origin, ``(3y/4, y/4)`` from ``(0, y)`` and
+    ``(0, y - x)`` otherwise, built from the coordinates' integer ratios.
+
+    ``y - x`` is formed over the larger denominator when one divides the
+    other, as on the paper orbit, where both are equal; each coordinate is
+    one ``Fraction(num, den)``, whose one gcd has a small operand there."""
     x, y = p.coords
+    yn, yd = y.as_integer_ratio()
     if not x:
-        if not y:
+        if not yn:
             return Point.of(1, -1)
-        return Point((_THREE_QUARTERS * y, _QUARTER * y))
-    return Point((_ZERO, y - x))
+        return Point((Fraction(3 * yn, 4 * yd), Fraction(yn, 4 * yd)))
+    xn, xd = x.as_integer_ratio()
+    if not yd % xd:
+        num, den = yn - xn * (yd // xd), yd
+    elif not xd % yd:
+        num, den = yn * (xd // yd) - xn, xd
+    else:
+        den = lcm(xd, yd)
+        num = yn * (den // yd) - xn * (den // xd)
+    return Point((_ZERO, Fraction(num, den)))
 
 
 def paper_orbit_generator() -> BoltGenerator:
@@ -533,7 +548,11 @@ def _pointwise_decay(
 
     The partial sum is ``num / den`` with integers, ``den`` the lcm of the
     denominators so far, until ``f`` first returns a float; from there on it
-    is a float sum.  An exact final value is compared with ``thr`` exactly.
+    is a float sum.  A ``Fraction`` value is read by its integer ratio
+    ``a / b``, other values through ``rationalize``; when ``b`` divides
+    ``den``, ``a`` is scaled up to it and ``den`` kept, and when ``den``
+    divides ``b``, ``num`` is scaled up to ``b``, each with no gcd.  An exact
+    final value is compared with ``thr`` exactly.
     """
     values: list[float] = []
     num, den = 0, 1
@@ -542,10 +561,16 @@ def _pointwise_decay(
         val = test.func(p)
         if isinstance(val, float):
             break
-        a, b = rationalize(val).as_integer_ratio()
-        g = gcd(den, b)
-        num = num * (b // g) + sign * a * (den // g)
-        den *= b // g
+        a, b = (val if isinstance(val, Fraction) else rationalize(val)).as_integer_ratio()
+        if not den % b:
+            num += sign * a * (den // b)
+        elif not b % den:
+            num = num * (b // den) + sign * a
+            den = b
+        else:
+            g = gcd(den, b)
+            num = num * (b // g) + sign * a * (den // g)
+            den *= b // g
         values.append(abs(num) / (den * (j + 1)))
         sign = -sign
     else:

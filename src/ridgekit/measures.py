@@ -22,15 +22,22 @@ from typing import Callable, Iterable, Sequence
 from .rationals import RationalLike, rationalize
 
 
+_COORD_TYPES = frozenset((int, Fraction))  # bool and float are refused
+
+
 @dataclass(frozen=True)
 class Point:
-    """A point of R^d with exact rational coordinates."""
+    """A point of R^d with exact rational coordinates, each an ``int`` or a
+    ``Fraction`` (:meth:`of` rationalizes other values)."""
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.coords) == 0:
             raise ValueError("points need at least one coordinate")
+        if not _COORD_TYPES.issuperset(map(type, self.coords)):
+            i, c = next((i, c) for i, c in enumerate(self.coords) if type(c) not in _COORD_TYPES)
+            raise TypeError(f"point coordinate {i} is a {type(c).__name__}, not an int or a Fraction")
 
     @cached_property
     def _hash(self) -> int:

@@ -20,7 +20,9 @@ and replay form every term argument at one point at a time through
 constructed activation by the textbook activation.  The textbook dictionary
 evaluates the activation on the whole levels x atoms argument at once and
 takes ``np.linalg.norm`` of the result; the textbook greedy fit runs on it,
-with its scales and thresholds stepped in ``Fraction``s.
+with its scales and thresholds stepped in ``Fraction``s.  The textbook
+profile encoder scores every distinct rounding candidate with ``polyval`` on
+the whole validation grid.
 """
 
 from __future__ import annotations
@@ -37,17 +39,20 @@ from ridgekit import (
     ActivationSpec,
     Bolt,
     BoltGenerationError,
+    EncoderBudgetError,
     FitBudgetError,
     PointConfig,
     ProbeReport,
     RationalPoly,
     RidgeTest,
     ThetaInterval,
+    UnivariateEncoding,
     UnivariateFit,
     decode_poly,
+    encode_poly,
     smooth_step,
 )
-from ridgekit import netapprox
+from ridgekit import activation, netapprox
 from ridgekit.rationals import rationalize
 
 
@@ -649,3 +654,54 @@ def textbook_replayed_error(cfg: PointConfig, values, net) -> float:
     for point, fv in zip(cfg.points, values):
         replayed = max(replayed, abs(float(rationalize(fv)) - textbook_eval_network(net, point)))
     return replayed
+
+
+def textbook_encode(sample, exact, eps_over_k: float, spec: ActivationSpec) -> UnivariateEncoding:
+    """``activation._encode`` scoring every distinct rounding candidate on the
+    whole validation grid: the same Chebyshev fits, rounding ladder,
+    deduplication, exact-match branch, cap checks and messages, and each
+    candidate's error is ``max |target - polyval(grid, c)|``."""
+    if not eps_over_k > 0:
+        raise ValueError("the error budget must be positive")
+    xi_nodes, t_nodes, grid = activation._sample_points(spec)
+    samples = sample(t_nodes)
+    grid_target = sample(grid)
+    best_error = math.inf
+    tried = False
+    skipped = ""
+    powers = [Fraction(spec.half_width) ** i for i in range(activation._MAX_DEGREE + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degree in range(activation._MAX_DEGREE + 1):
+            power_xi = np.polynomial.chebyshev.cheb2poly(
+                np.polynomial.chebyshev.chebfit(xi_nodes, samples, degree)
+            )
+            coeff_floats = [float(power_xi[i]) / float(powers[i]) for i in range(degree + 1)]
+            if not all(abs(c) <= activation._MAX_ABS_COEFF for c in coeff_floats):
+                continue
+            tried = True
+            seen = set()
+            for ratios in zip(*map(activation._best_approximations, coeff_floats)):
+                if ratios in seen:
+                    continue
+                seen.add(ratios)
+                cand = RationalPoly.from_coefficients([Fraction(n, d) for n, d in ratios])
+                if exact is not None and cand == exact:
+                    err = 0.0
+                else:
+                    approx = np.polynomial.polynomial.polyval(grid, [float(Fraction(n, d)) for n, d in ratios])
+                    err = float(np.max(np.abs(grid_target - approx)))
+                best_error = min(best_error, err)
+                if not err <= eps_over_k:
+                    continue
+                try:
+                    index = encode_poly(cand)
+                except OverflowError as exc:
+                    skipped = f"every candidate within the error budget was skipped: {exc}"
+                    continue
+                return UnivariateEncoding(index, spec.scale, spec.shift_for_index(index), err, cand)
+    if not tried:
+        skipped = (
+            "could not reach the requested accuracy: every fit has a coefficient "
+            f"beyond the {activation._MAX_ABS_COEFF:,} coefficient cap"
+        )
+    raise EncoderBudgetError(best_error, skipped)

@@ -6,14 +6,17 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
     random_rational,
     random_sparse_poly,
     textbook_dot,
+    textbook_encode,
     textbook_eval_network,
     textbook_poly_value,
     textbook_sigma,
@@ -249,6 +252,148 @@ class TestRoundingLadder:
     def test_a_tie_takes_the_convergent(self, c, convergent, semiconvergent):
         assert abs(Fraction(c) - convergent) == abs(Fraction(c) - semiconvergent)
         assert activation._best_approximations(c)[0] == (convergent.numerator, convergent.denominator)
+
+
+def _outcome(encode, sample, exact, budget, spec) -> tuple:
+    """An encoder's result, floats by ``repr``: the encoding's fields, or the
+    refusal's best error and message."""
+    try:
+        enc = encode(sample, exact, budget, spec)
+    except EncoderBudgetError as exc:
+        return "refused", repr(exc.best_error), str(exc)
+    return "encoded", enc.index, enc.scale, enc.shift, repr(enc.achieved_error), enc.poly
+
+
+def _scalar_sampler(g):
+    """The array sampler ``encode_univariate`` builds from a scalar profile."""
+    target = g.eval_float if isinstance(g, RationalPoly) else g
+    return lambda ts: np.array([target(t) for t in ts], dtype=float)
+
+
+def _seeded_profile(rng: random.Random, half_width: float):
+    """A float profile on ``[-half_width, half_width]``: a seeded sine, a kink
+    and a cubic of ``t / half_width``, the last two each in or out."""
+    a, b, c = rng.uniform(-2, 2), rng.uniform(0.1, 6), rng.uniform(-3, 3)
+    d, e, f = rng.choice([0, rng.uniform(-1, 1)]), rng.uniform(-1, 1), rng.choice([0, rng.uniform(-0.5, 0.5)])
+
+    def profile(t):
+        s = t / half_width
+        return a * math.sin(b * s + c) + d * abs(s - e) + f * s**3
+
+    return profile
+
+
+@pytest.fixture
+def shared_indices(monkeypatch):
+    """Both encoders' ``encode_poly`` through one memo: a candidate within the
+    budget is indexed once, and an index beyond the cap, which takes up to a
+    quarter of a second to refuse, is refused once."""
+    real, memo = activation.encode_poly, {}
+
+    def encode(poly):
+        if poly not in memo:
+            try:
+                memo[poly] = real(poly)
+            except OverflowError as exc:
+                memo[poly] = exc
+        if isinstance(memo[poly], OverflowError):
+            raise memo[poly]
+        return memo[poly]
+
+    monkeypatch.setattr(activation, "encode_poly", encode)
+    monkeypatch.setattr(helpers, "encode_poly", encode)
+
+
+@pytest.mark.usefixtures("shared_indices")
+class TestEncoderOracle:
+    """``_encode`` against ``textbook_encode``, which scores every distinct
+    candidate on the whole grid: the same encoding, or the same refusal."""
+
+    @pytest.mark.parametrize("target", ["xy", "x2-y", "norm", "prod"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_level_profiles(self, preset, target):
+        """kfit's profiles: each ridge table's polyline on kfit's activation,
+        at kfit's budget for eps 1/10, 1/100 and 1/1000, failing rows too."""
+        cfg = config_preset(preset)
+        ridge, _ = interpolate_ridge(cfg, target_values(target, cfg))
+        bound = max(abs(lv) for table in ridge.tables for lv in table.levels)
+        spec = ActivationSpec(Fraction(1), max(bound, Fraction(1)), Fraction(1))
+        for table in ridge.tables:
+            levels = np.array([float(v) for v in table.levels])
+            values = np.array([float(v) for v in table.values])
+            sample = partial(np.interp, xp=levels, fp=values)
+            for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
+                budget = float(eps) / (cfg.k + 1)
+                want = _outcome(textbook_encode, sample, None, budget, spec)
+                assert _outcome(activation._encode, sample, None, budget, spec) == want, (table.direction, eps)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_callables(self, seed):
+        rng = random.Random(3700 + seed)
+        spec = ActivationSpec(Fraction(1), rng.choice([Fraction(1), Fraction(5, 2), Fraction(10)]), Fraction(1))
+        sample = _scalar_sampler(_seeded_profile(rng, float(spec.half_width)))
+        for budget in (1e-1, 1e-2, 1e-3, 1e-5):
+            want = _outcome(textbook_encode, sample, None, budget, spec)
+            assert _outcome(activation._encode, sample, None, budget, spec) == want, budget
+
+    @pytest.mark.parametrize(
+        "coeffs, budget",
+        [
+            ([1, Fraction(-1, 2), Fraction(1, 3)], 1e-3),
+            ([Fraction(1, 7), Fraction(-2, 3), 0, Fraction(5, 11)], 1e-6),
+            ([2_000_000, 1], 1e-3),
+            ([Fraction(1, 1_500_000), 1], 1e-12),
+        ],
+        ids=["exact-match", "exact-match-unrounded", "coefficient-cap", "index-cap"],
+    )
+    def test_sigma_build_polynomials(self, coeffs, budget):
+        """sigma-build's target is its polynomial: the exact-match branch, a
+        fit beyond the coefficient cap at every degree, and an index beyond
+        the enumeration's cap."""
+        poly = RationalPoly.from_coefficients([Fraction(c) for c in coeffs])
+        sample = _scalar_sampler(poly)
+        want = _outcome(textbook_encode, sample, poly, budget, SPEC)
+        assert _outcome(activation._encode, sample, poly, budget, SPEC) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_polynomials(self, seed):
+        rng = random.Random(3800 + seed)
+        poly = random_sparse_poly(rng, max_degree=6)
+        sample = _scalar_sampler(poly)
+        for budget in (1e-2, 1e-6):
+            want = _outcome(textbook_encode, sample, poly, budget, SPEC)
+            assert _outcome(activation._encode, sample, poly, budget, SPEC) == want, (poly, budget)
+
+    def test_witness_values_are_polyval_values(self):
+        """One witness refutes exactly when the deviation from ``polyval``'s
+        value there is above the budget and at least the best error, at
+        signed zeros, infinities and NaN as well."""
+        rng = random.Random(37)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300]
+        xs = specials + [rng.uniform(-10, 10) for _ in range(20)]
+        with np.errstate(all="ignore"):
+            for _ in range(400):
+                dense = [rng.choice(specials + [rng.uniform(-5, 5)] * 6) for _ in range(rng.randint(1, 15))]
+                x, target = rng.choice(xs), rng.choice([rng.uniform(-5, 5), 0.0, math.nan])
+                budget = rng.choice([1e-3, 0.5, 10.0])
+                best = rng.choice([math.inf, budget / 2, budget * 2, 100.0])
+                dev = abs(target - float(np.polynomial.polynomial.polyval(np.array([x]), dense)[0]))
+                want = dev > budget and dev >= best
+                assert activation._refuted(dense, [(x, target)], budget, best) == want, (dense, x, target)
+
+    def test_most_candidates_never_reach_the_grid(self, monkeypatch):
+        """kfit on monotone-curve, norm, eps 1/10 scores at most 40 of its 402
+        distinct candidates on the whole grid."""
+        real, calls = np.polynomial.polynomial.polyval, []
+
+        def counted(x, c):
+            calls.append(len(c))
+            return real(x, c)
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", counted)
+        cfg = config_preset("monotone-curve")
+        build_k_network(cfg, target_values("norm", cfg), Fraction(1, 10))
+        assert 0 < len(calls) <= 40
 
 
 class TestProfileSamples:

@@ -42,6 +42,7 @@ from helpers import (
     textbook_probe,
     textbook_shared_pair,
 )
+from ridgekit import bolts
 from ridgekit.incidence import IncidenceStructure, analyze
 from ridgekit.presets import config_preset, probe_test
 
@@ -226,6 +227,41 @@ class TestGenerator:
         gen = paper_orbit_generator()
         bolt = gen.generate(200)
         assert verify_bolt(bolt, gen.a1, gen.a2)
+
+    def test_paper_orbit_rule_takes_no_fraction_arithmetic(self, monkeypatch):
+        """The paper-orbit rule builds each point from integer ratios: a
+        2,000-point walk multiplies and subtracts no ``Fraction``."""
+
+        def forbidden(self, other):
+            raise AssertionError("Fraction arithmetic in the walk")
+
+        gen = paper_orbit_generator()
+        monkeypatch.setattr(Fraction, "__mul__", forbidden)
+        monkeypatch.setattr(Fraction, "__sub__", forbidden)
+        bolt = gen.generate(2000)
+        monkeypatch.undo()
+        assert bolt == textbook_bolt(gen, 2000)
+
+    def test_paper_orbit_rule_is_its_fraction_formula(self):
+        """On seeded points with equal, nested and coprime denominators: the
+        origin goes to (1, -1), (0, y) to (3y/4, y/4) and (x, y) to (0, y - x),
+        every coordinate a ``Fraction``."""
+        rng = random.Random(36)
+        for _ in range(300):
+            dens = rng.choice([(4, 4), (3, 12), (40, 8), (7, 9), (2**70, 2**70), (1, 2**65)])
+            x = rng.choice([0, Fraction(rng.randint(-50, 50), dens[0])])
+            y = rng.choice([0, Fraction(rng.randint(-50, 50), dens[1])])
+            got = bolts._inward_spiral_rule(Point((Fraction(x), Fraction(y))))
+            if not x:
+                want = (Fraction(3, 4) * y, Fraction(1, 4) * y) if y else (Fraction(1), Fraction(-1))
+            else:
+                want = (Fraction(0), Fraction(y) - x)
+            assert got.coords == want and all(type(c) is Fraction for c in got.coords), (x, y)
+
+    def test_a_float_coordinate_is_refused_by_the_point(self):
+        gen = replace(paper_orbit_generator(), rule=lambda p: Point((p[0] + 1.0, p[1])))
+        with pytest.raises(TypeError, match="point coordinate 0 is a float, not an int or a Fraction"):
+            gen.generate(3)
 
     def test_rule_violation_reports_step(self):
         bad = BoltGenerator(
@@ -725,6 +761,27 @@ class TestWeakStarProbe:
         monkeypatch.undo()
         assert report.verdict == "consistent-with-zero"
         assert report == textbook_probe(paper_orbit_generator(), tests, 500)
+
+
+def test_pointwise_decay_reads_ratios_without_gcd(monkeypatch):
+    """On the paper orbit every plain test's denominators divide one another:
+    the pointwise sums read each value's integer ratio with no
+    ``rationalize`` and no gcd, and match the textbook probe."""
+
+    def forbidden(*args):
+        raise AssertionError("gcd or rationalize in the pointwise sums")
+
+    gen, thr = paper_orbit_generator(), Fraction(1, 100)
+    tests = [probe_test(n) for n in ("x", "y", "x2", "y2", "xy", "const")]
+    points = gen.generate(400).points
+    monkeypatch.setattr(bolts, "gcd", forbidden)
+    monkeypatch.setattr(bolts, "rationalize", forbidden)
+    decays = [bolts._pointwise_decay(test, points, thr) for test in tests]
+    monkeypatch.undo()
+    for test, (values, passed) in zip(tests, decays):
+        expected = textbook_probe(gen, [test], 400, thr)
+        assert values == [v for _, _, v in expected.rows], test.name
+        assert passed == (expected.verdict == "consistent-with-zero"), test.name
 
 
 def _x_turning_float(p: Point) -> Fraction | float:

@@ -149,6 +149,20 @@ _dot_coords = st.one_of(
 )
 
 
+class TestPointCoordinates:
+    def test_ints_and_fractions_are_kept(self):
+        p = Point((3, Fraction(-1, 2), 0))
+        assert p.coords == (3, Fraction(-1, 2), 0) and p == Point.of(3, "-1/2", 0)
+
+    @pytest.mark.parametrize(
+        "coords, index, kind",
+        [((0.5, 1), 0, "float"), ((1, True), 1, "bool"), ((Fraction(1), 2, "3"), 2, "str"), ((1, 2.0), 1, "float")],
+    )
+    def test_other_coordinates_are_refused_by_index(self, coords, index, kind):
+        with pytest.raises(TypeError, match=f"point coordinate {index} is a {kind}, not an int or a Fraction"):
+            Point(coords)
+
+
 class TestDot:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
