@@ -46,10 +46,10 @@ from typing import Callable, Sequence
 
 from .incidence import IncidenceStructure, PointConfig, analyze
 from .measures import Direction, DiscreteMeasure, Point, integer_columns
-from .rationals import RationalLike, rationalize
+from .rationals import RationalLike, Refusal, rationalize
 
 
-class BoltGenerationError(Exception):
+class BoltGenerationError(Refusal):
     """A generator rule failed to extend its bolt; carries the violating step."""
 
     def __init__(self, step: int, message: str):

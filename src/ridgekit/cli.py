@@ -20,48 +20,26 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .activation import (
-    ActivationSpec,
-    EncoderBudgetError,
-    _sigma_ratio,
-    build_k_network,
-    encode_univariate,
-)
-from .bolts import (
-    BoltGenerationError,
-    build_bolt_graph,
-    find_closed_bolt,
-    orbits,
-    weak_star_probe,
-)
-from .enumeration import RationalPoly
-from .incidence import (
-    ClosedPathCertificate,
-    DensityPreconditionError,
-    PointConfig,
-    density_verdict,
-    interpolate_ridge,
-)
-from .netapprox import (
-    FitBudgetError,
-    PolynomialActivationError,
-    ThetaInterval,
-    sigma_by_name,
-)
-from .presets import (
-    config_preset,
-    generator_preset,
-    probe_test,
-    target_values,
-)
-from .rationals import ExponentBoundError, format_rational, parse_int, rationalize
+from .rationals import ExponentBoundError, Refusal, format_rational, parse_int, rationalize
 
-# perfbench/tracer.py times the library by replacing the names imported here
-# (config_preset, target_values, sigma_by_name, weak_star_probe and others) and
-# approx_network and table_oracle_from_csv in netapprox, which is why
-# _run_netfit imports those two at call time: call each through its module
-# global, not through a reference taken earlier.  sigma-eval's rows call
+if TYPE_CHECKING:
+    from .activation import ActivationSpec
+    from .incidence import ClosedPathCertificate, PointConfig
+
+# This module imports only the standard library and rationals: each command
+# imports the modules it runs when it runs, so paths, bolts, orbits, probe,
+# ridgefit and sigma-eval never import numpy, and run() catches the library's
+# refusals through their common base, Refusal.
+#
+# perfbench/tracer.py times the library by replacing module attributes.  Of
+# this module's names only main, format_rational and rationalize are left to
+# replace.  A command's call-time import reads every other function from its
+# module when the command runs, so a replacement there (bolts:orbits,
+# netapprox:approx_network and the like) sees the call; the places that were
+# only names here (config_preset, target_values, sigma_by_name,
+# build_k_network and others) are reported absent.  sigma-eval's rows call
 # _sigma_ratio, which the tracer does not replace: its sigma_eval span does
 # not see them.
 
@@ -175,6 +153,8 @@ def load_config_file(path: str) -> tuple[PointConfig, list[Fraction] | None]:
     "directions": [[rational strings]], "values": [rational strings]?}.
     A malformed field raises ``ValueError`` naming its path, e.g. ``points[1]``.
     """
+    from .incidence import PointConfig
+
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("configuration must be a JSON object")
@@ -215,6 +195,8 @@ def _named(flag: str, lookup, name: str, *args):
 
 
 def _resolve_config(job: JobConfig) -> tuple[PointConfig, list[Fraction] | None]:
+    from .presets import config_preset, target_values
+
     if job.preset:
         cfg = _named("--preset", config_preset, job.preset)
         values = None
@@ -252,6 +234,8 @@ def _source_fields(job: JobConfig) -> dict:
 
 
 def _run_paths(job: JobConfig, out: Path) -> int:
+    from .incidence import density_verdict
+
     cfg, _ = _resolve_config(job)
     verdict = density_verdict(cfg)
     payload = _source_fields(job) | {
@@ -268,6 +252,8 @@ def _require_two_dirs(cfg: PointConfig) -> None:
 
 
 def _run_bolts(job: JobConfig, out: Path) -> int:
+    from .bolts import build_bolt_graph, find_closed_bolt
+
     cfg, _ = _resolve_config(job)
     _require_two_dirs(cfg)
     graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
@@ -287,6 +273,8 @@ def _run_bolts(job: JobConfig, out: Path) -> int:
 
 
 def _run_orbits(job: JobConfig, out: Path) -> int:
+    from .bolts import build_bolt_graph, orbits
+
     cfg, _ = _resolve_config(job)
     _require_two_dirs(cfg)
     graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
@@ -300,6 +288,9 @@ def _run_orbits(job: JobConfig, out: Path) -> int:
 
 
 def _run_probe(job: JobConfig, out: Path) -> int:
+    from .bolts import weak_star_probe
+    from .presets import generator_preset, probe_test
+
     if not job.preset:
         raise ValueError("probe requires --preset naming a generator")
     gen = _named("--preset", generator_preset, job.preset)
@@ -349,6 +340,8 @@ def _require_float_values(values) -> list[Fraction]:
 
 
 def _run_ridgefit(job: JobConfig, out: Path) -> int:
+    from .incidence import interpolate_ridge
+
     cfg, values = _resolve_config(job)
     values = _require_values(values)
     ridge, residual = interpolate_ridge(cfg, values)
@@ -378,7 +371,8 @@ def _positive_eps(job: JobConfig, default: str) -> Fraction:
 
 
 def _run_netfit(job: JobConfig, out: Path) -> int:
-    from .netapprox import approx_network, table_oracle_from_csv
+    from .incidence import DensityPreconditionError
+    from .netapprox import ThetaInterval, approx_network, sigma_by_name, table_oracle_from_csv
 
     cfg, values = _resolve_config(job)
     values = _require_float_values(values)
@@ -412,6 +406,9 @@ def _run_netfit(job: JobConfig, out: Path) -> int:
 
 
 def _run_kfit(job: JobConfig, out: Path) -> int:
+    from .incidence import DensityPreconditionError
+    from .kfit import build_k_network
+
     cfg, values = _resolve_config(job)
     values = _require_float_values(values)
     eps = _positive_eps(job, "1/100")
@@ -426,6 +423,8 @@ def _run_kfit(job: JobConfig, out: Path) -> int:
 
 def _activation_spec(job: JobConfig) -> ActivationSpec:
     """``--alpha``, ``--l`` and ``--sharpness``, each named when malformed or not positive."""
+    from .activation import ActivationSpec
+
     values = []
     for flag in ("alpha", "l", "sharpness"):
         value = _float_rational_at(job.params.get(flag, "1"), f"--{flag}")
@@ -436,6 +435,8 @@ def _activation_spec(job: JobConfig) -> ActivationSpec:
 
 
 def _run_sigma_eval(job: JobConfig, out: Path) -> int:
+    from .activation import _sigma_ratio
+
     spec = _activation_spec(job)
     start = _float_rational_at(job.params.get("start", "0"), "--from")
     stop = _float_rational_at(job.params.get("stop", "10"), "--to")
@@ -472,6 +473,9 @@ def _run_sigma_eval(job: JobConfig, out: Path) -> int:
 
 
 def _run_sigma_build(job: JobConfig, out: Path) -> int:
+    from .enumeration import RationalPoly
+    from .kfit import encode_univariate
+
     coeffs = job.params.get("poly")
     if not coeffs:
         raise ValueError("sigma-build requires --poly with comma-separated rational coefficients")
@@ -525,10 +529,7 @@ def run(job: JobConfig) -> int:
         OSError,
         KeyError,
         OverflowError,
-        FitBudgetError,
-        PolynomialActivationError,
-        EncoderBudgetError,
-        BoltGenerationError,
+        Refusal,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

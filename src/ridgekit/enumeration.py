@@ -231,17 +231,49 @@ def _fold_zero_run(acc: int, count: int) -> int:
     return acc
 
 
+def _index_bits_floor(degree: int, codes: Sequence[tuple[int, int]]) -> int:
+    """A lower bound on the bit length of :func:`encode_poly`'s index, from
+    the bit lengths of its codes alone: ``codes`` are the ``(exponent,
+    code)`` pairs, top term first, with the top code already decremented.
+
+    It follows the fold with two rules.  A pair has at least
+    ``2 * max(operand bits) - 2`` bits.  A zero fold ``pair(0, acc) =
+    acc (acc + 3) / 2`` of a nonzero ``acc`` of ``b`` bits has at least
+    ``max(2b - 2, b + 1)``, about double.  Both grow with ``acc``, so each
+    step's bound holds for any ``acc`` of at least the bound's length.  A
+    zero run is followed only until the bound passes the cap.
+    """
+    bits = codes[0][1].bit_length()  # exact; 0 only for an acc of 0, which a zero run keeps
+    prev_e = degree
+    for e, code in [*codes[1:], (-1, 0)]:
+        for _ in range(prev_e - e - 1 if bits else 0):
+            bits = max(2 * bits - 2, bits + 1)
+            if bits > _BIT_CAP:
+                return bits
+        if code:  # a code is at least 1, and so is its pair
+            bits = max(2 * code.bit_length() - 2, 2 * bits - 2, 1)
+        prev_e = e
+    return max(2 * degree.bit_length() - 2, 2 * bits - 2)
+
+
 def encode_poly(p: RationalPoly) -> int:
-    """Index of a polynomial under the enumeration (1 = zero polynomial), within the cap."""
+    """Index of a polynomial under the enumeration (1 = zero polynomial), within the cap.
+
+    An index whose bit-length floor (:func:`_index_bits_floor`) passes the
+    cap is refused before any pair is built.
+    """
     if p.is_zero:
         return 1
     terms = p.terms
     degree = terms[-1][0]
-    acc = rational_code(terms[-1][1]) - 1
+    codes = [(e, rational_code(c)) for e, c in reversed(terms)]
+    codes[0] = (degree, codes[0][1] - 1)
+    _check_bits(_index_bits_floor(degree, codes))
+    acc = codes[0][1]
     prev_e = degree
-    for e, c in reversed(terms[:-1]):
+    for e, code in codes[1:]:
         acc = _fold_zero_run(acc, prev_e - e - 1)
-        acc = _capped_pair(rational_code(c), acc)
+        acc = _capped_pair(code, acc)
         prev_e = e
     acc = _fold_zero_run(acc, prev_e)
     index = 2 + _capped_pair(degree, acc)

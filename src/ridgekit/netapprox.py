@@ -22,7 +22,7 @@ import numpy as np
 
 from .activation import Network, NetworkTerm, _network_values
 from .incidence import DensityPreconditionError, PointConfig, density_verdict, interpolate_ridge
-from .rationals import RationalLike, rationalize
+from .rationals import RationalLike, Refusal, rationalize
 
 
 # One round's dictionary is a levels x atoms float array; the atom count grows
@@ -37,7 +37,7 @@ _PROBE_SPAN = 8.0  # the probe samples [-_PROBE_SPAN, _PROBE_SPAN]
 _PROBE_RTOL = 1e-8  # a difference within this share of the sample scale has vanished
 
 
-class FitBudgetError(Exception):
+class FitBudgetError(Refusal):
     """Dictionary fit ran out of atoms/refinements before reaching the target."""
 
     def __init__(self, best_error: float):
@@ -45,7 +45,7 @@ class FitBudgetError(Exception):
         self.best_error = best_error
 
 
-class PolynomialActivationError(Exception):
+class PolynomialActivationError(Refusal):
     """The activation looks polynomial; the density hypothesis fails."""
 
 

@@ -44,6 +44,13 @@ class ExponentBoundError(ValueError):
     magnitude: a rational, refused for the size of its power of ten."""
 
 
+class Refusal(Exception):
+    """A computation that ends without a result it can stand behind: a fit
+    or encoder budget spent, a polynomial activation, a bolt rule that fails.
+    The base of those errors, so that the CLI reports each one, with exit
+    code 1, without importing the module that raises it."""
+
+
 def parse_int(text: str) -> int:
     """``int(text)``, with CPython's int-from-string digit limit raised to the text's length."""
     with _str_digits(len(text)):

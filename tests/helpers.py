@@ -52,7 +52,7 @@ from ridgekit import (
     encode_poly,
     smooth_step,
 )
-from ridgekit import activation, netapprox
+from ridgekit import kfit, netapprox
 from ridgekit.rationals import rationalize
 
 
@@ -657,30 +657,30 @@ def textbook_replayed_error(cfg: PointConfig, values, net) -> float:
 
 
 def textbook_encode(sample, exact, eps_over_k: float, spec: ActivationSpec) -> UnivariateEncoding:
-    """``activation._encode`` scoring every distinct rounding candidate on the
+    """``kfit._encode`` scoring every distinct rounding candidate on the
     whole validation grid: the same Chebyshev fits, rounding ladder,
     deduplication, exact-match branch, cap checks and messages, and each
     candidate's error is ``max |target - polyval(grid, c)|``."""
     if not eps_over_k > 0:
         raise ValueError("the error budget must be positive")
-    xi_nodes, t_nodes, grid = activation._sample_points(spec)
+    xi_nodes, t_nodes, grid = kfit._sample_points(spec)
     samples = sample(t_nodes)
     grid_target = sample(grid)
     best_error = math.inf
     tried = False
     skipped = ""
-    powers = [Fraction(spec.half_width) ** i for i in range(activation._MAX_DEGREE + 1)]
+    powers = [Fraction(spec.half_width) ** i for i in range(kfit._MAX_DEGREE + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for degree in range(activation._MAX_DEGREE + 1):
+        for degree in range(kfit._MAX_DEGREE + 1):
             power_xi = np.polynomial.chebyshev.cheb2poly(
                 np.polynomial.chebyshev.chebfit(xi_nodes, samples, degree)
             )
             coeff_floats = [float(power_xi[i]) / float(powers[i]) for i in range(degree + 1)]
-            if not all(abs(c) <= activation._MAX_ABS_COEFF for c in coeff_floats):
+            if not all(abs(c) <= kfit._MAX_ABS_COEFF for c in coeff_floats):
                 continue
             tried = True
             seen = set()
-            for ratios in zip(*map(activation._best_approximations, coeff_floats)):
+            for ratios in zip(*map(kfit._best_approximations, coeff_floats)):
                 if ratios in seen:
                     continue
                 seen.add(ratios)
@@ -702,6 +702,6 @@ def textbook_encode(sample, exact, eps_over_k: float, spec: ActivationSpec) -> U
     if not tried:
         skipped = (
             "could not reach the requested accuracy: every fit has a coefficient "
-            f"beyond the {activation._MAX_ABS_COEFF:,} coefficient cap"
+            f"beyond the {kfit._MAX_ABS_COEFF:,} coefficient cap"
         )
     raise EncoderBudgetError(best_error, skipped)

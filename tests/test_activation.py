@@ -38,7 +38,7 @@ from ridgekit import (
     sigma_eval,
     smooth_step,
 )
-from ridgekit import activation, incidence, measures
+from ridgekit import activation, incidence, kfit, measures
 from ridgekit.cli import main
 from ridgekit.incidence import interpolate_ridge
 from ridgekit.measures import integer_columns
@@ -190,7 +190,7 @@ class TestEncodeUnivariate:
             assert sigma_eval(SPEC, arg) == enc.poly.eval_exact(t)
 
     def test_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(activation, "_MAX_DEGREE", 3)
+        monkeypatch.setattr(kfit, "_MAX_DEGREE", 3)
         with pytest.raises(EncoderBudgetError) as exc:
             encode_univariate(abs, 1e-9, SPEC)
         assert 0 < exc.value.best_error < 1.0
@@ -242,8 +242,8 @@ class TestRoundingLadder:
 
     def test_every_bound_is_limit_denominator(self):
         for c in ladder_inputs():
-            want = [Fraction(c).limit_denominator(b) for b in activation._DENOMINATOR_BOUNDS]
-            assert activation._best_approximations(c) == [(q.numerator, q.denominator) for q in want], c
+            want = [Fraction(c).limit_denominator(b) for b in kfit._DENOMINATOR_BOUNDS]
+            assert kfit._best_approximations(c) == [(q.numerator, q.denominator) for q in want], c
 
     @pytest.mark.parametrize(
         "c, convergent, semiconvergent",
@@ -251,7 +251,7 @@ class TestRoundingLadder:
     )
     def test_a_tie_takes_the_convergent(self, c, convergent, semiconvergent):
         assert abs(Fraction(c) - convergent) == abs(Fraction(c) - semiconvergent)
-        assert activation._best_approximations(c)[0] == (convergent.numerator, convergent.denominator)
+        assert kfit._best_approximations(c)[0] == (convergent.numerator, convergent.denominator)
 
 
 def _outcome(encode, sample, exact, budget, spec) -> tuple:
@@ -288,7 +288,7 @@ def shared_indices(monkeypatch):
     """Both encoders' ``encode_poly`` through one memo: a candidate within the
     budget is indexed once, and an index beyond the cap, which takes up to a
     quarter of a second to refuse, is refused once."""
-    real, memo = activation.encode_poly, {}
+    real, memo = kfit.encode_poly, {}
 
     def encode(poly):
         if poly not in memo:
@@ -300,7 +300,7 @@ def shared_indices(monkeypatch):
             raise memo[poly]
         return memo[poly]
 
-    monkeypatch.setattr(activation, "encode_poly", encode)
+    monkeypatch.setattr(kfit, "encode_poly", encode)
     monkeypatch.setattr(helpers, "encode_poly", encode)
 
 
@@ -325,7 +325,7 @@ class TestEncoderOracle:
             for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
                 budget = float(eps) / (cfg.k + 1)
                 want = _outcome(textbook_encode, sample, None, budget, spec)
-                assert _outcome(activation._encode, sample, None, budget, spec) == want, (table.direction, eps)
+                assert _outcome(kfit._encode, sample, None, budget, spec) == want, (table.direction, eps)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_callables(self, seed):
@@ -334,7 +334,7 @@ class TestEncoderOracle:
         sample = _scalar_sampler(_seeded_profile(rng, float(spec.half_width)))
         for budget in (1e-1, 1e-2, 1e-3, 1e-5):
             want = _outcome(textbook_encode, sample, None, budget, spec)
-            assert _outcome(activation._encode, sample, None, budget, spec) == want, budget
+            assert _outcome(kfit._encode, sample, None, budget, spec) == want, budget
 
     @pytest.mark.parametrize(
         "coeffs, budget",
@@ -353,7 +353,7 @@ class TestEncoderOracle:
         poly = RationalPoly.from_coefficients([Fraction(c) for c in coeffs])
         sample = _scalar_sampler(poly)
         want = _outcome(textbook_encode, sample, poly, budget, SPEC)
-        assert _outcome(activation._encode, sample, poly, budget, SPEC) == want
+        assert _outcome(kfit._encode, sample, poly, budget, SPEC) == want
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_polynomials(self, seed):
@@ -362,7 +362,7 @@ class TestEncoderOracle:
         sample = _scalar_sampler(poly)
         for budget in (1e-2, 1e-6):
             want = _outcome(textbook_encode, sample, poly, budget, SPEC)
-            assert _outcome(activation._encode, sample, poly, budget, SPEC) == want, (poly, budget)
+            assert _outcome(kfit._encode, sample, poly, budget, SPEC) == want, (poly, budget)
 
     def test_witness_values_are_polyval_values(self):
         """One witness refutes exactly when the deviation from ``polyval``'s
@@ -379,7 +379,7 @@ class TestEncoderOracle:
                 best = rng.choice([math.inf, budget / 2, budget * 2, 100.0])
                 dev = abs(target - float(np.polynomial.polynomial.polyval(np.array([x]), dense)[0]))
                 want = dev > budget and dev >= best
-                assert activation._refuted(dense, [(x, target)], budget, best) == want, (dense, x, target)
+                assert kfit._refuted(dense, [(x, target)], budget, best) == want, (dense, x, target)
 
     def test_most_candidates_never_reach_the_grid(self, monkeypatch):
         """kfit on monotone-curve, norm, eps 1/10 scores at most 40 of its 402
@@ -406,7 +406,7 @@ class TestProfileSamples:
         ridge, _ = interpolate_ridge(cfg, target_values(target, cfg))
         bound = max(abs(lv) for table in ridge.tables for lv in table.levels)
         spec = ActivationSpec(Fraction(1), max(bound, Fraction(1)), Fraction(1))
-        _, t_nodes, grid = activation._sample_points(spec)
+        _, t_nodes, grid = kfit._sample_points(spec)
         for table in ridge.tables:
             levels = np.array([float(v) for v in table.levels])
             values = np.array([float(v) for v in table.values])
@@ -545,7 +545,7 @@ class TestBuildKNetwork:
         """The first unit's threshold, lowered by two alphas, selects the next
         carrier segment's polynomial, and by one alpha puts its arguments on
         a gap; its recorded encoding and error stay those of its own index."""
-        real = activation._encode
+        real = kfit._encode
         seen = []
 
         def misplaced(sample, exact, budget, spec):
@@ -553,7 +553,7 @@ class TestBuildKNetwork:
             seen.append(enc)
             return replace(enc, shift=enc.shift - alphas * spec.alpha) if len(seen) == 1 else enc
 
-        monkeypatch.setattr(activation, "_encode", misplaced)
+        monkeypatch.setattr(kfit, "_encode", misplaced)
         cfg = config_preset("monotone-curve")
         with pytest.raises(AssertionError, match=message):
             build_k_network(cfg, target_values("norm", cfg), Fraction(1, 10))

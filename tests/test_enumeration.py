@@ -18,6 +18,8 @@ from ridgekit import (
     encode_poly,
     rational_code,
 )
+from ridgekit import enumeration
+from ridgekit.enumeration import cantor_pair
 
 
 class TestCalkinWilf:
@@ -94,6 +96,24 @@ class TestPolyCodec:
             decode_poly(0)
 
 
+def _plain_index(p: RationalPoly) -> int:
+    """The enumeration's index by its definition: the dense code list, the
+    last code decremented, folded right to left with the Cantor pair."""
+    codes = [rational_code(c) for c in _dense(p)]
+    codes[-1] -= 1
+    acc = codes[-1]
+    for code in reversed(codes[:-1]):
+        acc = cantor_pair(code, acc)
+    return 2 + cantor_pair(p.degree, acc)
+
+
+def _dense(p: RationalPoly) -> list[Fraction]:
+    coeffs = [Fraction(0)] * (p.degree + 1)
+    for e, c in p.terms:
+        coeffs[e] = c
+    return coeffs
+
+
 class TestBitCap:
     """Every index encoding builds, the exact one included, stays within 4,000,000 bits."""
 
@@ -116,6 +136,49 @@ class TestBitCap:
         with pytest.raises(OverflowError):
             encode_poly(RationalPoly(((0, Fraction(2)), (10**9, Fraction(3)))))
         assert time.perf_counter() - start < 2.0
+
+    def test_index_whose_floor_passes_the_cap_builds_no_pair(self, monkeypatch):
+        """Thirteen codes of 5,885 bits each: the fold's bit-length floor
+        passes the cap at its tenth pair, so the index is refused before the
+        first is built."""
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.bit_length(), b.bit_length()))
+            return cantor_pair(a, b)
+
+        p = RationalPoly.from_coefficients([Fraction(2**60 + 1, 3**30)] * 13)
+        monkeypatch.setattr(enumeration, "cantor_pair", counted)
+        with pytest.raises(OverflowError, match="4,000,000-bit cap"):
+            encode_poly(p)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_floor_bounds_every_in_cap_index_and_changes_none(self, seed):
+        """The floor is at most the index's bit length, and the index is the
+        plain fold's, on seeded polynomials with zero runs, unit top
+        coefficients and long codes."""
+        rng = random.Random(3800 + seed)
+        polys = [random_sparse_poly(rng) for _ in range(200)]
+        polys += [
+            RationalPoly.from_coefficients([Fraction(rng.randint(-9, 9), rng.randint(1, 3))] * 3 + [1])
+            for _ in range(20)
+        ]
+        polys += [RationalPoly(((0, Fraction(1, rng.randint(2, 3000))), (rng.randint(1, 12), Fraction(1))))]
+        encoded = 0
+        for p in polys:
+            if p.is_zero:
+                continue
+            try:
+                index = encode_poly(p)
+            except OverflowError:
+                continue
+            codes = [(e, rational_code(c)) for e, c in reversed(p.terms)]
+            codes[0] = (p.degree, codes[0][1] - 1)
+            assert index == _plain_index(p), p
+            assert enumeration._index_bits_floor(p.degree, codes) <= (index - 2).bit_length(), p
+            encoded += 1
+        assert encoded >= 160
 
 
 class TestRationalPoly:
