@@ -8,17 +8,16 @@ continues the alternation.  Closed bolts carry alternating +/-1 measures
 that annihilate both directions.
 
 Every point's (level-1, level-2) pair is an edge of a bipartite graph on
-level nodes, and a closed bolt is exactly a simple cycle there, so detection
-is a linear-time cycle search rather than a combinatorial enumeration.  The
-bolt graph is the cached level index of :mod:`ridgekit.incidence` itself,
-the same one the density verdict of those points and directions reads:
-:func:`build_bolt_graph` checks the input and returns it, the search walks
-its level graph (:attr:`IncidenceStructure.level_graph`, whose nodes the
-index numbers), and the orbits are the components of its level forest,
-the union-find the verdict grows.  That forest also says whether a closed bolt exists: when it
-has no closing point, no search runs.  Otherwise the closed bolt comes from
-its own depth-first search: its cycle is pinned, and need not be the
-verdict's certificate.
+level nodes, and a closed bolt is exactly a simple cycle there, with its
+alternating measure a closed-path certificate.  The bolt graph is the cached
+level index of :mod:`ridgekit.incidence` itself, the same one the density
+verdict of those points and directions reads: :func:`build_bolt_graph`
+checks the input and returns it, and the orbits are the components of its
+level forest, the union-find the verdict grows.  That forest also gives the
+closed bolt: when it has no closing point there is none, and otherwise the
+bolt is the cycle of its first closing point, walked in order, whose
+alternating weights are the verdict's certificate.  There is no second
+search, and one configuration has one obstruction.
 
 For infinite bolts, truncations carry the normalized alternating measures
 ``mu_n`` (mass 1/n per point, signs alternating).  A finite probe cannot
@@ -171,61 +170,25 @@ def _first_shared_pair(level_of: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def find_closed_bolt(graph: IncidenceStructure) -> Bolt | None:
-    """Search for a closed bolt via cycle detection on the level graph.
+    """The closed bolt of the index's first closed path, or ``None``.
 
-    The graph is the index's :attr:`IncidenceStructure.level_graph`: its
-    nodes are the distinct levels of either direction, each point is the
-    edge joining its two levels, and a node's edges are the points of its
-    level group, in increasing order.  A simple cycle there is precisely a
-    closed bolt (even length, alternation forced by bipartiteness).  Roots
-    are tried in the order in which points first touch them.
-
-    A closed bolt is a cycle of the level graph, and :func:`build_bolt_graph`
-    rejects parallel edges, so there is none when the index's level forest
-    (:attr:`IncidenceStructure.forest`) has no closing point: then ``None``
-    is returned without the search.
+    A closed bolt is a cycle of the index's level graph
+    (:attr:`IncidenceStructure.level_graph`), and :func:`build_bolt_graph`
+    rejects parallel edges, so there is none when the level forest
+    (:attr:`IncidenceStructure.forest`) has no closing point.  Otherwise the
+    bolt is the cycle of its first closing point, the one the verdict's
+    certificate weighs (:attr:`IncidenceStructure.first_closed_path`), walked
+    in order (:meth:`IncidenceStructure._cycle_walk`): the closing point
+    first, its first link along ``a2``.  :func:`verify_bolt` checks it.
     """
-    if not graph.forest[0]:
+    closing = graph.forest[0]
+    if not closing:
         return None
-    _, nodes, first, second, ends = graph.level_graph
-    members = graph.groups[0] + graph.groups[1]
-    visited = [False] * nodes
-    parent = [(-1, -1)] * nodes  # node -> (parent node, tree edge)
-    for root in chain.from_iterable(zip(first, second)):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack = [(root, iter(members[root]))]
-        while stack:
-            node, it = stack[-1]
-            for edge in it:
-                nb = ends[edge] - node
-                if not visited[nb]:
-                    visited[nb] = True
-                    parent[nb] = (node, edge)
-                    stack.append((nb, iter(members[nb])))
-                    break
-                if parent[node][1] != edge:
-                    return _bolt_from_cycle(graph, parent, node, nb, edge)
-            else:
-                stack.pop()
-    return None
-
-
-def _bolt_from_cycle(graph, parent, lower, upper, closing_edge) -> Bolt:
-    path_edges: list[int] = []
-    node = lower
-    while node != upper:
-        pnode, pedge = parent[node]
-        path_edges.append(pedge)
-        node = pnode
-    cycle = list(reversed(path_edges)) + [closing_edge]
-    points = tuple(graph.cfg.points[j] for j in cycle)
-    level1_of = graph.level_of[0]
-    first = 1 if level1_of[cycle[0]] == level1_of[cycle[1]] else 2
-    bolt = Bolt(points, first, closed=True, indices=tuple(cycle))
+    walk = graph._cycle_walk(closing[0])
+    points = graph.cfg.points
+    bolt = Bolt(tuple(points[j] for j in walk), 2, closed=True, indices=tuple(walk))
     if not verify_bolt(bolt, *graph.cfg.dirs):
-        raise AssertionError("cycle of the level graph is not a closed bolt")
+        raise AssertionError("cycle of the level forest is not a closed bolt")
     return bolt
 
 

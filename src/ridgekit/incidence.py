@@ -32,8 +32,8 @@ columns to its right, and does only the work that one vector needs:
   circuits are the cycles that a union-find over level nodes closes when
   the points are added from the last one down
   (:attr:`IncidenceStructure.forest`); the verdict builds the first one,
-  nothing is eliminated, and the same forest gives the orbits of
-  :mod:`ridgekit.bolts`;
+  nothing is eliminated, and the same forest gives the orbits and the
+  closed bolt of :mod:`ridgekit.bolts`;
 * otherwise, when one direction has ``n`` levels, it separates every
   point: its rows of ``M`` are a permutation matrix, so ``M`` has full
   column rank and nothing is eliminated, and the directions after the first
@@ -66,6 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import cycle
 from math import gcd, lcm
 from operator import add
 from typing import Iterator, Sequence
@@ -274,17 +275,15 @@ class IncidenceStructure:
             components.append(queue)
         return via, depth, components
 
-    def _forest_cycle(self, closing: int) -> dict[int, int]:
-        """The cycle that point ``closing`` closes in :attr:`forest`: the
-        point, then the forest path between its two levels, each end walked
-        up to their common ancestor in :attr:`_rooted_forest`.  A forest
+    def _cycle_walk(self, closing: int) -> list[int]:
+        """The cycle that point ``closing`` closes in :attr:`forest`, in walk
+        order: the point, then the forest path from its level along the
+        second direction to its level along the first, each end walked up to
+        their common ancestor in :attr:`_rooted_forest`.  Consecutive points
+        share a level, the first two along the second direction.  A forest
         joins two nodes by one path only, and the forest edges after
         ``closing`` already join these two, so the cycle lies on ``closing``
-        and points after it, none of them free: it is :func:`nullspace_int`'s
-        basis vector for that free column.  The level graph is bipartite, so
-        the path has odd length, and weights alternating ±1 along the cycle
-        cancel on every level; ``closing``, the smallest point, gets +1, which
-        is that basis's normal form."""
+        and points after it, none of them free."""
         _, _, first, second, ends = self.level_graph
         via, depth, _ = self._rooted_forest
         a, b = first[closing], second[closing]
@@ -299,11 +298,17 @@ class IncidenceStructure:
                 e = via[b]
                 up_b.append(e)
                 b = ends[e] - b
-        weights = {closing: 1}
-        for path in (up_a, up_b):
-            for t, e in enumerate(path):
-                weights[e] = -1 if t % 2 == 0 else 1
-        return dict(sorted(weights.items()))
+        return [closing, *up_b, *reversed(up_a)]
+
+    def _forest_cycle(self, closing: int) -> dict[int, int]:
+        """The cycle of :meth:`_cycle_walk` as ``{point: weight}``, sorted by
+        point: it is :func:`nullspace_int`'s basis vector for the free column
+        ``closing``.  The level graph is bipartite, so the walk has even
+        length, and weights alternating ±1 along it cancel on every level;
+        ``closing``, the smallest point, gets +1, which is that basis's normal
+        form."""
+        walk = self._cycle_walk(closing)
+        return dict(sorted(zip(walk, cycle((1, -1)))))
 
     @cached_property
     def _null_vectors(self) -> Iterator[dict[int, int]]:

@@ -43,7 +43,7 @@ from helpers import (
     textbook_shared_pair,
 )
 from ridgekit import bolts
-from ridgekit.incidence import IncidenceStructure, analyze
+from ridgekit.incidence import analyze
 from ridgekit.presets import config_preset, probe_test
 
 A1, A2 = Direction.of(1, 1), Direction.of(1, -1)
@@ -442,33 +442,58 @@ class TestFindClosedBolt:
         assert find_closed_bolt(graph) is None
 
     def test_matches_closed_path_detector(self):
-        """For two directions a closed bolt exists iff a closed path does, and
-        the alternating bolt measure is itself a valid certificate."""
+        """For two directions a closed bolt exists iff a closed path does; it
+        verifies, its points are the support of the verdict's certificate,
+        and its alternating measure is itself a valid certificate.  On seeded
+        planar draws, the k = 2 configurations of the acceptance sweep (seed
+        20260810) and the k = 2 presets."""
         rng = random.Random(1234)
-        agree = 0
-        for _ in range(400):
-            cfg = random_config(rng, max_d=2, max_k=2)
-            if cfg.k != 2 or cfg.dim != 2:
+        configs = [random_config(rng, max_d=2, max_k=2) for _ in range(400)]
+        configs = [cfg for cfg in configs if cfg.dim == 2]
+        rng = random.Random(20260810)
+        configs += [random_config(rng) for _ in range(500)]
+        configs += [config_preset(name) for name in
+                    ("grid-2x2", "grid-3x3", "monotone-curve", "paper-orbit", "parallel-segments")]
+        found = Counter()
+        for cfg in configs:
+            if cfg.k != 2:
                 continue
             try:
                 graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
             except ValueError:
-                continue  # parallel directions drawn
+                continue  # parallel directions, or points sharing both levels
             bolt = find_closed_bolt(graph)
             path = find_closed_path(cfg)
             assert (bolt is not None) == (path is not None)
             if bolt is not None:
+                assert verify_bolt(bolt, cfg.dirs[0], cfg.dirs[1])
+                assert sorted(bolt.indices) == sorted(analyze(cfg).first_closed_path)
+                assert set(bolt.points) == set(path.measure.support)
                 mu = bolt_measure(bolt, len(bolt))
                 assert is_annihilating(mu, cfg.dirs)
-            agree += 1
-        assert agree >= 40
+            found[bolt is None] += 1
+        assert found[False] >= 20 and found[True] >= 80
+
+    def test_bolt_after_a_verdict_reads_its_cache(self):
+        """After a verdict, finding the closed bolt runs no second search:
+        the call adds nothing to the index that the verdict filled."""
+        for cfg in (
+            config_preset("grid-3x3"),
+            large_config(random.Random("bolt-after-verdict"), "closed-staircase", 60),
+            PointConfig.build([(i, j) for i in range(10) for j in range(10)], [(1, 0), (0, 1)]),
+        ):
+            assert not density_verdict(cfg).dense
+            graph = build_bolt_graph(cfg.points, cfg.dirs[0], cfg.dirs[1])
+            assert graph is analyze(cfg)
+            cached = set(graph.__dict__)
+            bolt = find_closed_bolt(graph)
+            assert bolt is not None and set(graph.__dict__) == cached
 
     def test_no_search_on_a_level_forest(self):
         """Staircases, level forests and ``level_multigraph`` seeds: a closed
         bolt is found exactly when the textbook rows have a closed path.  On
-        an acyclic level graph the answer comes from the level forest, no
-        level group is built, and the depth-first search, forced on a copy
-        of the index, finds no cycle either."""
+        an acyclic level graph the answer comes from the level forest, and
+        neither a level group nor the rooted forest is built."""
         rng = random.Random("closed-bolt-forests")
         configs = [large_config(rng, family, n) for family in ("staircase", "closed-staircase")
                    for n in (4, 13, 60)]
@@ -485,11 +510,8 @@ class TestFindClosedBolt:
             bolt = find_closed_bolt(graph)
             assert (bolt is None) == (not oracle_has_closed_path(cfg))
             assert ("groups" in graph.__dict__) == (bolt is not None)
-            if bolt is None:
-                forced = IncidenceStructure(cfg)
-                forced.__dict__["forest"] = ((0,), graph.forest[1])
-                assert find_closed_bolt(forced) is None
-            else:
+            assert ("_rooted_forest" in graph.__dict__) == (bolt is not None)
+            if bolt is not None:
                 assert verify_bolt(bolt, cfg.dirs[0], cfg.dirs[1])
             found[bolt is None] += 1
         assert found[True] >= 40 and found[False] >= 20
@@ -498,7 +520,8 @@ class TestFindClosedBolt:
         """sha256 of every found cycle's ``(indices, first_link)``, or None
         where there is none: seeded two-direction planar draws, the k = 2
         families of ``large_config`` at n = 12, 60 and 200, and axis grids
-        from 2x2 to 24x24.  Any change to the search order shows here."""
+        from 2x2 to 24x24.  Every found cycle is the support of the first
+        closed path; any change to its walk order shows here."""
         configs = []
         rng = random.Random("closed-bolt-pin")
         for _ in range(3000):
@@ -520,10 +543,12 @@ class TestFindClosedBolt:
             except ValueError:
                 continue  # parallel directions drawn
             bolt = find_closed_bolt(graph)
+            if bolt is not None:
+                assert sorted(bolt.indices) == sorted(analyze(cfg).first_closed_path)
             records.append(None if bolt is None else (bolt.indices, bolt.first_link))
         assert sum(r is not None for r in records) >= 100
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
-        assert digest == "8efe4d8f8880927f81d8568b365f12a994422ac052c1cd4e4b111fc85cfedf94"
+        assert digest == "fe688a6044e7d4d387ce0713ad248b808375dba58d39cf0d409c25f9e4836afa"
 
 
 X, Y = Direction.of(1, 0), Direction.of(0, 1)

@@ -172,6 +172,16 @@ class TestCommands:
         assert data["found"] and data["bolt"]["closed"]
         assert len(data["bolt"]["points"]) == 4
 
+    def test_bolt_is_the_verdicts_certificate(self, tmp_path):
+        """On grid-3x3, which has 4 closing points, ``bolt.json`` walks the
+        cycle whose alternating weights ``verdict.json`` certifies."""
+        assert run(JobConfig("paths", preset="grid-3x3", out_dir=str(tmp_path))) == 2
+        assert run(JobConfig("bolts", preset="grid-3x3", out_dir=str(tmp_path))) == 0
+        cert = read_json(tmp_path / "verdict.json")["certificate"]["points"]
+        bolt = read_json(tmp_path / "bolt.json")["bolt"]["points"]
+        assert len(bolt) == len(cert) == 4
+        assert set(map(tuple, bolt)) == set(map(tuple, cert))
+
     def test_orbits_artifact(self, tmp_path):
         assert run(JobConfig("orbits", preset="paper-orbit", out_dir=str(tmp_path))) == 0
         assert read_json(tmp_path / "orbits.json")["orbit_count"] == 1
@@ -664,7 +674,7 @@ GOLDEN = [
     ("paths", "parallel-segments", None, 0, "verdict.json", "b6cfb8fca180f677b943985242b195155d8164b0c35e86a2f8f9ca304547b5f1"),
     ("bolts", "grid-2x2", None, 0, "bolt.json", "0976b9d1b4dadfd84e6c8c96e05fd13c5ca828c343e999df8f5468b05f935cc3"),
     ("orbits", "grid-2x2", None, 0, "orbits.json", "875812f10289b8ede4a757c3ea9b549d04969a26b68dcd480fabc0b10018c0fd"),
-    ("bolts", "grid-3x3", None, 0, "bolt.json", "0fe8b81bbee5c4c4ed2e6c8f128c109b14358d5d9a1459bdefe995ff6bcdf6f5"),
+    ("bolts", "grid-3x3", None, 0, "bolt.json", "fa386c96b604c52f5ad30f7f64be365e2d423dc453bc5291f2d72ebcd3081dd1"),
     ("orbits", "grid-3x3", None, 0, "orbits.json", "49b68789f3a5156917383b8d16c27ed5c8ce1c98f70ad1d21ac6df2995b550f1"),
     ("bolts", "paper-orbit", None, 0, "bolt.json", "f08c633f7a335cfada9c2d2038e62acaf58a88ced4f6486052bbaa459a75b158"),
     ("orbits", "paper-orbit", None, 0, "orbits.json", "4b5a4440cdeb4c3315f71a92d8d4aab783359ba5865ea95c924c6ad65c2f1992"),
